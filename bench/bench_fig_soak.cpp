@@ -102,7 +102,10 @@ int main(int argc, char** argv) {
   obs::bench::BenchReporter reporter("soak");
   reporter.set_threads(args.threads);
   reporter.set_repeat(args.repeat);
-  obs::prof::Profiler profiler;
+  // The soak exports only aggregates (add_profile, write_collapsed), which
+  // stay exact past the event cap; the default 2^20-event lane buffer
+  // would read as RSS growth to the bounded-growth gate.
+  obs::prof::Profiler profiler({/*max_events_per_lane=*/1024});
 
   // The smoke gate runs the ISSUE-mandated floor (200 faulted+flooded
   // rounds); the full bench soaks the paper's thousand. Both report the

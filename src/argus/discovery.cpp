@@ -137,87 +137,57 @@ class ObjectNode final : public net::SimNode {
   Shared* shared_;
 };
 
+/// Simulator adapter over the round driver: maps radio node ids onto
+/// driver slots and the driver's effects onto the radio and Simulator
+/// timers, and keeps the simulator-only work — trace instants, message
+/// tallies, compute charging, and the discovery timeline.
 class SubjectNode final : public net::SimNode {
  public:
-  SubjectNode(SubjectEngineConfig cfg, Shared* shared)
-      : engine_(std::move(cfg)), shared_(shared) {}
+  SubjectNode(SubjectEngineConfig cfg, std::size_t objects,
+              const RetryPolicy& policy, Shared* shared)
+      : driver_(std::move(cfg), objects, shared->epoch, policy),
+        shared_(shared),
+        timers_(objects + 1) {}
 
-  /// Per-object exchange the retry driver tracks. Phases advance
-  /// QUE1-sent -> (RES1 seen, QUE2 sent) -> done; a round deadline or an
-  /// exhausted retry budget parks the exchange at kTimedOut.
-  struct Exchange {
-    enum Phase { kIdle, kAwaitRes1, kAwaitRes2, kDone, kTimedOut };
-    std::string object_id;
-    Phase phase = kIdle;
-    unsigned que2_attempts = 0;    // this round
-    unsigned retransmits = 0;      // cumulative, for the report
-    unsigned rejects = 0;          // peer bytes the engine rejected
-    Bytes que2_wire;               // cached wire for timer-driven resends
-    net::TimerId timer = 0;
-    bool timer_live = false;
-  };
-
-  void configure_retries(const RetryPolicy& policy, bool enabled) {
-    policy_ = policy;
-    retries_ = enabled;
-  }
-
-  void track_object(net::NodeId node, std::string object_id) {
-    Exchange ex;
-    ex.object_id = std::move(object_id);
-    exchanges_[node] = std::move(ex);
-  }
+  /// Objects join in slot order (and in ascending node id).
+  void add_object(net::NodeId node) { objects_.push_back(node); }
 
   void begin_round(std::size_t group_idx) {
-    engine_.set_group_key_index(group_idx);
     group_idx_ = group_idx;
-    que1_wire_ = engine_.start_round();
-    (void)engine_.take_consumed_ms();
-    que1_attempts_ = 0;
-    for (auto& [node, ex] : exchanges_) {
-      ex.phase = Exchange::kAwaitRes1;
-      ex.que2_attempts = 0;
-      ex.que2_wire.clear();
-    }
-    send_que1();
+    apply(driver_.begin_round(group_idx));
   }
 
-  /// Close out the round: cancel every live timer (so stale retries never
-  /// leak into the next round) and park unresolved exchanges.
+  /// Close out the round: no stale timer leaks into the next one.
   void finish_round() {
-    cancel_que1_timer();
-    for (auto& [node, ex] : exchanges_) {
-      cancel_timer(ex);
-      if (ex.phase == Exchange::kAwaitRes1 || ex.phase == Exchange::kAwaitRes2) {
-        ex.phase = Exchange::kTimedOut;
-      }
-    }
+    apply(driver_.end_round());
+    const RoundDriver::Counts& counts = driver_.counts();
+    shared_->report->que1_retransmits += counts.que1_retransmits;
+    shared_->report->que2_retransmits += counts.que2_retransmits;
   }
 
   void on_message(net::NodeId from, const Bytes& payload) override {
+    const auto it = std::lower_bound(objects_.begin(), objects_.end(), from);
+    if (it == objects_.end() || *it != from) return;  // only objects answer
     obs::Tracer* const tr = shared_->tracer;
     if (tr) {
       tr->begin(net_->now(), node_id(),
                 std::string("handle.") + wire_type_name(payload), "phase",
                 payload.size());
     }
-    const std::size_t before = engine_.discovered().size();
-    auto reply = engine_.handle(payload, shared_->epoch);
-    const double ms = engine_.take_consumed_ms();
+    SubjectEngine& engine = driver_.engine();
+    const std::size_t before = engine.discovered().size();
+    const RoundDriver::Handled handled = driver_.on_frame(
+        static_cast<std::size_t>(it - objects_.begin()), payload);
+    const double ms = engine.take_consumed_ms();
     net_->consume_compute(node_id(), ms);
     shared_->report->subject_compute_ms += ms;
-    if (is_reject(reply.status)) {
-      if (const auto it = exchanges_.find(from); it != exchanges_.end()) {
-        ++it->second.rejects;
-      }
-      if (tr) {
-        tr->instant(net_->now(), node_id(),
-                    std::string("reject.") + status_name(reply.status),
-                    "fault", payload.size(), from);
-      }
+    if (tr && is_reject(handled.status)) {
+      tr->instant(net_->now(), node_id(),
+                  std::string("reject.") + status_name(handled.status),
+                  "fault", payload.size(), from);
     }
-    if (engine_.discovered().size() > before) {
-      const auto& svc = engine_.discovered().back();
+    if (engine.discovered().size() > before) {
+      const auto& svc = engine.discovered().back();
       shared_->report->timeline.push_back(DiscoveryEvent{
           svc.object_id, svc.level, svc.variant_tag,
           net_->node_free_at(node_id())});
@@ -225,155 +195,55 @@ class SubjectNode final : public net::SimNode {
         tr->instant(net_->now(), node_id(), "discovered", "phase",
                     static_cast<std::uint64_t>(svc.level), 0, svc.object_id);
       }
-      resolve(from);
     }
-    if (reply) {
-      const char* type = wire_type_name(*reply);
-      const std::size_t size = reply->size();
-      if (tr) {
-        tr->instant(net_->now(), node_id(), std::string("tx.") + type, "net",
-                    size);
-      }
-      if (const auto it = exchanges_.find(from);
-          it != exchanges_.end() && it->second.phase == Exchange::kAwaitRes1 &&
-          is_msg(*reply, MsgType::kQue2)) {
-        it->second.phase = Exchange::kAwaitRes2;
-        it->second.que2_wire = *reply;
-        arm_que2_timer(from, it->second);
-      }
-      const auto sent = net_->unicast(node_id(), from, std::move(*reply));
-      shared_->tally(type, size, sent.delivered);
-    }
+    apply(handled.effects);
     if (tr) tr->end(net_->node_free_at(node_id()), node_id());
   }
 
-  SubjectEngine& engine() { return engine_; }
-  [[nodiscard]] const SubjectEngine& engine() const { return engine_; }
-  [[nodiscard]] const std::map<net::NodeId, Exchange>& exchanges() const {
-    return exchanges_;
-  }
+  [[nodiscard]] const RoundDriver& driver() const { return driver_; }
+  SubjectEngine& engine() { return driver_.engine(); }
+  [[nodiscard]] const SubjectEngine& engine() const { return driver_.engine(); }
 
  private:
-  double backoff_delay(double base, unsigned attempt) const {
-    double d = base;
-    for (unsigned i = 0; i < attempt; ++i) d *= policy_.backoff;
-    return d;
-  }
-
-  [[nodiscard]] bool awaiting_res1() const {
-    for (const auto& [node, ex] : exchanges_) {
-      if (ex.phase == Exchange::kAwaitRes1) return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool all_resolved() const {
-    for (const auto& [node, ex] : exchanges_) {
-      if (ex.phase == Exchange::kAwaitRes1 || ex.phase == Exchange::kAwaitRes2) {
-        return false;
+  void apply(RoundDriver::Effects effects) {
+    obs::Tracer* const tr = shared_->tracer;
+    for (const RoundDriver::Effect& e : effects) {
+      switch (e.kind) {
+        case RoundDriver::Effect::Kind::kBroadcast:
+        case RoundDriver::Effect::Kind::kSend: {
+          const bool bcast = e.kind == RoundDriver::Effect::Kind::kBroadcast;
+          const char* type = wire_type_name(e.wire);
+          if (tr) {
+            tr->instant(net_->now(), node_id(), std::string("tx.") + type,
+                        "net", e.wire.size(), bcast ? group_idx_ : 0);
+          }
+          Bytes wire(e.wire.begin(), e.wire.end());
+          const auto sent =
+              bcast ? net_->broadcast(node_id(), std::move(wire))
+                    : net_->unicast(node_id(), objects_[e.slot],
+                                    std::move(wire));
+          // A broadcast with no receivers loses nothing; count it delivered.
+          shared_->tally(type, e.wire.size(),
+                         sent.delivered || (bcast && sent.drops == 0));
+          break;
+        }
+        case RoundDriver::Effect::Kind::kArm:
+          timers_[e.slot] = net_->sim().schedule_timer(
+              e.delay_ms,
+              [this, timer = e.slot] { apply(driver_.on_timer(timer)); });
+          break;
+        case RoundDriver::Effect::Kind::kCancel:
+          net_->sim().cancel_timer(timers_[e.slot]);
+          break;
       }
     }
-    return true;
   }
 
-  void send_que1() {
-    if (obs::Tracer* const tr = shared_->tracer) {
-      tr->instant(net_->now(), node_id(),
-                  std::string("tx.") + wire_type_name(que1_wire_), "net",
-                  que1_wire_.size(), group_idx_);
-    }
-    const auto sent = net_->broadcast(node_id(), que1_wire_);
-    // A broadcast with no receivers loses nothing; count it delivered.
-    shared_->tally(wire_type_name(que1_wire_), que1_wire_.size(),
-                   sent.delivered || sent.drops == 0);
-    if (retries_ && que1_attempts_ < policy_.max_retries && awaiting_res1()) {
-      que1_timer_ = net_->sim().schedule_timer(
-          backoff_delay(policy_.que1_timeout_ms, que1_attempts_),
-          [this] { on_que1_timeout(); });
-      que1_timer_live_ = true;
-    }
-  }
-
-  void on_que1_timeout() {
-    que1_timer_live_ = false;
-    if (!awaiting_res1()) return;
-    ++que1_attempts_;
-    ++shared_->report->que1_retransmits;
-    send_que1();  // same bytes: receivers treat the duplicate idempotently
-  }
-
-  void arm_que2_timer(net::NodeId node, Exchange& ex) {
-    if (!retries_) return;
-    ex.timer = net_->sim().schedule_timer(
-        backoff_delay(policy_.que2_timeout_ms, ex.que2_attempts),
-        [this, node] { on_que2_timeout(node); });
-    ex.timer_live = true;
-  }
-
-  void on_que2_timeout(net::NodeId node) {
-    auto& ex = exchanges_.at(node);
-    ex.timer_live = false;
-    if (ex.phase != Exchange::kAwaitRes2) return;
-    if (ex.que2_attempts >= policy_.max_retries) {
-      ex.phase = Exchange::kTimedOut;
-      maybe_quiesce();
-      return;
-    }
-    ++ex.que2_attempts;
-    ++ex.retransmits;
-    ++shared_->report->que2_retransmits;
-    const char* type = wire_type_name(ex.que2_wire);
-    const std::size_t size = ex.que2_wire.size();
-    if (obs::Tracer* const tr = shared_->tracer) {
-      tr->instant(net_->now(), node_id(), std::string("tx.") + type, "net",
-                  size);
-    }
-    const auto sent = net_->unicast(node_id(), node, ex.que2_wire);
-    shared_->tally(type, size, sent.delivered);
-    arm_que2_timer(node, ex);
-  }
-
-  /// The exchange with `node` finished (a discovery landed); stop its
-  /// timer and, if nothing is pending anymore, cancel the QUE1 watchdog
-  /// so the round can end at the true completion time.
-  void resolve(net::NodeId node) {
-    const auto it = exchanges_.find(node);
-    if (it == exchanges_.end()) return;
-    it->second.phase = Exchange::kDone;
-    cancel_timer(it->second);
-    maybe_quiesce();
-  }
-
-  void maybe_quiesce() {
-    if (!all_resolved()) return;
-    cancel_que1_timer();
-    for (auto& [node, ex] : exchanges_) cancel_timer(ex);
-  }
-
-  void cancel_timer(Exchange& ex) {
-    if (ex.timer_live) {
-      net_->sim().cancel_timer(ex.timer);
-      ex.timer_live = false;
-    }
-  }
-
-  void cancel_que1_timer() {
-    if (que1_timer_live_) {
-      net_->sim().cancel_timer(que1_timer_);
-      que1_timer_live_ = false;
-    }
-  }
-
-  SubjectEngine engine_;
+  RoundDriver driver_;
   Shared* shared_;
-  RetryPolicy policy_{};
-  bool retries_ = false;
+  std::vector<net::NodeId> objects_;  // slot -> node id
+  std::vector<net::TimerId> timers_;  // driver timer id -> Simulator timer
   std::size_t group_idx_ = 0;
-  Bytes que1_wire_;
-  unsigned que1_attempts_ = 0;
-  net::TimerId que1_timer_ = 0;
-  bool que1_timer_live_ = false;
-  std::map<net::NodeId, Exchange> exchanges_;
 };
 
 /// The flooding adversary: a network node that sprays the object fleet
@@ -493,7 +363,24 @@ struct DiscoveryTestbed::Impl {
     scfg.compute = scenario.subject_compute;
     scfg.seek_level3 = scenario.seek_level3;
     scfg.metrics = scenario.metrics;
-    subject.emplace(std::move(scfg), &shared);
+
+    // Retries default to kAuto: armed only when the radio can actually
+    // lose or duplicate frames, a fault plan is live, or a flooder is
+    // spraying (shed traffic needs the backoff driver — and the round
+    // deadline — to recover), so a lossless fault-free run never
+    // schedules a timer and its event sequence (and therefore every
+    // derived number) is unchanged.
+    faulted = scenario.faults.armed();
+    flooded = scenario.flood.armed();
+    const bool lossy =
+        scenario.radio.drop_prob > 0.0 || scenario.radio.dup_prob > 0.0;
+    retries = scenario.retry.mode == RetryMode::kOn ||
+              (scenario.retry.mode == RetryMode::kAuto &&
+               (lossy || faulted || flooded));
+    RetryPolicy policy = scenario.retry;
+    policy.mode = retries ? RetryMode::kOn : RetryMode::kOff;
+    subject.emplace(std::move(scfg), scenario.objects.size(), policy,
+                    &shared);
     net.add_node(&*subject, 0);
     if (scenario.tracer) {
       scenario.tracer->instant(sim.now(), subject->node_id(), "node", "meta",
@@ -520,7 +407,7 @@ struct DiscoveryTestbed::Impl {
       const net::NodeId id = net.add_node(
           objects.back().get(), std::max(1u, scenario.objects[i].hops));
       object_ids.push_back(id);
-      subject->track_object(id, scenario.objects[i].creds.id);
+      subject->add_object(id);
       if (scenario.tracer) {
         scenario.tracer->instant(
             sim.now(), id, "node", "meta",
@@ -532,7 +419,6 @@ struct DiscoveryTestbed::Impl {
 
     // Flooding adversary: one extra node spraying the object fleet.
     // Unarmed specs add no node and schedule nothing.
-    flooded = scenario.flood.armed();
     if (flooded) {
       flooder.emplace(scenario.flood, object_ids, &shared);
       const net::NodeId fid =
@@ -543,20 +429,6 @@ struct DiscoveryTestbed::Impl {
       }
       flooder->start();
     }
-
-    // Retries default to kAuto: armed only when the radio can actually
-    // lose or duplicate frames, a fault plan is live, or a flooder is
-    // spraying (shed traffic needs the backoff driver — and the round
-    // deadline — to recover), so a lossless fault-free run never
-    // schedules a timer and its event sequence (and therefore every
-    // derived number) is unchanged.
-    faulted = scenario.faults.armed();
-    const bool lossy =
-        scenario.radio.drop_prob > 0.0 || scenario.radio.dup_prob > 0.0;
-    retries = scenario.retry.mode == RetryMode::kOn ||
-              (scenario.retry.mode == RetryMode::kAuto &&
-               (lossy || faulted || flooded));
-    subject->configure_retries(scenario.retry, retries);
 
     // Chaos layer: translate the plan's timeline into node/engine faults.
     // An unarmed plan schedules nothing (arm() below is skipped), so this
@@ -667,7 +539,7 @@ struct DiscoveryTestbed::Impl {
       // retransmission is lost (or a flooder's tick chain never ends);
       // pending (cancelled) retry timers past the deadline are discarded
       // by finish_round below.
-      sim.drain_until(sim.now() + scenario.retry.round_deadline_ms);
+      sim.drain_until(subject->driver().deadline_after(sim.now()));
     } else {
       sim.run();
     }
@@ -755,13 +627,10 @@ DiscoveryReport DiscoveryTestbed::Impl::finalize() {
         break;
       }
     }
-    bool timed_out = false;
-    if (const auto it = subject->exchanges().find(object_ids[i]);
-        it != subject->exchanges().end()) {
-      out.que2_retransmits = it->second.retransmits;
-      out.rejects = it->second.rejects;
-      timed_out = it->second.phase == SubjectNode::Exchange::kTimedOut;
-    }
+    const RoundDriver::Exchange& ex = subject->driver().exchange(i);
+    out.que2_retransmits = ex.retransmits;
+    out.rejects = ex.rejects;
+    const bool timed_out = ex.phase == RoundDriver::Phase::kTimedOut;
     if ((faulted || flooded) && !out.discovered) {
       using fault::FaultKind;
       // Byzantine corruption can surface on either side: the subject

@@ -13,7 +13,7 @@
 #include <memory>
 
 #include "argus/object_engine.hpp"
-#include "argus/subject_engine.hpp"
+#include "argus/round_driver.hpp"
 #include "fault/plan.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
@@ -25,27 +25,6 @@ namespace argus::core {
 struct ScenarioObject {
   backend::ObjectCredentials creds;
   unsigned hops = 1;  // distance from the subject (paper: 1..4)
-};
-
-/// When the subject-side retransmission driver is active.
-enum class RetryMode {
-  kAuto,  // retries iff the radio is lossy (drop_prob or dup_prob > 0)
-  kOn,
-  kOff,
-};
-
-/// Subject-side recovery under loss: re-broadcast QUE1 while responders
-/// are missing, retransmit QUE2 per object, both with exponential backoff
-/// and a capped budget; the whole round has a hard deadline. Engines are
-/// idempotent under the duplicates this creates (cached byte-identical
-/// resends), so retransmission never desynchronizes a session.
-struct RetryPolicy {
-  RetryMode mode = RetryMode::kAuto;
-  unsigned max_retries = 3;          // per exchange (and per-round QUE1)
-  double que1_timeout_ms = 600.0;    // before the first QUE1 re-broadcast
-  double que2_timeout_ms = 400.0;    // before a per-object QUE2 resend
-  double backoff = 2.0;              // timeout multiplier per attempt
-  double round_deadline_ms = 8000.0; // hard cap on one round's duration
 };
 
 /// Flooding adversary riding along with a discovery run: a node that

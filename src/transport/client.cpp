@@ -1,95 +1,67 @@
 #include "transport/client.hpp"
 
+#include <limits>
 #include <utility>
 
 namespace argus::transport {
 
+namespace {
+
+constexpr double kIdle = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
 SubjectClient::SubjectClient(core::SubjectEngineConfig cfg,
-                             ClientParams params, Transport& transport)
-    : engine_(std::move(cfg)), params_(params), transport_(transport) {
+                             ClientParams params, SockTransport& transport)
+    : driver_(std::move(cfg), params.expected_objects, params.epoch,
+              params.retry),
+      params_(params),
+      transport_(transport),
+      peers_(params.expected_objects, 0),
+      due_ms_(params.expected_objects + 1, kIdle) {
   transport_.set_handler(
       [this](PeerId from, const Bytes& frame) { on_frame(from, frame); });
 }
 
 void SubjectClient::begin_round(std::size_t group_idx, double now_ms) {
-  engine_.set_group_key_index(group_idx);
-  que1_wire_ = engine_.start_round();
-  (void)engine_.take_consumed_ms();
-  discovered_seen_ = engine_.discovered().size();
-  exchanges_.assign(params_.expected_objects, Exchange{});
-  round_active_ = true;
   now_ms_ = now_ms;
   round_start_ms_ = now_ms;
-  round_deadline_ms_ = now_ms + params_.retry.round_deadline_ms;
-  que1_attempts_ = 0;
-  que1_timeout_ms_ = params_.retry.que1_timeout_ms;
-  que1_retx_ = 0;
-  que2_retx_ = 0;
-  rejects_ = 0;
-  broadcast_que1(now_ms);
+  apply(driver_.begin_round(group_idx), /*from_timer=*/false);
 }
 
 void SubjectClient::step(double now_ms) {
   now_ms_ = now_ms;
   transport_.pump(now_ms);  // frames land in on_frame during this call
-  if (!round_active_) return;
-
-  if (now_ms >= round_deadline_ms_) {
-    for (auto& ex : exchanges_) {
-      if (ex.phase == Phase::kAwaitRes1 || ex.phase == Phase::kAwaitRes2) {
-        ex.phase = Phase::kTimedOut;
-      }
-    }
-    round_active_ = false;
+  if (round_done()) return;
+  if (now_ms >= driver_.deadline_after(round_start_ms_)) {
+    apply(driver_.end_round(), /*from_timer=*/false);
     return;
   }
-
-  // QUE1 re-broadcast while any channel has yet to answer at all.
-  bool any_awaiting_res1 = false;
-  for (const auto& ex : exchanges_) {
-    any_awaiting_res1 |= ex.phase == Phase::kAwaitRes1;
-  }
-  if (any_awaiting_res1 && now_ms >= que1_deadline_ms_ &&
-      que1_attempts_ <= params_.retry.max_retries) {
-    que1_retx_++;
-    count("client.que1_retransmit");
-    broadcast_que1(now_ms);
-  }
-
-  // Per-channel QUE2 retransmits with exponential backoff.
-  for (std::size_t c = 0; c < exchanges_.size(); ++c) {
-    Exchange& ex = exchanges_[c];
-    if (ex.phase != Phase::kAwaitRes2 || now_ms < ex.deadline_ms) continue;
-    if (ex.attempts > params_.retry.max_retries) {
-      ex.phase = Phase::kTimedOut;
-      continue;
-    }
-    que2_retx_++;
-    count("client.que2_retransmit");
-    ex.attempts++;
-    ex.timeout_ms *= params_.retry.backoff;
-    ex.deadline_ms = now_ms + ex.timeout_ms;
-    transport_.send(ex.peer,
-                    encode_mux(static_cast<std::uint32_t>(c), ex.que2_wire),
-                    now_ms);
-  }
-
-  if (all_settled()) round_active_ = false;
+  // Fire due timers: the QUE1 re-broadcast first, then per channel.
+  const auto fire = [&](std::size_t timer) {
+    if (due_ms_[timer] > now_ms) return;
+    due_ms_[timer] = kIdle;
+    apply(driver_.on_timer(timer), /*from_timer=*/true);
+  };
+  fire(driver_.que1_timer());
+  for (std::size_t c = 0; c < driver_.slots(); ++c) fire(c);
 }
 
 ClientReport SubjectClient::finish_round(double now_ms) {
-  round_active_ = false;
+  now_ms_ = now_ms;
+  apply(driver_.end_round(), /*from_timer=*/false);
   ClientReport report;
-  report.expected = exchanges_.size();
-  for (const auto& ex : exchanges_) {
-    report.resolved += ex.phase == Phase::kDone ? 1 : 0;
-    report.timed_out += ex.phase == Phase::kTimedOut ? 1 : 0;
+  report.expected = driver_.slots();
+  for (std::size_t c = 0; c < driver_.slots(); ++c) {
+    const core::RoundDriver::Phase phase = driver_.exchange(c).phase;
+    report.resolved += phase == core::RoundDriver::Phase::kDone ? 1 : 0;
+    report.timed_out += phase == core::RoundDriver::Phase::kTimedOut ? 1 : 0;
   }
   report.round_ms = now_ms - round_start_ms_;
-  report.que1_retransmits = que1_retx_;
-  report.que2_retransmits = que2_retx_;
-  report.rejects = rejects_;
-  report.services = engine_.discovered();
+  report.que1_retransmits = driver_.counts().que1_retransmits;
+  report.que2_retransmits = driver_.counts().que2_retransmits;
+  report.rejects = driver_.counts().rejects;
+  report.services = driver_.engine().discovered();
   return report;
 }
 
@@ -110,67 +82,40 @@ void SubjectClient::on_frame(PeerId from, const Bytes& frame) {
     }
     return;
   }
-  if (mux->channel >= exchanges_.size()) {
+  if (mux->channel >= driver_.slots()) {
     count("client.bad_channel");
     return;
   }
-  const std::size_t c = mux->channel;
-  Exchange& ex = exchanges_[c];
-  const auto result = engine_.handle(mux->payload, params_.epoch);
-  (void)engine_.take_consumed_ms();
-  if (core::is_reject(result.status)) {
-    rejects_++;
-    count("client.rejects");
-    return;
-  }
-  if (result) {
-    // RES1 answered with a QUE2 (fresh or cached duplicate): unicast it
-    // back on the same channel and arm this exchange's retransmit timer.
-    ex.peer = from;
-    ex.que2_wire = *result;
-    if (ex.phase == Phase::kAwaitRes1) {
-      ex.phase = Phase::kAwaitRes2;
-      ex.attempts = 0;
-      ex.timeout_ms = params_.retry.que2_timeout_ms;
-    }
-    ex.attempts++;
-    ex.deadline_ms = now_ms_ + ex.timeout_ms;
-    transport_.send(from, encode_mux(static_cast<std::uint32_t>(c), *result),
-                    now_ms_);
-    return;
-  }
-  // Terminal frames (RES1-L1, RES2): a handled success settles the
-  // channel — including re-discovery of a service already known from an
-  // earlier round, which the engine dedupes without growing
-  // discovered().
-  if (result.status == core::HandleStatus::kOk ||
-      result.status == core::HandleStatus::kDuplicate) {
-    discovered_seen_ = engine_.discovered().size();
-    resolve(c);
-  }
+  peers_[mux->channel] = from;
+  const core::RoundDriver::Handled handled =
+      driver_.on_frame(mux->channel, mux->payload);
+  (void)driver_.engine().take_consumed_ms();  // modeled cost; time is real
+  if (core::is_reject(handled.status)) count("client.rejects");
+  apply(handled.effects, /*from_timer=*/false);
 }
 
-void SubjectClient::broadcast_que1(double now_ms) {
-  que1_attempts_++;
-  que1_timeout_ms_ =
-      que1_attempts_ == 1
-          ? params_.retry.que1_timeout_ms
-          : que1_timeout_ms_ * params_.retry.backoff;
-  que1_deadline_ms_ = now_ms + que1_timeout_ms_;
-  transport_.broadcast(encode_mux(kMuxBroadcast, que1_wire_), now_ms);
-}
-
-void SubjectClient::resolve(std::size_t channel) {
-  exchanges_[channel].phase = Phase::kDone;
-}
-
-bool SubjectClient::all_settled() const {
-  for (const auto& ex : exchanges_) {
-    if (ex.phase == Phase::kAwaitRes1 || ex.phase == Phase::kAwaitRes2) {
-      return false;
+void SubjectClient::apply(core::RoundDriver::Effects effects, bool from_timer) {
+  using Kind = core::RoundDriver::Effect::Kind;
+  for (const core::RoundDriver::Effect& e : effects) {
+    switch (e.kind) {
+      case Kind::kBroadcast:
+        if (from_timer) count("client.que1_retransmit");
+        transport_.broadcast(encode_mux(kMuxBroadcast, e.wire), now_ms_);
+        break;
+      case Kind::kSend:
+        if (from_timer) count("client.que2_retransmit");
+        transport_.send(peers_[e.slot],
+                        encode_mux(static_cast<std::uint32_t>(e.slot), e.wire),
+                        now_ms_);
+        break;
+      case Kind::kArm:
+        due_ms_[e.slot] = now_ms_ + e.delay_ms;
+        break;
+      case Kind::kCancel:
+        due_ms_[e.slot] = kIdle;
+        break;
     }
   }
-  return true;
 }
 
 void SubjectClient::count(const char* name) {

@@ -1,12 +1,12 @@
-// Subject-side discovery client: one SubjectEngine driven over a
-// Transport with the PR-2 retry policy.
+// Subject-side discovery client: the socket adapter over
+// core::RoundDriver.
 //
 // argusctl's engine room, shared with the in-process transport tests.
-// One round = broadcast QUE1 on the mux broadcast channel, then a
-// QUE2/RES2 exchange per responding channel, with the subject-side
-// recovery discipline of the simulator's retry driver: re-broadcast QUE1
-// while responders are missing, retransmit QUE2 per channel, exponential
-// backoff on both, capped budgets, and a hard round deadline — so a dead
+// The round itself — QUE1 re-broadcast, per-channel QUE2 retransmits,
+// backoff, budgets, the round deadline — is the driver's, the same code
+// the simulator runs; this class only does socket work: mux
+// encode/decode (one channel per hosted engine), polling the driver's
+// timers against the caller's clock, and the control plane. A dead
 // daemon or a lossy path degrades to a reported timeout, never a hang.
 //
 // The caller owns the drive loop:
@@ -15,16 +15,14 @@
 //   while (!client.round_done()) { client.step(now); now = ...; }
 //   auto report = client.finish_round(now);
 //
-// which works unchanged over SimTransport (fixed-step virtual clock) and
-// SockTransport (wall clock).
+// on a wall clock (argusctl) or a hand-stepped virtual one (tests).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "argus/discovery.hpp"
-#include "argus/subject_engine.hpp"
+#include "argus/round_driver.hpp"
 #include "obs/metrics.hpp"
 #include "transport/mux.hpp"
 #include "transport/transport.hpp"
@@ -61,12 +59,13 @@ struct ClientReport {
 class SubjectClient {
  public:
   SubjectClient(core::SubjectEngineConfig cfg, ClientParams params,
-                Transport& transport);
+                SockTransport& transport);
 
   void begin_round(std::size_t group_idx, double now_ms);
   /// Pump the transport and fire retry/deadline timers.
   void step(double now_ms);
-  [[nodiscard]] bool round_done() const { return !round_active_; }
+  /// Every channel settled, or the round deadline passed.
+  [[nodiscard]] bool round_done() const { return driver_.settled(); }
   ClientReport finish_round(double now_ms);
 
   /// Fire-and-forget control frame to `to` (shutdown, snapshot, stats).
@@ -76,48 +75,24 @@ class SubjectClient {
     return last_stats_;
   }
 
-  [[nodiscard]] const core::SubjectEngine& engine() const { return engine_; }
+  [[nodiscard]] const core::SubjectEngine& engine() const {
+    return driver_.engine();
+  }
 
  private:
-  enum class Phase : std::uint8_t {
-    kAwaitRes1 = 0,  // QUE1 out, nothing from this channel yet
-    kAwaitRes2,      // QUE2 out, waiting for the sealed profile
-    kDone,
-    kTimedOut,
-  };
-
-  struct Exchange {
-    Phase phase = Phase::kAwaitRes1;
-    PeerId peer = 0;  // who answered RES1 (QUE2 retransmit target)
-    Bytes que2_wire;
-    unsigned attempts = 0;       // QUE2 sends so far
-    double deadline_ms = 0;      // next QUE2 retransmit
-    double timeout_ms = 0;       // current backoff interval
-  };
-
   void on_frame(PeerId from, const Bytes& frame);
-  void broadcast_que1(double now_ms);
-  void resolve(std::size_t channel);
-  [[nodiscard]] bool all_settled() const;
+  /// Carry out the driver's effects; `from_timer` marks retransmissions.
+  void apply(core::RoundDriver::Effects effects, bool from_timer);
   void count(const char* name);
 
-  core::SubjectEngine engine_;
+  core::RoundDriver driver_;
   ClientParams params_;
-  Transport& transport_;
+  SockTransport& transport_;
 
-  bool round_active_ = false;
   double now_ms_ = 0;
   double round_start_ms_ = 0;
-  double round_deadline_ms_ = 0;
-  Bytes que1_wire_;
-  unsigned que1_attempts_ = 0;
-  double que1_deadline_ms_ = 0;
-  double que1_timeout_ms_ = 0;
-  std::vector<Exchange> exchanges_;
-  std::size_t discovered_seen_ = 0;
-  std::uint64_t que1_retx_ = 0;
-  std::uint64_t que2_retx_ = 0;
-  std::uint64_t rejects_ = 0;
+  std::vector<PeerId> peers_;   // per channel: who answered (QUE2 target)
+  std::vector<double> due_ms_;  // per driver timer: when it fires
   std::optional<Bytes> last_stats_;
 };
 

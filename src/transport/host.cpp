@@ -6,7 +6,7 @@
 
 namespace argus::transport {
 
-ObjectHost::ObjectHost(HostConfig cfg, Transport& transport)
+ObjectHost::ObjectHost(HostConfig cfg, SockTransport& transport)
     : cfg_(std::move(cfg)), transport_(transport) {
   engines_.reserve(cfg_.objects.size());
   for (const auto& ocfg : cfg_.objects) {

@@ -1,4 +1,4 @@
-// Object-side daemon core: N ObjectEngines behind one Transport.
+// Object-side daemon core: N ObjectEngines behind one SockTransport.
 //
 // The host is argusd's engine room, kept tool-free so the in-process
 // transport tests drive exactly the daemon's code path. It demuxes
@@ -44,7 +44,7 @@ struct HostConfig {
 
 class ObjectHost {
  public:
-  ObjectHost(HostConfig cfg, Transport& transport);
+  ObjectHost(HostConfig cfg, SockTransport& transport);
 
   /// Drive the transport and the host's clocks (engine TTLs, interval
   /// snapshots). Inbound frames are handled inside this call.
@@ -86,7 +86,7 @@ class ObjectHost {
   void handle_ctl(PeerId from, ByteSpan payload, double now_ms);
 
   HostConfig cfg_;
-  Transport& transport_;
+  SockTransport& transport_;
   std::vector<std::unique_ptr<core::ObjectEngine>> engines_;
   double now_ms_ = 0;
   double last_snapshot_ms_ = 0;

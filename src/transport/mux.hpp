@@ -54,7 +54,7 @@ enum class CtlOp : std::uint8_t {
   kShutdown = 1,   // write a final snapshot (if armed) and exit
   kSnapshot = 2,   // write a snapshot now
   kStatsReq = 3,   // reply with a kStatsResp
-  kStatsResp = 4,  // body: u64 frames_rx, u64 replies_tx, u64 conns_live
+  kStatsResp = 4,  // body: u64 frames_rx, u64 replies_tx, u64 open sessions
 };
 
 inline Bytes encode_ctl(CtlOp op, ByteSpan body = {}) {

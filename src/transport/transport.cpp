@@ -2,32 +2,6 @@
 
 namespace argus::transport {
 
-SimTransport::SimTransport(net::Network& network, unsigned hops)
-    : network_(network), node_(this) {
-  network_.add_node(&node_, hops);
-}
-
-void SimTransport::Node::on_message(net::NodeId from, const Bytes& payload) {
-  if (owner_->handler_) owner_->handler_(from, payload);
-}
-
-net::SendOutcome SimTransport::send(PeerId to, Bytes frame, double now_ms) {
-  (void)now_ms;  // the simulator owns the clock
-  return network_.unicast(node_.node_id(),
-                          static_cast<net::NodeId>(to), std::move(frame));
-}
-
-net::SendOutcome SimTransport::broadcast(Bytes frame, double now_ms) {
-  (void)now_ms;
-  return network_.broadcast(node_.node_id(), std::move(frame));
-}
-
-void SimTransport::pump(double now_ms) {
-  // Safe for co-located transports sharing one Simulator: run_until is
-  // idempotent at a reached time.
-  network_.sim().run_until(now_ms);
-}
-
 net::SendOutcome SockTransport::send(PeerId to, Bytes frame, double now_ms) {
   const SendStatus st =
       endpoint_.send(NetAddr::unpack(to), std::move(frame), now_ms);

@@ -1,20 +1,16 @@
-// Frame-level transport abstraction with two backends.
+// Frame transport under the daemon's engine rooms.
 //
-// The Argus engines are pure state machines: bytes in, bytes out. This
-// interface is the seam that lets the same protocol drivers (ObjectHost,
-// SubjectClient) run over either
+// The Argus engines are pure state machines: bytes in, bytes out.
+// ObjectHost and SubjectClient move their frames through SockTransport,
+// which rides the reliable-ordered datagram layer (endpoint.hpp) over
+// real UDP/loopback or the in-memory pipe hub — the production face of
+// `argusd`/`argusctl`. (The simulator does not come through here: its
+// radio nodes drive the same round logic, core::RoundDriver, directly.)
 //
-//   * SimTransport — the discrete-event radio model (net/network.hpp),
-//     authoritative for golden digests; pump() advances the shared
-//     Simulator, so a fixed-step drive loop is fully deterministic; or
-//   * SockTransport — the reliable-ordered datagram layer
-//     (endpoint.hpp) over real UDP/loopback or the in-memory pipe hub:
-//     the production face of `argusd`/`argusctl`.
-//
-// send()/broadcast() report a net::SendOutcome in both modes:
-// `congested` maps to the reliable layer's send-queue backpressure, and
-// an undeliverable frame (connection closed/dead) reads as
-// !delivered — graceful degradation, never a hang or a throw.
+// send()/broadcast() report a net::SendOutcome: `congested` maps to the
+// reliable layer's send-queue backpressure, and an undeliverable frame
+// (connection closed/dead) reads as !delivered — graceful degradation,
+// never a hang or a throw.
 #pragma once
 
 #include <functional>
@@ -24,79 +20,28 @@
 
 namespace argus::transport {
 
-/// Opaque peer identity: a net::NodeId on the simulator backend, a
-/// packed NetAddr on the socket backend. Feeds straight through to the
+/// Opaque peer identity: a packed NetAddr. Feeds straight through to the
 /// engines' `peer` argument (admission buckets, session attribution).
 using PeerId = std::uint64_t;
 
-class Transport {
+class SockTransport {
  public:
   using Handler = std::function<void(PeerId, const Bytes&)>;
 
-  virtual ~Transport() = default;
-
-  /// Install the inbound-frame sink (replaces any previous handler).
-  virtual void set_handler(Handler handler) = 0;
-
-  /// Reliable frame to one peer.
-  virtual net::SendOutcome send(PeerId to, Bytes frame, double now_ms) = 0;
-
-  /// Frame to every reachable peer (radio broadcast / all live conns).
-  virtual net::SendOutcome broadcast(Bytes frame, double now_ms) = 0;
-
-  /// Drive the backend up to `now_ms`: the simulator runs its event
-  /// queue, the socket backend drains datagrams and fires timers.
-  /// Inbound frames arrive via the handler during this call.
-  virtual void pump(double now_ms) = 0;
-
-  [[nodiscard]] virtual PeerId self() const = 0;
-};
-
-/// Simulator backend: one radio node whose inbound messages become
-/// handler frames. The radio model already provides ordering and its own
-/// loss semantics, so the reliable layer is deliberately NOT stacked on
-/// top — simulator runs stay byte-identical to the pre-abstraction code.
-class SimTransport final : public Transport {
- public:
-  /// Attaches itself to `network` at `hops` from the subject.
-  SimTransport(net::Network& network, unsigned hops);
-
-  void set_handler(Handler handler) override { handler_ = std::move(handler); }
-  net::SendOutcome send(PeerId to, Bytes frame, double now_ms) override;
-  net::SendOutcome broadcast(Bytes frame, double now_ms) override;
-  void pump(double now_ms) override;
-  [[nodiscard]] PeerId self() const override { return node_.node_id(); }
-
- private:
-  class Node final : public net::SimNode {
-   public:
-    explicit Node(SimTransport* owner) : owner_(owner) {}
-    void on_message(net::NodeId from, const Bytes& payload) override;
-
-   private:
-    SimTransport* owner_;
-  };
-
-  net::Network& network_;
-  Node node_;
-  Handler handler_;
-};
-
-/// Socket backend: frames ride the reliable-ordered layer; peers are
-/// packed NetAddrs.
-class SockTransport final : public Transport {
- public:
   explicit SockTransport(TransportEndpoint& endpoint) : endpoint_(endpoint) {}
 
-  void set_handler(Handler handler) override { handler_ = std::move(handler); }
-  net::SendOutcome send(PeerId to, Bytes frame, double now_ms) override;
-  net::SendOutcome broadcast(Bytes frame, double now_ms) override;
-  void pump(double now_ms) override;
-  [[nodiscard]] PeerId self() const override {
-    return endpoint_.local_addr().pack();
-  }
+  /// Install the inbound-frame sink (replaces any previous handler).
+  void set_handler(Handler handler) { handler_ = std::move(handler); }
 
-  [[nodiscard]] TransportEndpoint& endpoint() { return endpoint_; }
+  /// Reliable frame to one peer.
+  net::SendOutcome send(PeerId to, Bytes frame, double now_ms);
+
+  /// Frame to every live connection.
+  net::SendOutcome broadcast(Bytes frame, double now_ms);
+
+  /// Drain datagrams and fire timers up to `now_ms`. Inbound frames
+  /// arrive via the handler during this call.
+  void pump(double now_ms);
 
  private:
   TransportEndpoint& endpoint_;

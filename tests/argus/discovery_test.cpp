@@ -317,6 +317,45 @@ TEST(DiscoveryTest, CleanChannelReportUnchangedByRetryLayer) {
   for (const auto& out : report.outcomes) EXPECT_TRUE(out.discovered);
 }
 
+TEST(DiscoveryTest, LossyRediscoveryRoundsSettleLikeTheFirst) {
+  // Later rounds on one testbed re-discover services the subject already
+  // holds. Those exchanges must settle as soon as the object answers, not
+  // ride out every QUE2 budget (Level 2) or the whole QUE1 re-broadcast
+  // budget (Level 1) to the round deadline.
+  for (const Level level : {Level::kL1, Level::kL2}) {
+    const Fleet f = make_fleet(10, level);
+    DiscoveryScenario sc = scenario_for(f);
+    sc.radio.drop_prob = 0.05;
+    sc.seed = 17;
+    const auto run = [&sc](std::size_t rounds, std::vector<double>* round_ms) {
+      DiscoveryTestbed testbed(sc);
+      for (std::size_t r = 0; r < rounds; ++r) {
+        const double start = testbed.now();
+        testbed.run_round(0);
+        round_ms->push_back(testbed.now() - start);
+      }
+      return testbed.finalize();
+    };
+    std::vector<double> round_ms, first_ms;
+    const DiscoveryReport all = run(4, &round_ms);
+    const DiscoveryReport first = run(1, &first_ms);  // round 0 replayed
+    ASSERT_EQ(first_ms[0], round_ms[0]);
+    for (std::size_t r = 1; r < 4; ++r) {
+      EXPECT_LE(round_ms[r], 2 * round_ms[0])
+          << "level " << static_cast<int>(level) << " round " << r;
+    }
+    // Per object, rounds 1-3 together resent fewer QUE2s than one
+    // round's budget, so no round exhausted it.
+    ASSERT_EQ(all.outcomes.size(), first.outcomes.size());
+    for (std::size_t i = 0; i < all.outcomes.size(); ++i) {
+      EXPECT_LT(all.outcomes[i].que2_retransmits -
+                    first.outcomes[i].que2_retransmits,
+                sc.retry.max_retries)
+          << "level " << static_cast<int>(level) << " object " << i;
+    }
+  }
+}
+
 TEST(DiscoveryTest, TotalLossTimesOutGracefully) {
   // A fully opaque channel must not hang: the QUE1 retries burn their
   // budget, the deadline closes the round, every outcome reads timed-out,

@@ -1,6 +1,6 @@
 // In-process daemon round trips: ObjectHost + SubjectClient — the exact
 // engine rooms behind argusd/argusctl — driven over the pipe hub with
-// loss, over the simulator backend, and over real UDP loopback. The
+// loss and over real UDP loopback. The
 // lossy pipe run must produce the same engine-level result set as the
 // authoritative simulator (core::run_discovery), which is the same
 // parity the CI loopback smoke asserts across two processes.
@@ -16,7 +16,6 @@
 #include "common/serde.hpp"
 #include "fault/netem.hpp"
 #include "harness/sweep.hpp"
-#include "net/sim.hpp"
 #include "obs/metrics.hpp"
 #include "transport/client.hpp"
 #include "transport/host.hpp"
@@ -171,33 +170,6 @@ TEST(Daemon, CleanPipeRoundNoRetransmits) {
   const ClientReport report = d.run_round(0);
   EXPECT_TRUE(report.complete());
   EXPECT_EQ(report.que1_retransmits + report.que2_retransmits, 0u);
-}
-
-TEST(Daemon, SimTransportBackendParity) {
-  // The same engine rooms over the simulator backend: the transport
-  // abstraction must not perturb the discovery outcome.
-  const core::DiscoveryScenario scenario = scenario_for(12);
-  net::Simulator sim;
-  net::Network network(sim, net::RadioParams{}, scenario.seed);
-  SimTransport ctrans(network, 0);
-  SimTransport dtrans(network, 1);
-  obs::MetricsRegistry metrics;
-  ObjectHost host(host_config(scenario, &metrics), dtrans);
-  SubjectClient client(subject_config(scenario, &metrics),
-                       client_params(scenario), ctrans);
-
-  double now = 0;
-  client.begin_round(0, now);
-  while (!client.round_done() && now < 60000) {
-    now += 5;
-    host.pump(now);
-    client.step(now);
-  }
-  const ClientReport report = client.finish_round(now);
-  EXPECT_TRUE(report.complete());
-  const core::DiscoveryReport ref = core::run_discovery(scenario);
-  EXPECT_EQ(result_set(ref.services),
-            result_set(client.engine().discovered()));
 }
 
 TEST(Daemon, UdpLoopbackRound) {
