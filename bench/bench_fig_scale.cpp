@@ -117,9 +117,15 @@ int smoke(const bench::Args& args) {
   // and over 4 must produce bit-identical digests, shard by shard.
   const auto serial =
       harness::SweepRunner({.threads = 1}).run_partitioned(point, kShards);
+  // The timed 4-thread run carries the profiler when one is wanted. Only
+  // aggregates are exported, so lanes keep few raw events.
+  obs::prof::Profiler profiler({/*max_events_per_lane=*/1024});
   const std::uint64_t wall0 = obs::prof::now_ns();
   const auto parallel =
-      harness::SweepRunner({.threads = 4}).run_partitioned(point, kShards);
+      harness::SweepRunner(
+          {.threads = 4,
+           .profiler = args.wants_profile() ? &profiler : nullptr})
+          .run_partitioned(point, kShards);
   const double wall_ms =
       static_cast<double>(obs::prof::now_ns() - wall0) / 1e6;
   if (serial.digest != parallel.digest) {
@@ -160,7 +166,8 @@ int smoke(const bench::Args& args) {
   row.virtual_ms = parallel.combined.total_ms;
   row.found = parallel.combined.services.size();
   report_row(reporter, row);
-  return bench::finish_bench(args, reporter, nullptr);
+  return bench::finish_bench(args, reporter,
+                             args.wants_profile() ? &profiler : nullptr);
 }
 
 }  // namespace

@@ -1,43 +1,16 @@
 #include "harness/digest.hpp"
 
-#include <charconv>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "crypto/sha256.hpp"
 
 namespace argus::harness {
 
 namespace {
 
-// Shortest round-trip formatting, matching the trace exporter: identical
-// values always produce identical bytes.
-void put_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
-
 void put_u64(std::string& out, std::uint64_t v) {
   out.append(std::to_string(v));
-}
-
-void put_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (u < 0x20) {
-      static const char* hex = "0123456789abcdef";
-      out.append("\\u00");
-      out.push_back(hex[u >> 4]);
-      out.push_back(hex[u & 0xF]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace
@@ -45,17 +18,17 @@ void put_escaped(std::string& out, const std::string& s) {
 std::string report_json(const core::DiscoveryReport& report) {
   std::string out;
   out.append("{\"total_ms\":");
-  put_double(out, report.total_ms);
+  json::put_number(out, report.total_ms);
   out.append(",\"services\":[");
   for (std::size_t i = 0; i < report.services.size(); ++i) {
     if (i) out.push_back(',');
     const auto& svc = report.services[i];
     out.append("{\"id\":");
-    put_escaped(out, svc.object_id);
+    json::put_string(out, svc.object_id);
     out.append(",\"level\":");
     put_u64(out, static_cast<std::uint64_t>(svc.level));
     out.append(",\"tag\":");
-    put_escaped(out, svc.variant_tag);
+    json::put_string(out, svc.variant_tag);
     out.push_back('}');
   }
   out.append("],\"timeline\":[");
@@ -63,9 +36,9 @@ std::string report_json(const core::DiscoveryReport& report) {
     if (i) out.push_back(',');
     const auto& ev = report.timeline[i];
     out.append("{\"id\":");
-    put_escaped(out, ev.object_id);
+    json::put_string(out, ev.object_id);
     out.append(",\"at_ms\":");
-    put_double(out, ev.at_ms);
+    json::put_number(out, ev.at_ms);
     out.push_back('}');
   }
   out.append("],\"messages\":");
@@ -83,7 +56,7 @@ std::string report_json(const core::DiscoveryReport& report) {
   out.append(",\"offered_bytes\":");
   put_u64(out, report.offered_bytes);
   out.append(",\"delivery_ratio\":");
-  put_double(out, report.delivery_ratio);
+  json::put_number(out, report.delivery_ratio);
   out.append(",\"que1_rtx\":");
   put_u64(out, report.que1_retransmits);
   out.append(",\"que2_rtx\":");
@@ -93,7 +66,7 @@ std::string report_json(const core::DiscoveryReport& report) {
   for (const auto& [name, bytes] : report.bytes_by_msg) {  // std::map: sorted
     if (!first) out.push_back(',');
     first = false;
-    put_escaped(out, name);
+    json::put_string(out, name);
     out.push_back(':');
     put_u64(out, bytes);
   }
@@ -102,7 +75,7 @@ std::string report_json(const core::DiscoveryReport& report) {
     if (i) out.push_back(',');
     const auto& oc = report.outcomes[i];
     out.append("{\"id\":");
-    put_escaped(out, oc.object_id);
+    json::put_string(out, oc.object_id);
     out.append(",\"discovered\":");
     out.append(oc.discovered ? "true" : "false");
     out.append(",\"que2_rtx\":");
@@ -115,7 +88,7 @@ std::string report_json(const core::DiscoveryReport& report) {
     }
     if (oc.reason != core::FailReason::kNone) {
       out.append(",\"reason\":");
-      put_escaped(out, core::fail_reason_name(oc.reason));
+      json::put_string(out, core::fail_reason_name(oc.reason));
     }
     out.push_back('}');
   }
@@ -148,7 +121,7 @@ std::string report_json(const core::DiscoveryReport& report) {
     for (const auto& [name, count] : report.fault_counts) {  // sorted map
       if (!f) out.push_back(',');
       f = false;
-      put_escaped(out, name);
+      json::put_string(out, name);
       out.push_back(':');
       put_u64(out, count);
     }

@@ -1,24 +1,18 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "backend/registry.hpp"
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "crypto/sha256.hpp"
 
 namespace argus::harness {
 
 namespace {
-
-void put_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
 
 backend::Level to_level(int level) {
   switch (level) {
@@ -88,34 +82,34 @@ std::string point_label(const SweepPoint& point) {
     out += " hops=" + std::to_string(point.hops);
   }
   out += " drop=";
-  put_double(out, point.drop);
+  json::put_number(out, point.drop);
   out += " seed=" + std::to_string(point.seed);
   // Fault axes appear only when armed, keeping fault-free labels stable.
   if (point.crash > 0) {
     out += " crash=";
-    put_double(out, point.crash);
+    json::put_number(out, point.crash);
     if (point.reboot_ms >= 0) {
       out += " reboot=";
-      put_double(out, point.reboot_ms);
+      json::put_number(out, point.reboot_ms);
       if (point.snapshot_reboot) out += " snapshot";
     }
   }
   if (point.straggle > 0) {
     out += " straggle=";
-    put_double(out, point.straggle);
+    json::put_number(out, point.straggle);
   }
   if (point.zombie > 0) {
     out += " zombie=";
-    put_double(out, point.zombie);
+    json::put_number(out, point.zombie);
   }
   if (point.byzantine > 0) {
     out += " byz=";
-    put_double(out, point.byzantine);
+    json::put_number(out, point.byzantine);
   }
   // Overload axes likewise appear only when armed.
   if (point.flood_rate > 0) {
     out += " flood=";
-    put_double(out, point.flood_rate);
+    json::put_number(out, point.flood_rate);
   }
   if (point.queue_depth > 0) {
     out += " qdepth=" + std::to_string(point.queue_depth);
@@ -335,7 +329,7 @@ void write_jsonl_line(std::ostream& os, const SweepPoint& point,
     line.append(",\"hops\":" + std::to_string(point.hops));
   }
   line.append(",\"drop\":");
-  put_double(line, point.drop);
+  json::put_number(line, point.drop);
   line.append(",\"seed\":" + std::to_string(point.seed));
   // Fault axes and effects appear only in chaos cells, so fault-free
   // JSONL bytes are unchanged from pre-fault builds.
@@ -343,16 +337,16 @@ void write_jsonl_line(std::ostream& os, const SweepPoint& point,
                           point.zombie > 0 || point.byzantine > 0;
   if (chaos_cell) {
     line.append(",\"crash\":");
-    put_double(line, point.crash);
+    json::put_number(line, point.crash);
     line.append(",\"straggle\":");
-    put_double(line, point.straggle);
+    json::put_number(line, point.straggle);
     line.append(",\"zombie\":");
-    put_double(line, point.zombie);
+    json::put_number(line, point.zombie);
     line.append(",\"byz\":");
-    put_double(line, point.byzantine);
+    json::put_number(line, point.byzantine);
     if (point.crash > 0 && point.reboot_ms >= 0) {
       line.append(",\"reboot\":");
-      put_double(line, point.reboot_ms);
+      json::put_number(line, point.reboot_ms);
     }
     line.append(",\"fault_dropped\":" +
                 std::to_string(r.net_stats.fault_dropped));
@@ -360,7 +354,7 @@ void write_jsonl_line(std::ostream& os, const SweepPoint& point,
   // Overload axes and effects likewise appear only in armed cells.
   if (point.flood_rate > 0) {
     line.append(",\"flood\":");
-    put_double(line, point.flood_rate);
+    json::put_number(line, point.flood_rate);
     line.append(",\"shed_overload\":" + std::to_string(r.shed_overload));
     line.append(",\"rate_limited\":" + std::to_string(r.rate_limited));
   }
@@ -372,10 +366,10 @@ void write_jsonl_line(std::ostream& os, const SweepPoint& point,
                 std::to_string(r.net_stats.queue_evicted));
   }
   line.append(",\"total_ms\":");
-  put_double(line, r.total_ms);
+  json::put_number(line, r.total_ms);
   line.append(",\"found\":" + std::to_string(r.services.size()));
   line.append(",\"delivery_ratio\":");
-  put_double(line, r.delivery_ratio);
+  json::put_number(line, r.delivery_ratio);
   line.append(",\"que1_rtx\":" + std::to_string(r.que1_retransmits));
   line.append(",\"que2_rtx\":" + std::to_string(r.que2_retransmits));
   line.append(",\"messages\":" + std::to_string(r.net_stats.messages));
@@ -400,22 +394,24 @@ void write_rollup_line(std::ostream& os, const obs::MetricsRegistry& rollup,
   for (const auto& [name, c] : rollup.counters()) {
     if (!first) line.append(",");
     first = false;
-    line.append("\"" + name + "\":" + std::to_string(c.value()));
+    json::put_string(line, name);
+    line.append(":" + std::to_string(c.value()));
   }
   line.append("},\"histograms\":{");
   first = true;
   for (const auto& [name, h] : rollup.histograms()) {
     if (!first) line.append(",");
     first = false;
-    line.append("\"" + name + "\":{\"count\":" + std::to_string(h.count()));
+    json::put_string(line, name);
+    line.append(":{\"count\":" + std::to_string(h.count()));
     line.append(",\"sum\":");
-    put_double(line, h.sum());
+    json::put_number(line, h.sum());
     line.append(",\"p50\":");
-    put_double(line, h.p50());
+    json::put_number(line, h.p50());
     line.append(",\"p95\":");
-    put_double(line, h.p95());
+    json::put_number(line, h.p95());
     line.append(",\"p99\":");
-    put_double(line, h.p99());
+    json::put_number(line, h.p99());
     line.append("}");
   }
   line.append("}}\n");

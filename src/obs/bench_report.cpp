@@ -1,15 +1,16 @@
 #include "obs/bench_report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <thread>
+
+#include "common/json.hpp"
 
 #ifndef ARGUS_GIT_SHA
 #define ARGUS_GIT_SHA "unknown"
@@ -19,228 +20,25 @@ namespace argus::obs::bench {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough for trajectory files. Values are
-// objects, arrays, strings, doubles, bools, null. Keys stay in insertion-
-// independent maps; duplicate keys keep the last value.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-class JsonParser {
- public:
-  JsonParser(const std::string& text, std::string* error)
-      : text_(text), error_(error) {}
-
-  std::optional<JsonValue> parse() {
-    skip_ws();
-    JsonValue v;
-    if (!value(v)) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing bytes after JSON value");
-      return std::nullopt;
-    }
-    return v;
-  }
-
- private:
-  void fail(const std::string& what) {
-    if (error_ != nullptr && error_->empty()) {
-      *error_ = what + " at offset " + std::to_string(pos_);
-    }
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool literal(const char* lit) {
-    const std::size_t n = std::string_view(lit).size();
-    if (text_.compare(pos_, n, lit) != 0) {
-      fail(std::string("expected '") + lit + "'");
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  bool string_value(std::string& out) {
-    if (!consume('"')) {
-      fail("expected string");
-      return false;
-    }
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              fail("truncated \\u escape");
-              return false;
-            }
-            const unsigned code = static_cast<unsigned>(
-                std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            // Trajectory strings are ASCII in practice; fold to '?' above.
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default:
-            fail("bad escape");
-            return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    fail("unterminated string");
-    return false;
-  }
-
-  bool value(JsonValue& out) {
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return false;
-    }
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kObject;
-      skip_ws();
-      if (consume('}')) return true;
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string_value(key)) return false;
-        skip_ws();
-        if (!consume(':')) {
-          fail("expected ':'");
-          return false;
-        }
-        skip_ws();
-        JsonValue member;
-        if (!value(member)) return false;
-        out.object[key] = std::move(member);
-        skip_ws();
-        if (consume(',')) continue;
-        if (consume('}')) return true;
-        fail("expected ',' or '}'");
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kArray;
-      skip_ws();
-      if (consume(']')) return true;
-      while (true) {
-        skip_ws();
-        JsonValue item;
-        if (!value(item)) return false;
-        out.array.push_back(std::move(item));
-        skip_ws();
-        if (consume(',')) continue;
-        if (consume(']')) return true;
-        fail("expected ',' or ']'");
-        return false;
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string_value(out.string);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return literal("false");
-    }
-    if (c == 'n') {
-      out.kind = JsonValue::Kind::kNull;
-      return literal("null");
-    }
-    // Number.
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    out.number = std::strtod(start, &end);
-    if (end == start) {
-      fail("expected value");
-      return false;
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    pos_ += static_cast<std::size_t>(end - start);
-    return true;
-  }
-
-  const std::string& text_;
-  std::string* error_;
-  std::size_t pos_ = 0;
-};
-
-void json_escape(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-void put_double(std::string& out, double v) {
-  if (std::nearbyint(v) == v && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-    return;
-  }
+// The committed trajectory number form: integral values as %.0f, others
+// as %.9g. It deliberately differs from json::put_number (100000 stays
+// "100000", not "1e+05") so appending never rewrites history lines.
+void put_metric_number(std::string& out, double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  if (std::nearbyint(v) == v && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+  }
   out += buf;
 }
 
 std::string entry_json(const BenchEntry& e) {
-  std::string out = "{\"git_sha\":\"";
-  json_escape(out, e.git_sha);
-  out += "\",\"date_utc\":\"";
-  json_escape(out, e.date_utc);
-  out += "\",\"threads\":" + std::to_string(e.threads);
+  std::string out = "{\"git_sha\":";
+  json::put_string(out, e.git_sha);
+  out += ",\"date_utc\":";
+  json::put_string(out, e.date_utc);
+  out += ",\"threads\":" + std::to_string(e.threads);
   out += ",\"cpus\":" + std::to_string(e.cpus);
   out += ",\"repeat\":" + std::to_string(e.repeat);
   out += ",\"metrics\":{";
@@ -248,15 +46,14 @@ std::string entry_json(const BenchEntry& e) {
   for (const auto& [name, m] : e.metrics) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    json_escape(out, name);
-    out += "\":{\"value\":";
-    put_double(out, m.value);
-    out += ",\"unit\":\"";
-    json_escape(out, m.unit);
-    out += "\",\"source\":\"";
-    json_escape(out, m.source);
-    out += "\",\"dir\":\"";
+    json::put_string(out, name);
+    out += ":{\"value\":";
+    put_metric_number(out, m.value);
+    out += ",\"unit\":";
+    json::put_string(out, m.unit);
+    out += ",\"source\":";
+    json::put_string(out, m.source);
+    out += ",\"dir\":\"";
     out += m.lower_is_better ? "lower" : "higher";
     out += "\"}";
   }
@@ -264,55 +61,51 @@ std::string entry_json(const BenchEntry& e) {
   return out;
 }
 
-bool parse_entry(const JsonValue& v, BenchEntry& out, std::string* error) {
-  if (v.kind != JsonValue::Kind::kObject) {
+// The string member `key` of `v`, or "" when absent or not a string.
+std::string string_member(const json::Value& v, std::string_view key) {
+  const json::Value* m = v.find(key);
+  const auto s = m != nullptr ? m->as_string() : std::nullopt;
+  return s ? std::string(*s) : std::string();
+}
+
+// The integer member `key` of `v`, or 0 when absent or not a u64.
+std::uint64_t u64_member(const json::Value& v, std::string_view key) {
+  const json::Value* m = v.find(key);
+  return m != nullptr ? m->as_u64().value_or(0) : 0;
+}
+
+bool parse_entry(const json::Value& v, BenchEntry& out, std::string* error) {
+  if (!v.is(json::Value::Kind::kObject)) {
     if (error) *error = "entry is not an object";
     return false;
   }
-  const auto str = [&](const char* key, std::string& dst) {
-    const auto it = v.object.find(key);
-    if (it != v.object.end() && it->second.kind == JsonValue::Kind::kString) {
-      dst = it->second.string;
-    }
-  };
-  const auto num = [&](const char* key) -> double {
-    const auto it = v.object.find(key);
-    return it != v.object.end() && it->second.kind == JsonValue::Kind::kNumber
-               ? it->second.number
-               : 0;
-  };
-  str("git_sha", out.git_sha);
-  str("date_utc", out.date_utc);
-  out.threads = static_cast<std::size_t>(num("threads"));
-  out.cpus = static_cast<std::size_t>(num("cpus"));
-  out.repeat = static_cast<std::uint64_t>(num("repeat"));
+  out.git_sha = string_member(v, "git_sha");
+  out.date_utc = string_member(v, "date_utc");
+  out.threads = u64_member(v, "threads");
+  out.cpus = u64_member(v, "cpus");
+  out.repeat = u64_member(v, "repeat");
   if (out.repeat == 0) out.repeat = 1;
-  const auto metrics = v.object.find("metrics");
-  if (metrics == v.object.end() ||
-      metrics->second.kind != JsonValue::Kind::kObject) {
+  const json::Value* metrics = v.find("metrics");
+  if (metrics == nullptr || !metrics->is(json::Value::Kind::kObject)) {
     if (error) *error = "entry has no metrics object";
     return false;
   }
-  for (const auto& [name, mv] : metrics->second.object) {
-    if (mv.kind != JsonValue::Kind::kObject) {
+  for (const auto& [name, mv] : metrics->members) {
+    if (!mv.is(json::Value::Kind::kObject)) {
       if (error) *error = "metric '" + name + "' is not an object";
       return false;
     }
-    Metric m;
-    const auto value = mv.object.find("value");
-    if (value == mv.object.end() ||
-        value->second.kind != JsonValue::Kind::kNumber) {
+    const json::Value* value = mv.find("value");
+    const auto number = value != nullptr ? value->as_double() : std::nullopt;
+    if (!number) {
       if (error) *error = "metric '" + name + "' has no numeric value";
       return false;
     }
-    m.value = value->second.number;
-    const auto unit = mv.object.find("unit");
-    if (unit != mv.object.end()) m.unit = unit->second.string;
-    const auto source = mv.object.find("source");
-    if (source != mv.object.end()) m.source = source->second.string;
-    const auto dir = mv.object.find("dir");
-    m.lower_is_better =
-        dir == mv.object.end() || dir->second.string != "higher";
+    Metric m;
+    m.value = *number;
+    m.unit = string_member(mv, "unit");
+    m.source = string_member(mv, "source");
+    m.lower_is_better = string_member(mv, "dir") != "higher";
     out.metrics.emplace(name, std::move(m));
   }
   return true;
@@ -326,23 +119,23 @@ std::optional<Trajectory> load_trajectory(std::istream& is,
   buf << is.rdbuf();
   const std::string text = buf.str();
   std::string parse_error;
-  const auto v = JsonParser(text, &parse_error).parse();
+  const auto v = json::parse(text, &parse_error);
   if (!v) {
     if (error) *error = parse_error;
     return std::nullopt;
   }
-  if (v->kind != JsonValue::Kind::kObject) {
+  if (!v->is(json::Value::Kind::kObject)) {
     if (error) *error = "trajectory is not a JSON object";
     return std::nullopt;
   }
   Trajectory t;
-  const auto schema = v->object.find("schema");
-  if (schema == v->object.end() ||
-      schema->second.kind != JsonValue::Kind::kNumber) {
+  const json::Value* schema = v->find("schema");
+  if (schema == nullptr || !schema->is(json::Value::Kind::kNumber)) {
     if (error) *error = "missing schema version";
     return std::nullopt;
   }
-  t.schema = static_cast<int>(schema->second.number);
+  t.schema = static_cast<int>(std::min<std::uint64_t>(
+      schema->as_u64().value_or(0), std::numeric_limits<int>::max()));
   if (t.schema != kSchemaVersion) {
     if (error) {
       *error = "unsupported schema v" + std::to_string(t.schema) +
@@ -350,15 +143,13 @@ std::optional<Trajectory> load_trajectory(std::istream& is,
     }
     return std::nullopt;
   }
-  const auto name = v->object.find("name");
-  if (name != v->object.end()) t.name = name->second.string;
-  const auto entries = v->object.find("entries");
-  if (entries == v->object.end() ||
-      entries->second.kind != JsonValue::Kind::kArray) {
+  t.name = string_member(*v, "name");
+  const json::Value* entries = v->find("entries");
+  if (entries == nullptr || !entries->is(json::Value::Kind::kArray)) {
     if (error) *error = "missing entries array";
     return std::nullopt;
   }
-  for (const JsonValue& ev : entries->second.array) {
+  for (const json::Value& ev : entries->items) {
     BenchEntry e;
     if (!parse_entry(ev, e, error)) return std::nullopt;
     t.entries.push_back(std::move(e));
@@ -367,9 +158,9 @@ std::optional<Trajectory> load_trajectory(std::istream& is,
 }
 
 void write_trajectory(std::ostream& os, const Trajectory& t) {
-  std::string out = "{\"schema\":" + std::to_string(t.schema) + ",\"name\":\"";
-  json_escape(out, t.name);
-  out += "\",\"entries\":[";
+  std::string out = "{\"schema\":" + std::to_string(t.schema) + ",\"name\":";
+  json::put_string(out, t.name);
+  out += ",\"entries\":[";
   for (std::size_t i = 0; i < t.entries.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += entry_json(t.entries[i]);

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace argus::obs::prof {
 
 std::uint32_t ThreadBuffer::intern(std::uint32_t parent, const char* label) {
@@ -156,25 +158,6 @@ void Profiler::write_collapsed(std::ostream& os) const {
   }
 }
 
-namespace {
-
-void json_escape(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
-
 void Profiler::write_json(std::ostream& os) const {
   std::string out = "{\"schema\":1,\"truncated\":";
   out += truncated() ? "true" : "false";
@@ -183,9 +166,8 @@ void Profiler::write_json(std::ostream& os) const {
   for (const auto& [path, stat] : by_path()) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    json_escape(out, path);
-    out += "\":{\"count\":" + std::to_string(stat.count) +
+    json::put_string(out, path);
+    out += ":{\"count\":" + std::to_string(stat.count) +
            ",\"incl_ns\":" + std::to_string(stat.incl_ns) +
            ",\"self_ns\":" + std::to_string(stat.self_ns) + '}';
   }
@@ -196,9 +178,9 @@ void Profiler::write_json(std::ostream& os) const {
     first = false;
     out += "{\"lane\":" + std::to_string(me.lane) + ",\"seq\":" +
            std::to_string(me.event.seq) + ",\"depth\":" +
-           std::to_string(me.event.depth) + ",\"path\":\"";
-    json_escape(out, me.path);
-    out += "\",\"t0_ns\":" + std::to_string(me.event.t0_ns) +
+           std::to_string(me.event.depth) + ",\"path\":";
+    json::put_string(out, me.path);
+    out += ",\"t0_ns\":" + std::to_string(me.event.t0_ns) +
            ",\"dur_ns\":" + std::to_string(me.event.dur_ns) +
            ",\"self_ns\":" + std::to_string(me.event.self_ns) + '}';
   }

@@ -1,40 +1,13 @@
 #include "obs/trace.hpp"
 
-#include <charconv>
 #include <istream>
 #include <ostream>
-#include <system_error>
+
+#include "common/json.hpp"
 
 namespace argus::obs {
 
 namespace {
-
-// Shortest round-trip formatting: exports are byte-identical for
-// identical runs and read_jsonl recovers the exact double.
-void put_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
-
-void put_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (u < 0x20) {
-      static const char* hex = "0123456789abcdef";
-      out.append("\\u00");
-      out.push_back(hex[u >> 4]);
-      out.push_back(hex[u & 0xF]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
 
 const char* kind_letter(EventKind k) {
   switch (k) {
@@ -47,16 +20,16 @@ const char* kind_letter(EventKind k) {
 
 void append_json_fields(std::string& line, const TraceEvent& ev) {
   line.append("\"ts\":");
-  put_double(line, ev.ts);
+  json::put_number(line, ev.ts);
   line.append(",\"n\":");
   line.append(std::to_string(ev.node));
   if (!ev.name.empty()) {
     line.append(",\"name\":");
-    put_escaped(line, ev.name);
+    json::put_string(line, ev.name);
   }
   if (!ev.cat.empty()) {
     line.append(",\"cat\":");
-    put_escaped(line, ev.cat);
+    json::put_string(line, ev.cat);
   }
   if (ev.a != 0) {
     line.append(",\"a\":");
@@ -68,7 +41,7 @@ void append_json_fields(std::string& line, const TraceEvent& ev) {
   }
   if (!ev.arg.empty()) {
     line.append(",\"arg\":");
-    put_escaped(line, ev.arg);
+    json::put_string(line, ev.arg);
   }
 }
 
@@ -202,7 +175,7 @@ void write_chrome_json(const Tracer& tracer, std::ostream& os) {
     out.append(",\"name\":\"thread_name\",\"args\":{\"name\":");
     std::string label = ev.arg;
     if (ev.a != 0) label += " (L" + std::to_string(ev.a) + ")";
-    put_escaped(out, label);
+    json::put_string(out, label);
     out.append("}}");
   }
   for (const TraceEvent& ev : tracer.events()) {
@@ -212,14 +185,14 @@ void write_chrome_json(const Tracer& tracer, std::ostream& os) {
     out.append("\",\"pid\":1,\"tid\":");
     out.append(std::to_string(ev.node));
     out.append(",\"ts\":");
-    put_double(out, ev.ts * 1000.0);  // chrome wants microseconds
+    json::put_number(out, ev.ts * 1000.0);  // chrome wants microseconds
     if (!ev.name.empty()) {
       out.append(",\"name\":");
-      put_escaped(out, ev.name);
+      json::put_string(out, ev.name);
     }
     if (!ev.cat.empty()) {
       out.append(",\"cat\":");
-      put_escaped(out, ev.cat);
+      json::put_string(out, ev.cat);
     }
     if (ev.kind == EventKind::kInstant) out.append(",\"s\":\"t\"");
     out.append(",\"args\":{\"a\":");
@@ -228,7 +201,7 @@ void write_chrome_json(const Tracer& tracer, std::ostream& os) {
     out.append(std::to_string(ev.b));
     if (!ev.arg.empty()) {
       out.append(",\"arg\":");
-      put_escaped(out, ev.arg);
+      json::put_string(out, ev.arg);
     }
     out.append("}}");
   }
@@ -238,117 +211,39 @@ void write_chrome_json(const Tracer& tracer, std::ostream& os) {
 
 namespace {
 
-// Minimal parser for the flat single-line objects write_jsonl emits.
-struct LineParser {
-  const char* p;
-  const char* endp;
-
-  void skip_ws() {
-    while (p < endp && (*p == ' ' || *p == '\t')) ++p;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (p < endp && *p == c) {
-      ++p;
-      return true;
-    }
-    return false;
-  }
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (p >= endp || *p != '"') return false;
-    ++p;
-    out.clear();
-    while (p < endp && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= endp) return false;
-        switch (*p) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            if (endp - p < 5) return false;
-            unsigned v = 0;
-            for (int i = 1; i <= 4; ++i) {
-              const char c = p[i];
-              v <<= 4;
-              if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-              else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
-              else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
-              else return false;
-            }
-            if (v > 0xFF) return false;  // we only emit \u00XX
-            out.push_back(static_cast<char>(v));
-            p += 4;
-            break;
-          }
-          default: return false;
-        }
-        ++p;
-      } else {
-        out.push_back(*p++);
-      }
-    }
-    if (p >= endp) return false;
-    ++p;  // closing quote
-    return true;
-  }
-  bool parse_double(double& out) {
-    skip_ws();
-    const auto res = std::from_chars(p, endp, out);
-    if (res.ec != std::errc{}) return false;
-    p = res.ptr;
-    return true;
-  }
-  bool parse_u64(std::uint64_t& out) {
-    skip_ws();
-    const auto res = std::from_chars(p, endp, out);
-    if (res.ec != std::errc{}) return false;
-    p = res.ptr;
-    return true;
-  }
-};
-
-bool parse_line(const std::string& line, TraceEvent& ev) {
-  LineParser lp{line.data(), line.data() + line.size()};
-  if (!lp.eat('{')) return false;
-  std::string key, sval;
+// Maps one write_jsonl line onto `ev`. Strict: an unknown key, a missing
+// "k", a wrongly typed value or a node id above u32 rejects the line.
+bool parse_line(std::string_view line, TraceEvent& ev) {
+  const auto v = json::parse(line);
+  if (!v || !v->is(json::Value::Kind::kObject)) return false;
   bool have_kind = false;
-  while (true) {
-    if (!lp.parse_string(key) || !lp.eat(':')) return false;
+  for (const auto& [key, val] : v->members) {
     if (key == "k") {
-      if (!lp.parse_string(sval)) return false;
-      if (sval == "B") ev.kind = EventKind::kBegin;
-      else if (sval == "E") ev.kind = EventKind::kEnd;
-      else if (sval == "i") ev.kind = EventKind::kInstant;
+      const auto k = val.as_string();
+      if (k == "B") ev.kind = EventKind::kBegin;
+      else if (k == "E") ev.kind = EventKind::kEnd;
+      else if (k == "i") ev.kind = EventKind::kInstant;
       else return false;
       have_kind = true;
     } else if (key == "ts") {
-      if (!lp.parse_double(ev.ts)) return false;
+      const auto ts = val.as_double();
+      if (!ts) return false;
+      ev.ts = *ts;
     } else if (key == "n") {
-      std::uint64_t n = 0;
-      if (!lp.parse_u64(n) || n > UINT32_MAX) return false;
-      ev.node = static_cast<std::uint32_t>(n);
-    } else if (key == "name") {
-      if (!lp.parse_string(ev.name)) return false;
-    } else if (key == "cat") {
-      if (!lp.parse_string(ev.cat)) return false;
-    } else if (key == "a") {
-      if (!lp.parse_u64(ev.a)) return false;
-    } else if (key == "b") {
-      if (!lp.parse_u64(ev.b)) return false;
-    } else if (key == "arg") {
-      if (!lp.parse_string(ev.arg)) return false;
+      const auto n = val.as_u64();
+      if (!n || *n > UINT32_MAX) return false;
+      ev.node = static_cast<std::uint32_t>(*n);
+    } else if (key == "a" || key == "b") {
+      const auto x = val.as_u64();
+      if (!x) return false;
+      (key == "a" ? ev.a : ev.b) = *x;
+    } else if (key == "name" || key == "cat" || key == "arg") {
+      const auto s = val.as_string();
+      if (!s) return false;
+      (key == "name" ? ev.name : key == "cat" ? ev.cat : ev.arg) = *s;
     } else {
       return false;  // unknown key: not our schema
     }
-    if (lp.eat(',')) continue;
-    if (lp.eat('}')) break;
-    return false;
   }
   return have_kind;
 }

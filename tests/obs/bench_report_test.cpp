@@ -58,6 +58,32 @@ TEST(TrajectoryIoTest, RejectsMalformedAndWrongSchema) {
   std::istringstream wrong_schema(
       R"({"schema":99,"name":"x","entries":[]})");
   EXPECT_FALSE(load_trajectory(wrong_schema, &error).has_value());
+
+  // 2^32 + 1 must not wrap to schema 1.
+  std::istringstream huge_schema(
+      R"({"schema":4294967297,"name":"x","entries":[]})");
+  EXPECT_FALSE(load_trajectory(huge_schema, &error).has_value());
+}
+
+TEST(TrajectoryIoTest, CommittedTrajectoriesRoundTripByteForByte) {
+  // Appending an entry rewrites the whole file, so load + write must
+  // reproduce every committed history line exactly.
+  for (const char* name : {"crypto", "scale", "soak", "transport"}) {
+    const std::string path =
+        std::string(ARGUS_SOURCE_DIR) + "/" + trajectory_path(name);
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path;
+    std::ostringstream committed;
+    committed << in.rdbuf();
+    std::istringstream is(committed.str());
+    std::string error;
+    const auto t = load_trajectory(is, &error);
+    ASSERT_TRUE(t.has_value()) << path << ": " << error;
+    EXPECT_EQ(t->name, name);
+    std::ostringstream os;
+    write_trajectory(os, *t);
+    EXPECT_EQ(os.str(), committed.str()) << path;
+  }
 }
 
 TEST(BenchReporterTest, AppendCreatesAndExtendsTrajectory) {

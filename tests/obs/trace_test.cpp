@@ -79,6 +79,9 @@ TEST(TraceIoTest, JsonlRoundTripsEveryField) {
   t.instant(1.5, 4, "tx.RES2", "net", 256, 3);
   t.end(2.25, 4, 0, 3);
   t.instant(3.0, 1, "weird \"name\"\n\t\\", "net", 0, 0, "id with \"quotes\"");
+  // Full-range ids and args: u64s above 2^53 must not pass through a double.
+  t.instant(0.1, UINT32_MAX, "tx.RES2", "net", UINT64_MAX,
+            (std::uint64_t{1} << 53) + 1);
 
   std::ostringstream os;
   write_jsonl(t, os);
@@ -96,9 +99,23 @@ TEST(TraceIoTest, JsonlRoundTripsEveryField) {
 }
 
 TEST(TraceIoTest, ReadRejectsMalformedLine) {
-  Tracer back;
-  std::istringstream is("{\"k\":\"B\",\"ts\":not-a-number}\n");
-  EXPECT_FALSE(read_jsonl(is, back));
+  for (const char* line : {
+           R"({"k":"B","ts":not-a-number})",
+           R"({"ts":1,"n":0})",  // missing k
+           R"({"k":"X","ts":1})",  // unknown kind
+           R"({"k":"i","ts":1,"extra":0})",  // unknown key
+           R"({"k":"i","ts":"1"})",  // ts not a number
+           R"({"k":"i","n":4294967296})",  // node above u32
+           R"({"k":"i","a":-1})",  // negative arg
+           R"({"k":"i","b":1.5})",  // fractional arg
+           R"({"k":"i","name":7})",  // name not a string
+           R"({"k":"i"} trailing)",  // bytes after the object
+           R"(["k","i"])",  // not an object
+       }) {
+    Tracer back;
+    std::istringstream is(std::string(line) + "\n");
+    EXPECT_FALSE(read_jsonl(is, back)) << line;
+  }
 }
 
 TEST(TraceIoTest, ChromeExportShape) {

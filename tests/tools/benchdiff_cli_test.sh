@@ -48,6 +48,9 @@ traj other "$DIR/other.json" 100
 traj base "$DIR/single.json" 100
 traj base "$DIR/empty.json"
 echo 'not json' > "$DIR/garbage.json"
+# Deep nesting must be refused by the reader's depth bound, not recursed
+# into until the stack overflows.
+printf '%50000s' '' | tr ' ' '[' > "$DIR/deep.json"
 
 check "within thresholds"            0 "$BENCHDIFF" "$DIR/ok.json"
 check "regression past --warn"       3 "$BENCHDIFF" "$DIR/warn.json"
@@ -68,6 +71,7 @@ check "empty before-file is baseline" 0 "$BENCHDIFF" "$DIR/empty.json" "$DIR/sin
 check "zero entries cannot compare"  2 "$BENCHDIFF" "$DIR/empty.json"
 check "empty after-file is error"    2 "$BENCHDIFF" "$DIR/single.json" "$DIR/empty.json"
 check "malformed file"               2 "$BENCHDIFF" "$DIR/garbage.json"
+check "50000 nested arrays"          2 "$BENCHDIFF" "$DIR/deep.json"
 check "missing file"                 2 "$BENCHDIFF" "$DIR/does-not-exist.json"
 check "no arguments is usage"        2 "$BENCHDIFF"
 
