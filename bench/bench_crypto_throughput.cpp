@@ -10,6 +10,11 @@
 //               ecdsa_verify_batch over each object's QUE2 window — the
 //               steady-state re-discovery path.
 //
+// Every mode runs the engines' verified-credential cache (it has no
+// switch): after the warm-up round each admin-signed certificate and
+// profile is a cache hit, so a timed handshake verifies only the two
+// transcript signatures.
+//
 // The fleet is L lanes; each lane is one Level-2 object serving K
 // subjects, and lanes run concurrently via parallel_for. Every lane
 // chains all wire bytes it sees through SHA-256, so the combined digest
@@ -22,8 +27,8 @@
 // `--json-out` appends them to the BENCH_crypto.json trajectory.
 //
 // `--smoke` is the ctest/CI gate: a reduced grid asserting the two digest
-// proofs, the exact deterministic resumption/batch counters, and a
-// conservative >= 2x steady-state speedup per core.
+// proofs, the exact deterministic resumption/batch/verified-cache
+// counters, and a conservative >= 2x steady-state speedup per core.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -179,6 +184,7 @@ struct ModeOutcome {
   double wall_ns = 0;            // timed rounds only
   std::uint64_t resumption_hits = 0;
   std::uint64_t batched_sigs = 0;
+  std::uint64_t verified_hits = 0;  // admin signatures settled by the cache
 
   [[nodiscard]] double per_s() const {
     return wall_ns > 0 ? static_cast<double>(handshakes) * 1e9 / wall_ns : 0;
@@ -219,8 +225,10 @@ ModeOutcome run_mode(const Fleet& fleet, const Mode& mode, const Grid& grid,
     out.handshakes += lane->handshakes - lane->subjects.size();
     out.resumption_hits += lane->object.stats().resumption_hits;
     out.batched_sigs += lane->object.stats().batch_verified_sigs;
+    out.verified_hits += lane->object.verified_cache().hits();
     for (const auto& s : lane->subjects) {
       out.resumption_hits += s.stats().resumption_hits;
+      out.verified_hits += s.verified_cache().hits();
     }
   }
   out.digest = to_hex(combined.finish());
@@ -269,20 +277,26 @@ int smoke(const bench::Args& args) {
     return 1;
   }
   // Deterministic pipeline counters: after the warm-up round, every timed
-  // ECDH must be a resumption hit on both sides, and every timed QUE2
-  // signature must settle through a batch equation (3 sigs per QUE2,
-  // warm-up included — the warm-up window batches too).
-  const std::uint64_t timed = grid.lanes * grid.subjects * grid.rounds;
+  // ECDH must be a resumption hit on both sides, and every timed
+  // handshake's four admin signatures (certificate and profile, each
+  // side) must be verified-cache hits. So the batch equation settles the
+  // warm-up window's 3 sigs per QUE2 and then only the transcript sig.
+  const std::uint64_t per_round = grid.lanes * grid.subjects;
+  const std::uint64_t timed = per_round * grid.rounds;
   const std::uint64_t expected_hits = 2 * timed;
-  const std::uint64_t expected_batched =
-      3 * grid.lanes * grid.subjects * (grid.rounds + 1);
+  const std::uint64_t expected_verified = 4 * timed;
+  const std::uint64_t expected_batched = 3 * per_round + timed;
   if (steady1.resumption_hits != expected_hits ||
+      steady1.verified_hits != expected_verified ||
       steady1.batched_sigs != expected_batched) {
     std::fprintf(stderr,
                  "smoke: pipeline counters off: hits %llu (want %llu), "
+                 "verified-cache hits %llu (want %llu), "
                  "batched %llu (want %llu)\n",
                  static_cast<unsigned long long>(steady1.resumption_hits),
                  static_cast<unsigned long long>(expected_hits),
+                 static_cast<unsigned long long>(steady1.verified_hits),
+                 static_cast<unsigned long long>(expected_verified),
                  static_cast<unsigned long long>(steady1.batched_sigs),
                  static_cast<unsigned long long>(expected_batched));
     return 1;
@@ -384,8 +398,9 @@ int main(int argc, char** argv) {
   const std::uint64_t per_round = grid.lanes * grid.subjects;
   const std::uint64_t timed = per_round * grid.rounds * args.repeat;
   if (steady1.resumption_hits != 2 * timed ||
+      steady1.verified_hits != 4 * timed ||
       steady1.batched_sigs !=
-          3 * (timed + per_round) /* warm-up window batches too */) {
+          3 * per_round /* the cold warm-up window */ + timed) {
     std::fprintf(stderr, "steady pipeline counters off model\n");
     return 1;
   }
@@ -395,9 +410,12 @@ int main(int argc, char** argv) {
   reporter.metric("virtual.steady.resumption_hits",
                   static_cast<double>(2 * per_round * grid.rounds), "count",
                   "virtual", /*lower_is_better=*/false);
-  reporter.metric("virtual.steady.batched_sigs",
-                  static_cast<double>(3 * per_round * (grid.rounds + 1)),
-                  "count", "virtual", /*lower_is_better=*/false);
+  reporter.metric("virtual.steady.verified_cache_hits",
+                  static_cast<double>(4 * per_round * grid.rounds), "count",
+                  "virtual", /*lower_is_better=*/false);
+  reporter.metric("virtual.steady.batch_settled_sigs",
+                  static_cast<double>(per_round * (3 + grid.rounds)),
+                  "count", "virtual", /*lower_is_better=*/true);
   reporter.metric("virtual.digest_match.fast_vs_ref", 1.0, "bool", "virtual",
                   /*lower_is_better=*/false);
   return bench::finish_bench(args, reporter, nullptr);

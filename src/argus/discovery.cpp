@@ -708,10 +708,12 @@ DiscoveryTestbed::FleetGauges DiscoveryTestbed::gauges() const {
     g.object_resume_entries += e.resume_entries();
     g.object_replay_entries += e.replay_entries();
     g.object_peer_buckets += e.peer_bucket_count();
+    g.object_verified_entries += e.verified_cache().size();
   }
   const SubjectEngine& s = impl_->subject->engine();
   g.subject_sessions = s.open_sessions();
   g.subject_resume_entries = s.resume_entries();
+  g.subject_verified_entries = s.verified_cache().size();
   g.timeline_events = impl_->report.timeline.size();
   g.sim_pending = impl_->sim.pending();
   g.metrics_counters = impl_->local_metrics.counters().size();

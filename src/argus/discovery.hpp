@@ -252,6 +252,9 @@ class DiscoveryTestbed {
     std::size_t object_peer_buckets = 0;
     std::size_t subject_sessions = 0;
     std::size_t subject_resume_entries = 0;
+    // Verified-credential cache entries; outside engine_state_total.
+    std::size_t object_verified_entries = 0;
+    std::size_t subject_verified_entries = 0;
     std::size_t timeline_events = 0;  // report timeline (reset_window clears)
     std::size_t sim_pending = 0;      // live simulator events/timers
     std::size_t metrics_counters = 0;

@@ -265,6 +265,7 @@ void ObjectEngine::reset_to_blank() {
   seen_rs_.clear();
   peer_buckets_.clear();
   revoked_.clear();
+  verified_ = crypto::VerifiedCache{};
   global_bucket_ = TokenBucket{};
   global_bucket_.tokens = cfg_.admission.global_burst;
   epoch_eph_ = crypto::EcKeyPair{};
@@ -478,6 +479,7 @@ void SubjectEngine::reset_to_blank() {
   resume_cache_.clear();
   completed_.clear();
   discovered_.clear();
+  verified_ = crypto::VerifiedCache{};
   lru_seq_ = 0;
   consumed_ms_ = 0;
   stats_ = Stats{};

@@ -384,7 +384,7 @@ HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
   const bool cert_ok =
       cert && (v.have ? v.cert_ok
                       : crypto::verify_certificate(group_, cfg_.admin_pub,
-                                                   *cert, now));
+                                                   *cert, now, verified_));
   if (!cert_ok) {
     ++stats_.drops;
     return fail(HandleStatus::kBadCert);
@@ -417,7 +417,8 @@ HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
   charge(net::CryptoOp::kEcdsaVerify);
   const bool prof_ok =
       prof && (v.have ? v.prof_ok
-                      : verify_profile(group_, cfg_.admin_pub, *prof));
+                      : verify_profile(group_, cfg_.admin_pub, *prof,
+                                       verified_));
   if (!prof_ok || prof->entity_id != cert->subject_id) {
     ++stats_.drops;
     return fail(HandleStatus::kBadProfile);
@@ -590,26 +591,43 @@ std::vector<HandleResult> ObjectEngine::handle_batch(
     // transcript, profile — into one batch. A job that fails a
     // short-circuit the sequential path would have hit (expired validity
     // window, unparseable signature) is simply not enqueued; its verdict
-    // stays false and que2_complete re-derives the matching reject.
+    // stays false and que2_complete re-derives the matching reject. An
+    // admin signature the verified cache already holds is settled here
+    // and not enqueued either.
     struct Slot {
       int cert = -1;
       int sig = -1;
       int prof = -1;
+      bool cert_cached = false;
+      bool prof_cached = false;
     };
     std::vector<crypto::EcdsaBatchItem> jobs;
+    // Cache key of each admin-signed job; nullopt for transcripts.
+    std::vector<std::optional<crypto::VerifiedCache::Key>> job_keys;
     std::vector<Slot> slots(pending.size());
     std::vector<Que2Verdicts> verdicts(pending.size());
+    // Settle an admin signature over `tbs` from the cache, or enqueue it.
+    const auto admin_job = [&](Bytes tbs, const Bytes& sig_bytes, int* slot,
+                               bool* cached) {
+      const auto key = crypto::VerifiedCache::key(group_, cfg_.admin_pub, tbs,
+                                                  sig_bytes);
+      if (verified_.contains(key)) {
+        *cached = true;
+      } else if (const auto sig =
+                     crypto::EcdsaSignature::from_bytes(group_, sig_bytes)) {
+        *slot = static_cast<int>(jobs.size());
+        jobs.push_back({cfg_.admin_pub, std::move(tbs), *sig});
+        job_keys.push_back(key);
+      }
+    };
     for (std::size_t i = 0; i < pending.size(); ++i) {
       const Pending& p = pending[i];
       verdicts[i].have = true;
       const auto cert = crypto::Certificate::parse(p.msg.cert);
       if (!cert) continue;  // completion rejects at kBadCert
-      if (p.now >= cert->not_before && p.now <= cert->not_after) {
-        if (const auto csig =
-                crypto::EcdsaSignature::from_bytes(group_, cert->signature)) {
-          slots[i].cert = static_cast<int>(jobs.size());
-          jobs.push_back({cfg_.admin_pub, cert->tbs(), *csig});
-        }
+      if (cert->valid_at(p.now)) {
+        admin_job(cert->tbs(), cert->signature, &slots[i].cert,
+                  &slots[i].cert_cached);
       }
       if (const auto subject_pub = group_.decode_point(cert->pubkey)) {
         Transcript t = p.sess.transcript;  // completion re-absorbs its own
@@ -620,14 +638,12 @@ std::vector<HandleResult> ObjectEngine::handle_batch(
                 crypto::EcdsaSignature::from_bytes(group_, p.msg.sig)) {
           slots[i].sig = static_cast<int>(jobs.size());
           jobs.push_back({*subject_pub, t.digest(), *tsig});
+          job_keys.emplace_back();
         }
       }
       if (const auto prof = backend::Profile::parse(p.msg.prof)) {
-        if (const auto psig =
-                crypto::EcdsaSignature::from_bytes(group_, prof->signature)) {
-          slots[i].prof = static_cast<int>(jobs.size());
-          jobs.push_back({cfg_.admin_pub, prof->tbs(), *psig});
-        }
+        admin_job(prof->tbs(), prof->signature, &slots[i].prof,
+                  &slots[i].prof_cached);
       }
     }
     crypto::EcdsaBatchStats bstats;
@@ -635,10 +651,15 @@ std::vector<HandleResult> ObjectEngine::handle_batch(
         crypto::ecdsa_verify_batch(group_, jobs, &bstats);
     stats_.batch_verified_sigs += bstats.batched;
     stats_.batch_fallback_sigs += bstats.fallback_single;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (ok[j] && job_keys[j]) verified_.insert(*job_keys[j]);
+    }
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      verdicts[i].cert_ok = slots[i].cert >= 0 && ok[slots[i].cert];
+      verdicts[i].cert_ok =
+          slots[i].cert_cached || (slots[i].cert >= 0 && ok[slots[i].cert]);
       verdicts[i].sig_ok = slots[i].sig >= 0 && ok[slots[i].sig];
-      verdicts[i].prof_ok = slots[i].prof >= 0 && ok[slots[i].prof];
+      verdicts[i].prof_ok =
+          slots[i].prof_cached || (slots[i].prof >= 0 && ok[slots[i].prof]);
     }
     // Phase C: expensive tails, strictly in arrival order.
     for (std::size_t i = 0; i < pending.size(); ++i) {

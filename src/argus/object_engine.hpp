@@ -21,6 +21,7 @@
 #include "backend/registry.hpp"
 #include "backend/revocation.hpp"
 #include "crypto/ecdh.hpp"
+#include "crypto/verified_cache.hpp"
 #include "net/compute.hpp"
 #include "obs/metrics.hpp"
 #include "persist/snapshot.hpp"
@@ -197,6 +198,11 @@ class ObjectEngine {
   [[nodiscard]] std::size_t peer_bucket_count() const {
     return peer_buckets_.size();
   }
+  /// Admin signatures this engine has seen pass (subject certificates
+  /// and profiles). Never snapshotted: a restored engine starts cold.
+  [[nodiscard]] const crypto::VerifiedCache& verified_cache() const {
+    return verified_;
+  }
 
  private:
   struct Session {
@@ -309,6 +315,7 @@ class ObjectEngine {
   std::map<std::uint64_t, TokenBucket> peer_buckets_;  // admission, LRU-capped
   TokenBucket global_bucket_;
   std::set<std::string> revoked_;
+  crypto::VerifiedCache verified_;
   std::uint64_t last_revocation_seq_ = 0;
   std::size_t max_prof_wire_ = 0;
   double consumed_ms_ = 0;

@@ -89,7 +89,7 @@ HandleResult SubjectEngine::handle_res1_l1(const Res1Level1& msg) {
   // Level 1: plaintext profile; integrity via the admin signature (§IV-B).
   const auto prof = backend::Profile::parse(msg.prof);
   charge(net::CryptoOp::kEcdsaVerify);
-  if (!prof || !verify_profile(group_, cfg_.admin_pub, *prof)) {
+  if (!prof || !verify_profile(group_, cfg_.admin_pub, *prof, verified_)) {
     ++stats_.drops;
     return fail(HandleStatus::kBadProfile);
   }
@@ -120,7 +120,8 @@ HandleResult SubjectEngine::handle_res1(const Res1& msg, const Bytes& wire,
   // 1. Object certificate.
   const auto cert = crypto::Certificate::parse(msg.cert);
   charge(net::CryptoOp::kEcdsaVerify);
-  if (!cert || !crypto::verify_certificate(group_, cfg_.admin_pub, *cert, now)) {
+  if (!cert || !crypto::verify_certificate(group_, cfg_.admin_pub, *cert, now,
+                                           verified_)) {
     ++stats_.drops;
     return fail(HandleStatus::kBadCert);
   }
@@ -311,7 +312,7 @@ HandleResult SubjectEngine::handle_res2(const Res2& msg) {
     prof = std::nullopt;
   }
   charge(net::CryptoOp::kEcdsaVerify);
-  if (!prof || !verify_profile(group_, cfg_.admin_pub, *prof) ||
+  if (!prof || !verify_profile(group_, cfg_.admin_pub, *prof, verified_) ||
       prof->entity_id != sess.object_id) {
     ++stats_.drops;
     return fail(HandleStatus::kBadProfile);

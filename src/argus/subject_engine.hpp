@@ -16,6 +16,7 @@
 #include "argus/session.hpp"
 #include "backend/registry.hpp"
 #include "crypto/ecdh.hpp"
+#include "crypto/verified_cache.hpp"
 #include "net/compute.hpp"
 #include "obs/metrics.hpp"
 #include "persist/snapshot.hpp"
@@ -97,6 +98,11 @@ class SubjectEngine {
   [[nodiscard]] std::size_t resume_entries() const {
     return resume_cache_.size();
   }
+  /// Admin signatures this engine has seen pass (object certificates and
+  /// profiles). Never snapshotted: a restored engine starts cold.
+  [[nodiscard]] const crypto::VerifiedCache& verified_cache() const {
+    return verified_;
+  }
 
   struct Stats {
     std::uint64_t rounds = 0;
@@ -167,6 +173,7 @@ class SubjectEngine {
   std::uint64_t lru_seq_ = 0;
   std::set<Bytes> completed_;          // R_O of finished exchanges this round
   std::vector<DiscoveredService> discovered_;
+  crypto::VerifiedCache verified_;
   double consumed_ms_ = 0;
   Stats stats_;
 };

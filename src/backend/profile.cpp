@@ -71,4 +71,12 @@ bool verify_profile(const crypto::EcGroup& group,
   return crypto::ecdsa_verify(group, admin_pub, prof.tbs(), *sig);
 }
 
+bool verify_profile(const crypto::EcGroup& group,
+                    const crypto::EcPoint& admin_pub, const Profile& prof,
+                    crypto::VerifiedCache& cache) {
+  return cache.check(
+      crypto::VerifiedCache::key(group, admin_pub, prof.tbs(), prof.signature),
+      [&] { return verify_profile(group, admin_pub, prof); });
+}
+
 }  // namespace argus::backend

@@ -34,5 +34,10 @@ void sign_profile(const crypto::EcGroup& group, const crypto::UInt& admin_priv,
                   Profile& prof);
 bool verify_profile(const crypto::EcGroup& group,
                     const crypto::EcPoint& admin_pub, const Profile& prof);
+/// The same check through `cache`: the admin signature runs only when this
+/// exact profile has not passed before.
+bool verify_profile(const crypto::EcGroup& group,
+                    const crypto::EcPoint& admin_pub, const Profile& prof,
+                    crypto::VerifiedCache& cache);
 
 }  // namespace argus::backend

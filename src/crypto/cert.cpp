@@ -93,10 +93,19 @@ void sign_certificate(const EcGroup& group, const UInt& admin_priv,
 
 bool verify_certificate(const EcGroup& group, const EcPoint& admin_pub,
                         const Certificate& cert, std::uint64_t now) {
-  if (now < cert.not_before || now > cert.not_after) return false;
+  if (!cert.valid_at(now)) return false;
   const auto sig = EcdsaSignature::from_bytes(group, cert.signature);
   if (!sig) return false;
   return ecdsa_verify(group, admin_pub, cert.tbs(), *sig);
+}
+
+bool verify_certificate(const EcGroup& group, const EcPoint& admin_pub,
+                        const Certificate& cert, std::uint64_t now,
+                        VerifiedCache& cache) {
+  if (!cert.valid_at(now)) return false;
+  return cache.check(
+      VerifiedCache::key(group, admin_pub, cert.tbs(), cert.signature),
+      [&] { return verify_certificate(group, admin_pub, cert, now); });
 }
 
 }  // namespace argus::crypto

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "crypto/ecdsa.hpp"
+#include "crypto/verified_cache.hpp"
 
 namespace argus::crypto {
 
@@ -30,6 +31,10 @@ struct Certificate {
 
   /// To-be-signed serialization (everything except the signature).
   [[nodiscard]] Bytes tbs() const;
+  /// Inside the validity window at time `now`.
+  [[nodiscard]] bool valid_at(std::uint64_t now) const {
+    return now >= not_before && now <= not_after;
+  }
   /// Full wire encoding (tbs + signature + X.509-emulation pad).
   [[nodiscard]] Bytes serialize() const;
   static std::optional<Certificate> parse(ByteSpan data);
@@ -45,5 +50,12 @@ void sign_certificate(const EcGroup& group, const UInt& admin_priv,
 /// Verify admin signature and validity window at time `now`.
 bool verify_certificate(const EcGroup& group, const EcPoint& admin_pub,
                         const Certificate& cert, std::uint64_t now);
+
+/// The same check through `cache`: the validity window is tested on every
+/// call, the admin signature only when this exact certificate has not
+/// passed before.
+bool verify_certificate(const EcGroup& group, const EcPoint& admin_pub,
+                        const Certificate& cert, std::uint64_t now,
+                        VerifiedCache& cache);
 
 }  // namespace argus::crypto

@@ -201,6 +201,10 @@ SoakResult run_soak(const SoakSpec& spec) {
     check("subject_sessions", gauge(&FG::subject_sessions), 4, 0.10);
     check("subject_resume_entries", gauge(&FG::subject_resume_entries), 4,
           0.10);
+    check("object_verified_entries", gauge(&FG::object_verified_entries), 4,
+          0.10);
+    check("subject_verified_entries", gauge(&FG::subject_verified_entries), 4,
+          0.10);
     check("engine_state_total",
           [](const SoakSample& s) { return s.gauges.engine_state_total(); }, 4,
           0.10);

@@ -403,6 +403,65 @@ TEST_F(BatchFixture, ResumptionInsideBatchMatchesSequential) {
   EXPECT_EQ(p.bat.stats().resumption_hits, 2u);
 }
 
+TEST_F(BatchFixture, WarmVerifiedCacheBatchMatchesSequential) {
+  // Once the admin-signed certificates and profiles sit in the verified
+  // cache, a batch window queues only the transcript signatures, and its
+  // results still equal message-by-message handling.
+  auto p = make_pair();
+  std::vector<SubjectEngine> subjects;
+  subjects.push_back(make_subject(alice_, {}, 61));
+  subjects.push_back(make_subject(bob_, {}, 62));
+  subjects.push_back(make_subject(carol_, {}, 63));
+  const auto round = [&](const auto& edit) {
+    std::vector<ObjectEngine::BatchInput> batch;
+    for (auto& s : subjects) {
+      const Bytes que1 = s.start_round();
+      const auto res1a = p.seq.handle(que1, be_.now());
+      const auto res1b = p.bat.handle(que1, be_.now());
+      EXPECT_TRUE(res1a);
+      EXPECT_EQ(*res1a, *res1b);
+      const auto que2 = s.handle(*res1a, be_.now());
+      EXPECT_TRUE(que2);
+      batch.push_back({*que2, be_.now(), 0});
+    }
+    edit(batch);
+    std::vector<HandleResult> seq;
+    for (const auto& item : batch) {
+      seq.push_back(p.seq.handle(item.wire, item.now, item.peer));
+    }
+    expect_equal_results(seq, p.bat.handle_batch(batch));
+    expect_equal_stats(p.seq, p.bat);
+    return seq;
+  };
+  const auto unchanged = [](std::vector<ObjectEngine::BatchInput>&) {};
+
+  round(unchanged);  // cold: every signature reaches the batch
+  EXPECT_EQ(p.bat.stats().batch_verified_sigs, 9u);
+  EXPECT_EQ(p.bat.verified_cache().size(), 6u);
+
+  round(unchanged);  // warm: only the three transcript signatures
+  EXPECT_EQ(p.bat.stats().batch_verified_sigs, 12u);
+  EXPECT_EQ(p.bat.verified_cache().hits(), 6u);
+  EXPECT_EQ(p.seq.verified_cache().hits(), 6u);
+
+  // Warm and hostile: bob's cached certificate body with one signature
+  // byte flipped must not ride on the cached entry.
+  const auto hostile = round([&](std::vector<ObjectEngine::BatchInput>& batch) {
+    auto msg = decode(batch[1].wire);
+    ASSERT_TRUE(msg);
+    auto& que2 = std::get<Que2>(*msg);
+    auto cert = crypto::Certificate::parse(que2.cert);
+    ASSERT_TRUE(cert);
+    cert->signature[3] ^= 0x01;
+    que2.cert = cert->serialize();
+    batch.insert(batch.begin() + 1,
+                 ObjectEngine::BatchInput{encode(*msg), be_.now(), 0});
+  });
+  ASSERT_EQ(hostile.size(), 4u);
+  EXPECT_EQ(hostile[1].status, HandleStatus::kBadCert);
+  EXPECT_EQ(hostile[2].status, HandleStatus::kOk);
+}
+
 // ---------------------------------------------------------------------------
 // Degenerate-KEXM regression: a hostile key-exchange point must land in
 // the reject taxonomy (kBadKex), never escape a handler as an exception.

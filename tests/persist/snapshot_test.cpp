@@ -247,6 +247,82 @@ TEST_F(EnginePersistFixture, SubjectRestorePreservesDiscoveries) {
   EXPECT_EQ(s.state_digest(), digest_once);
 }
 
+TEST_F(EnginePersistFixture, VerifiedCacheIsNotInSnapshotsOrDigests) {
+  // Two engines take the same message. One checks the certificate and
+  // caches it before a bad handshake signature stops it; the other
+  // meets the certificate outside its validity window and never consults
+  // the cache. Both count one reject and keep their sessions, so once the
+  // modelled compute (one more verify charged to the first) is drained,
+  // their state is identical while only one cache is warm.
+  const std::uint64_t expired = alice_.cert.not_after + 1;
+  auto s = make_subject();
+  auto o_warm = make_object(tv_);
+  auto o_cold = make_object(tv_);
+  const Bytes que1 = s.start_round();
+  const auto res1 = o_warm.handle(que1, be_.now());
+  ASSERT_TRUE(res1);
+  ASSERT_EQ(*o_cold.handle(que1, be_.now()), *res1);
+  const auto que2 = s.handle(*res1, be_.now());
+  ASSERT_TRUE(que2);
+  auto msg = core::decode(*que2);
+  ASSERT_TRUE(msg);
+  std::get<core::Que2>(*msg).sig[4] ^= 0x01;
+  const Bytes bad_que2 = core::encode(*msg);
+  EXPECT_EQ(o_warm.handle(bad_que2, be_.now()).status,
+            core::HandleStatus::kBadSignature);
+  EXPECT_EQ(o_cold.handle(bad_que2, expired).status,
+            core::HandleStatus::kBadCert);
+  ASSERT_EQ(o_warm.verified_cache().size(), 1u);
+  ASSERT_EQ(o_cold.verified_cache().size(), 0u);
+  o_warm.take_consumed_ms();
+  o_cold.take_consumed_ms();
+  EXPECT_EQ(o_warm.snapshot(), o_cold.snapshot());
+  EXPECT_EQ(o_warm.state_digest(), o_cold.state_digest());
+
+  // The same on the subject side, with a RES1 whose signature is bad.
+  auto s_warm = make_subject();
+  auto s_cold = make_subject();
+  auto o = make_object(tv_);
+  const Bytes q1 = s_warm.start_round();
+  ASSERT_EQ(s_cold.start_round(), q1);
+  const auto r1 = o.handle(q1, be_.now());
+  ASSERT_TRUE(r1);
+  auto r1_msg = core::decode(*r1);
+  ASSERT_TRUE(r1_msg);
+  std::get<core::Res1>(*r1_msg).sig[4] ^= 0x01;
+  const Bytes bad_res1 = core::encode(*r1_msg);
+  EXPECT_EQ(s_warm.handle(bad_res1, be_.now()).status,
+            core::HandleStatus::kBadSignature);
+  EXPECT_EQ(s_cold.handle(bad_res1, tv_.cert.not_after + 1).status,
+            core::HandleStatus::kBadCert);
+  ASSERT_EQ(s_warm.verified_cache().size(), 1u);
+  ASSERT_EQ(s_cold.verified_cache().size(), 0u);
+  s_warm.take_consumed_ms();
+  s_cold.take_consumed_ms();
+  EXPECT_EQ(s_warm.snapshot(), s_cold.snapshot());
+  EXPECT_EQ(s_warm.state_digest(), s_cold.state_digest());
+}
+
+TEST_F(EnginePersistFixture, RestoredEngineStartsWithAColdVerifiedCache) {
+  auto s = make_subject();
+  auto o = make_object(tv_);
+  exchange(s, o);
+  exchange(s, o);
+  ASSERT_EQ(s.verified_cache().hits(), 2u);  // object cert + profile
+  ASSERT_EQ(o.verified_cache().hits(), 2u);  // subject cert + profile
+  ASSERT_EQ(s.restore(s.snapshot()), RestoreError::kOk);
+  ASSERT_EQ(o.restore(o.snapshot()), RestoreError::kOk);
+  EXPECT_EQ(s.verified_cache().size(), 0u);
+  EXPECT_EQ(o.verified_cache().size(), 0u);
+  // The first checks after the restore are misses, and the round still
+  // completes.
+  exchange(s, o);
+  EXPECT_EQ(s.verified_cache().hits(), 0u);
+  EXPECT_EQ(s.verified_cache().misses(), 2u);
+  EXPECT_EQ(o.verified_cache().hits(), 0u);
+  EXPECT_EQ(o.verified_cache().misses(), 2u);
+}
+
 TEST_F(EnginePersistFixture, IdentityMismatchLeavesEngineBlank) {
   auto s = make_subject();
   auto tv = make_object(tv_);
