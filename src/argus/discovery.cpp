@@ -228,8 +228,8 @@ class SubjectNode final : public net::SimNode {
           break;
         }
         case RoundDriver::Effect::Kind::kArm:
-          timers_[e.slot] = net_->sim().schedule_timer(
-              e.delay_ms,
+          timers_[e.slot] = net_->sim().schedule_timer_at(
+              net_->now() + e.delay_ms,
               [this, timer = e.slot] { apply(driver_.on_timer(timer)); });
           break;
         case RoundDriver::Effect::Kind::kCancel:

@@ -10,7 +10,7 @@
 // It is a pure state machine with no clock of its own: every call returns
 // the side effects the owner must perform, in order — broadcast QUE1,
 // send to a slot, arm or cancel a timer. The simulator maps arm/cancel
-// 1:1 onto Simulator::schedule_timer/cancel_timer (so same-instant event
+// 1:1 onto Simulator::schedule_timer_at/cancel_timer (so same-instant event
 // order is fixed by the effect order); the daemon client polls a small
 // deadline table; unit tests step it by hand. Objects are addressed by
 // slot 0..slots-1 (radio node order in the simulator, mux channel on the

@@ -14,7 +14,7 @@ void ChaosScheduler::arm(const FaultPlan& plan, std::size_t objects,
   std::vector<FaultEvent> expanded = expand_plan(plan, objects);
   for (const FaultEvent& ev : expanded) {
     const double delay = std::max(0.0, base_ms + ev.at_ms - sim_.now());
-    sim_.schedule_timer(delay, [this, ev] { fire(ev); });
+    sim_.schedule_timer_at(sim_.now() + delay, [this, ev] { fire(ev); });
     if (ev.object < ever_.size()) {
       ever_[ev.object] |=
           static_cast<std::uint8_t>(1u << static_cast<unsigned>(ev.kind));
@@ -34,7 +34,8 @@ void ChaosScheduler::fire(const FaultEvent& ev) {
       ++stats_.crashes;
       if (hooks_.crash) hooks_.crash(ev.object);
       if (ev.duration_ms >= 0) {
-        sim_.schedule_timer(ev.duration_ms, [this, obj = ev.object] {
+        const double at = sim_.now() + ev.duration_ms;
+        sim_.schedule_timer_at(at, [this, obj = ev.object] {
           ++stats_.reboots;
           if (hooks_.reboot) hooks_.reboot(obj);
         });
@@ -50,7 +51,8 @@ void ChaosScheduler::fire(const FaultEvent& ev) {
       ++stats_.straggles;
       if (hooks_.straggle_begin) hooks_.straggle_begin(ev.object, ev.factor);
       if (ev.duration_ms >= 0) {
-        sim_.schedule_timer(ev.duration_ms, [this, obj = ev.object] {
+        const double at = sim_.now() + ev.duration_ms;
+        sim_.schedule_timer_at(at, [this, obj = ev.object] {
           if (hooks_.straggle_end) hooks_.straggle_end(obj);
         });
       }

@@ -11,7 +11,7 @@
 // *local* density instead of total population.
 //
 // Plain calendar queues degenerate when many events share one timestamp
-// (here: a busy node's whole ingress queue wakes at the same busy_until)
+// (here: every receiver in one broadcast ring shares an arrival time)
 // — every pop would rescan that bucket linearly. So each bucket is
 // itself a small binary min-heap ordered by (time, seq): locating a
 // day's minimum reads the bucket top in O(1), and a same-instant pileup
@@ -27,6 +27,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 namespace argus::net {
@@ -35,6 +36,24 @@ using SimTime = double;  // virtual milliseconds
 
 /// Handle for a cancellable timer; 0 is never a valid id.
 using TimerId = std::uint64_t;
+
+/// An event's exact place in the firing order: time, then the sequence
+/// number the simulator issued when it was scheduled (or reserved).
+struct EventKey {
+  SimTime time = 0;
+  std::uint64_t seq = 0;
+
+  /// Sorts after every real event.
+  static constexpr EventKey never() {
+    return {std::numeric_limits<SimTime>::infinity(),
+            std::numeric_limits<std::uint64_t>::max()};
+  }
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+  friend bool operator==(const EventKey&, const EventKey&) = default;
+};
 
 class CalendarQueue {
  public:

@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -64,7 +66,7 @@ void Network::remove_node(NodeId node) {
   s.node = nullptr;  // departed: has_node() is false, slot() throws
   s.up = false;
   s.busy_until = sim_.now();
-  // Entries still parked keep their wake timers; each wake finds the
+  // Entries still parked keep their wake keys; each one's wake finds the
   // node gone and records a traced no_dest drop, mirroring how a crash
   // drains its queue.
 }
@@ -173,93 +175,93 @@ void Network::park(NodeId from, NodeId to, Frame frame) {
     queue_shed(from, to, frame->size(), /*evicted=*/false);
     return;
   }
-  Parked entry;
-  entry.park_id = next_park_++;
-  entry.from = from;
-  entry.bytes = frame->size();
-  entry.enqueued = sim_.now();
-  entry.prio = frame->empty() ? 0xFF : (*frame)[0];
-  const std::uint64_t park_id = entry.park_id;
-  // The wake timer targets the exact stored busy_until: the same fire
-  // time the legacy re-check used, so unbounded runs keep an identical
-  // event timeline.
-  entry.timer = sim_.schedule_timer_at(
-      s.busy_until,
-      [this, from, to, park_id, frame = std::move(frame)]() mutable {
-        wake(from, to, park_id, std::move(frame));
-      });
-  s.parked.push_back(entry);
+  // The wake key is the exact stored busy_until plus the seq this park's
+  // own wake timer would have taken, so replayed wakes keep that order.
+  const EventKey key{s.busy_until, sim_.reserve_seqs(1)};
+  s.queue.push(key, {std::move(frame), from, sim_.now()});
   stats_.queue_peak =
-      std::max<std::uint64_t>(stats_.queue_peak, s.parked.size());
+      std::max<std::uint64_t>(stats_.queue_peak, s.queue.size());
   if (metrics_) {
     metrics_->histogram("net.queue.depth")
-        .observe(static_cast<double>(s.parked.size()));
+        .observe(static_cast<double>(s.queue.size()));
   }
+  arm(to);
 }
 
-void Network::wake(NodeId from, NodeId to, std::uint64_t park_id,
-                   Frame frame) {
+void Network::arm(NodeId to) {
   NodeSlot& s = nodes_[to];
-  SimTime enqueued = sim_.now();
-  for (auto it = s.parked.begin(); it != s.parked.end(); ++it) {
-    if (it->park_id == park_id) {
-      enqueued = it->enqueued;
-      s.parked.erase(it);
-      break;
+  const EventKey key = s.queue.front_key();
+  if (s.wake != 0) {
+    if (s.wake_key == key) return;
+    sim_.cancel_timer(s.wake);
+  }
+  s.wake_key = key;
+  s.wake = sim_.schedule_timer_at(key, [this, to] { wake(to); });
+}
+
+void Network::wake(NodeId to) {
+  nodes_[to].wake = 0;
+  for (;;) {
+    // Re-read the slot every step: a handler may attach nodes.
+    NodeSlot& s = nodes_[to];
+    if (s.queue.empty()) return;
+    // The front entry's wake is due now only if it is the next event of
+    // the whole simulation. The first one always is: this event fired
+    // at its key.
+    const EventKey key = s.queue.front_key();
+    const EventKey next = sim_.next_key();
+    if (key.time != sim_.now() || next < key) break;
+    if (s.node == nullptr) {
+      // Departed while this message sat in its queue.
+      const IngressQueue::Entry e = s.queue.pop_front();
+      no_dest_drop(e.from, to, e.frame->size());
+      continue;
     }
+    if (!s.up) {
+      const IngressQueue::Entry e = s.queue.pop_front();
+      fault_drop(e.from, to, e.frame->size());
+      continue;
+    }
+    if (s.busy_until > sim_.now()) {
+      // Still busy (an earlier wake's handler extended the window): each
+      // entry goes to the back of the queue again with the next seq. The
+      // rest of the front run holds consecutive seqs, so no other event
+      // can fall between its wakes, and each would do the same: re-park
+      // the whole run in one step.
+      s.queue.repark_front(s.busy_until,
+                           sim_.reserve_seqs(s.queue.front_run()));
+      continue;
+    }
+    IngressQueue::Entry e = s.queue.pop_front();
+    if (metrics_) {
+      metrics_->histogram("net.queue.wait_ms")
+          .observe(sim_.now() - e.arrived);
+    }
+    ++stats_.deliveries;
+    s.node->on_message(e.from, *e.frame);
+    retire_frame(std::move(e.frame));
   }
-  if (s.node == nullptr) {
-    // Departed while this message sat in its queue.
-    no_dest_drop(from, to, frame->size());
-    return;
-  }
-  if (!s.up) {
-    fault_drop(from, to, frame->size());
-    return;
-  }
-  if (s.busy_until > sim_.now()) {
-    // Still busy (an earlier wake's handler extended the window): go to
-    // the back of the queue again, exactly like the legacy re-check.
-    park(from, to, std::move(frame));
-    return;
-  }
-  if (metrics_) {
-    metrics_->histogram("net.queue.wait_ms").observe(sim_.now() - enqueued);
-  }
-  ++stats_.deliveries;
-  s.node->on_message(from, *frame);
-  retire_frame(std::move(frame));
+  arm(to);
 }
 
 bool Network::make_room(NodeId to, const Bytes& arriving) {
-  NodeSlot& s = nodes_[to];
+  IngressQueue& queue = nodes_[to].queue;
+  std::optional<IngressQueue::Entry> victim;
   switch (radio_.queue_policy) {
     case QueuePolicy::kDropTail:
       return false;
-    case QueuePolicy::kDropOldest: {
-      const Parked victim = s.parked.front();
-      sim_.cancel_timer(victim.timer);
-      s.parked.pop_front();
-      queue_shed(victim.from, to, victim.bytes, /*evicted=*/true);
-      return true;
-    }
-    case QueuePolicy::kPriority: {
+    case QueuePolicy::kDropOldest:
+      victim = queue.evict_oldest();
+      break;
+    case QueuePolicy::kPriority:
       // Weakest class loses; newest of the weakest class goes first so
       // the oldest strong entries keep their place in line.
-      auto worst = s.parked.begin();
-      for (auto it = s.parked.begin(); it != s.parked.end(); ++it) {
-        if (it->prio >= worst->prio) worst = it;
-      }
-      const std::uint8_t arriving_prio = arriving.empty() ? 0xFF : arriving[0];
-      if (arriving_prio >= worst->prio) return false;
-      const Parked victim = *worst;
-      sim_.cancel_timer(victim.timer);
-      s.parked.erase(worst);
-      queue_shed(victim.from, to, victim.bytes, /*evicted=*/true);
-      return true;
-    }
+      victim = queue.evict_weakest(IngressQueue::priority(arriving));
+      break;
   }
-  return false;
+  if (!victim) return false;
+  queue_shed(victim->from, to, victim->frame->size(), /*evicted=*/true);
+  return true;
 }
 
 void Network::queue_shed(NodeId from, NodeId to, std::size_t bytes,

@@ -14,6 +14,10 @@
 // that find the node busy wait in an explicit per-node ingress queue —
 // unbounded by default, or bounded (RadioParams::queue_depth) with a
 // configurable overflow policy for overload-protection experiments.
+// Each queued message keeps the (time, seq) wake key its own timer would
+// have had, and the node arms one simulator event at the smallest key
+// (net/ingress_queue.hpp): the order of deliveries, re-parks and drops is
+// that of one timer per message, at one event per busy window.
 //
 // Scale architecture (campus-sized fleets, see DESIGN.md):
 //   * node state lives in a flat, index-addressed table (`NodeId` is a
@@ -32,13 +36,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/drbg.hpp"
 #include "net/compute.hpp"
+#include "net/ingress_queue.hpp"
 #include "net/sim.hpp"
 
 namespace argus::obs {
@@ -47,8 +51,6 @@ class Tracer;
 }
 
 namespace argus::net {
-
-using NodeId = std::uint32_t;
 
 /// What a full ingress queue does with the overflow (queue_depth > 0).
 enum class QueuePolicy : std::uint8_t {
@@ -213,7 +215,7 @@ class Network {
   /// Current ingress-queue length of a node (messages parked behind its
   /// busy window). Exposed for backpressure-aware callers and tests.
   [[nodiscard]] std::size_t queue_length(NodeId node) const {
-    return slot(node).parked.size();
+    return slot(node).queue.size();
   }
 
  private:
@@ -222,27 +224,15 @@ class Network {
   /// single buffer.
   using Frame = std::shared_ptr<const Bytes>;
 
-  /// One message parked behind a busy receiver. The payload frame lives
-  /// in the wake timer's closure; the entry carries what eviction and
-  /// metering need. `park_id` matches a firing wake event back to its
-  /// entry (entries can fire out of deque order across a reboot, when a
-  /// newer arrival parks against an earlier busy_until).
-  struct Parked {
-    std::uint64_t park_id = 0;
-    TimerId timer = 0;
-    NodeId from = 0;
-    std::size_t bytes = 0;
-    SimTime enqueued = 0;
-    std::uint8_t prio = 0xFF;  // wire-type byte; lower = more important
-  };
-
   struct NodeSlot {
     SimNode* node = nullptr;  // null: slot 0 sentinel or departed node
     unsigned hops = 0;
     SimTime busy_until = 0;
     bool up = true;
     double compute_factor = 1.0;
-    std::deque<Parked> parked;  // explicit ingress queue, arrival order
+    IngressQueue queue;  // messages parked behind busy_until
+    TimerId wake = 0;    // the queue's one pending wake event; 0: none
+    EventKey wake_key;   // where `wake` is armed
   };
 
   /// Bounds-checked slot access for attached nodes (throws out_of_range
@@ -258,12 +248,17 @@ class Network {
   void deliver(NodeId from, NodeId to, Frame frame, SimTime arrival);
   /// Run the receiver's handler, or park the message in its ingress queue.
   void process(NodeId from, NodeId to, Frame frame);
-  /// Park one message behind the receiver's busy window; enforces the
-  /// bounded-queue policy first when queue_depth > 0.
+  /// Park one arriving message behind the receiver's busy window;
+  /// enforces the bounded-queue policy first when queue_depth > 0.
   void park(NodeId from, NodeId to, Frame frame);
-  /// A parked message's wake timer fired: retire its queue entry, then
-  /// handle it (or re-park if the node is busy again / drop if it died).
-  void wake(NodeId from, NodeId to, std::uint64_t park_id, Frame frame);
+  /// Keep the node's one wake event at its queue's front key (arm it,
+  /// move it, or leave it where it is).
+  void arm(NodeId to);
+  /// The node's wake event fired: replay, in key order, every queued
+  /// wake-up that is due before the next foreign event — deliver it,
+  /// re-park it behind busy_until if the node is busy again, or drop it
+  /// if the node died — then re-arm at the next key.
+  void wake(NodeId to);
   /// Make room in a full queue per the policy. True if an entry was
   /// evicted; false means the arrival itself must be rejected.
   bool make_room(NodeId to, const Bytes& arriving);
@@ -272,7 +267,7 @@ class Network {
   /// True when `to` has a bounded ingress queue that is currently full.
   [[nodiscard]] bool queue_full(NodeId to) const {
     return radio_.queue_depth > 0 &&
-           nodes_[to].parked.size() >= radio_.queue_depth;
+           nodes_[to].queue.size() >= radio_.queue_depth;
   }
   /// Account one copy lost to a down node.
   void fault_drop(NodeId from, NodeId to, std::size_t bytes);
@@ -304,7 +299,6 @@ class Network {
   std::vector<std::vector<NodeId>> rings_;
   unsigned max_hops_ = 0;
   NodeId next_id_ = 1;
-  std::uint64_t next_park_ = 1;
   std::vector<SimTime> ring_free_;  // per-hop-ring contention domains
   /// Retired frame allocations, reused by the next send (bounded).
   std::vector<std::shared_ptr<Bytes>> frame_pool_;

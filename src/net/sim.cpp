@@ -17,20 +17,24 @@ void Simulator::schedule_at(SimTime when, std::function<void()> fn) {
   queue_.push(Event{when, next_seq_++, std::move(fn), 0});
 }
 
-TimerId Simulator::schedule_timer(SimTime delay, std::function<void()> fn) {
-  if (delay < 0) throw std::invalid_argument("Simulator: negative delay");
+TimerId Simulator::schedule_timer_at(SimTime when, std::function<void()> fn) {
+  return schedule_timer_at(EventKey{when, next_seq_++}, std::move(fn));
+}
+
+TimerId Simulator::schedule_timer_at(EventKey key, std::function<void()> fn) {
+  if (key.time < now_) {
+    throw std::invalid_argument("Simulator: time in the past");
+  }
   const TimerId id = next_timer_++;
   live_timers_.insert(id);
-  queue_.push(Event{now_ + delay, next_seq_++, std::move(fn), id});
+  queue_.push(Event{key.time, key.seq, std::move(fn), id});
   return id;
 }
 
-TimerId Simulator::schedule_timer_at(SimTime when, std::function<void()> fn) {
-  if (when < now_) throw std::invalid_argument("Simulator: time in the past");
-  const TimerId id = next_timer_++;
-  live_timers_.insert(id);
-  queue_.push(Event{when, next_seq_++, std::move(fn), id});
-  return id;
+EventKey Simulator::next_key() {
+  prune();
+  const Event* top = queue_.peek();
+  return top ? EventKey{top->time, top->seq} : EventKey::never();
 }
 
 bool Simulator::cancel_timer(TimerId id) {
@@ -58,24 +62,7 @@ void Simulator::prune() {
   }
 }
 
-SimTime Simulator::run() {
-  if (tracer_) tracer_->begin(now_, 0, "sim.run", "sim", pending());
-  const std::uint64_t before = executed_;
-  for (prune(); !queue_.empty(); prune()) {
-    Event ev = queue_.pop_min();
-    if (ev.timer != 0) live_timers_.erase(ev.timer);
-    now_ = ev.time;
-    ++executed_;
-    {
-      ARGUS_PROF_SCOPE("sim.dispatch");
-      ev.fn();
-    }
-  }
-  if (tracer_) tracer_->end(now_, 0, executed_ - before);
-  return now_;
-}
-
-SimTime Simulator::run_until(SimTime deadline) {
+SimTime Simulator::dispatch(SimTime deadline, bool advance_clock) {
   if (tracer_) tracer_->begin(now_, 0, "sim.run", "sim", pending());
   const std::uint64_t before = executed_;
   for (prune(); !queue_.empty() && queue_.peek()->time <= deadline; prune()) {
@@ -88,24 +75,7 @@ SimTime Simulator::run_until(SimTime deadline) {
       ev.fn();
     }
   }
-  now_ = std::max(now_, deadline);
-  if (tracer_) tracer_->end(now_, 0, executed_ - before);
-  return now_;
-}
-
-SimTime Simulator::drain_until(SimTime deadline) {
-  if (tracer_) tracer_->begin(now_, 0, "sim.run", "sim", pending());
-  const std::uint64_t before = executed_;
-  for (prune(); !queue_.empty() && queue_.peek()->time <= deadline; prune()) {
-    Event ev = queue_.pop_min();
-    if (ev.timer != 0) live_timers_.erase(ev.timer);
-    now_ = ev.time;
-    ++executed_;
-    {
-      ARGUS_PROF_SCOPE("sim.dispatch");
-      ev.fn();
-    }
-  }
+  if (advance_clock) now_ = std::max(now_, deadline);
   if (tracer_) tracer_->end(now_, 0, executed_ - before);
   return now_;
 }

@@ -33,13 +33,10 @@ class Simulator {
   /// Schedule at an absolute virtual time (>= now).
   void schedule_at(SimTime when, std::function<void()> fn);
 
-  /// Schedule a cancellable callback `delay` ms from now. A cancelled
-  /// timer's slot is skipped on pop without firing, advancing the clock,
-  /// or counting toward executed().
-  TimerId schedule_timer(SimTime delay, std::function<void()> fn);
-  /// Cancellable callback at an absolute virtual time (>= now). The
-  /// absolute form exists so callers can hit an exact stored deadline
-  /// (e.g. a node's busy_until) without a now+delta float round trip.
+  /// Cancellable callback at an absolute virtual time (>= now). Callers
+  /// pass an exact stored deadline (e.g. a node's busy_until) or
+  /// now() + delay. A cancelled timer's slot is skipped on pop without
+  /// firing, advancing the clock, or counting toward executed().
   TimerId schedule_timer_at(SimTime when, std::function<void()> fn);
   /// Cancel a pending timer. Returns false if it already fired (or was
   /// already cancelled); cancelling is idempotent either way. The queue
@@ -49,14 +46,32 @@ class Simulator {
   /// accumulate unbounded dead entries.
   bool cancel_timer(TimerId id);
 
+  // Reserved keys. A component that models many logical wake-ups with
+  // one real event (net::Network's ingress queues) reserves the sequence
+  // number each logical wake-up would have taken, arms one cancellable
+  // event at the smallest such key, and asks next_key() whether anything
+  // else is due before the next one. Every other event keeps the seq it
+  // would have had, so the firing order is unchanged.
+
+  /// Reserve `n` consecutive sequence numbers; returns the first.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+  /// Cancellable callback at a reserved key (key.time >= now).
+  TimerId schedule_timer_at(EventKey key, std::function<void()> fn);
+  /// Key of the next live event; EventKey::never() when none is queued.
+  [[nodiscard]] EventKey next_key();
+
   /// Run until the event queue drains. Returns the final virtual time.
-  SimTime run();
-  /// Run until `deadline` (events after it stay queued).
-  SimTime run_until(SimTime deadline);
-  /// Like run(), but stop before any event later than `deadline`; unlike
-  /// run_until the clock is NOT forced forward to the deadline, so the
-  /// return value is the time of the last event actually fired.
-  SimTime drain_until(SimTime deadline);
+  SimTime run() { return dispatch(kForever, /*advance_clock=*/false); }
+  /// Run until `deadline` (events after it stay queued), then move the
+  /// clock forward to the deadline.
+  SimTime run_until(SimTime deadline) { return dispatch(deadline, true); }
+  /// Like run_until, but the clock is NOT forced forward to the
+  /// deadline: the return value is the time of the last event fired.
+  SimTime drain_until(SimTime deadline) { return dispatch(deadline, false); }
 
   /// Live (uncancelled) events still queued. Exact: cancelled timers
   /// awaiting lazy discard are not counted.
@@ -70,7 +85,11 @@ class Simulator {
 
  private:
   using Event = CalendarQueue::Event;
+  static constexpr SimTime kForever = EventKey::never().time;
 
+  /// The one event loop: fire every live event due at or before
+  /// `deadline`, in (time, seq) order, inside one "sim.run" trace span.
+  SimTime dispatch(SimTime deadline, bool advance_clock);
   /// Discard cancelled timers sitting at the head of the queue, so the
   /// next peek() is live. Skipped slots do not advance the clock or count
   /// as executed.

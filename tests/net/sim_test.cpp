@@ -60,8 +60,8 @@ TEST(SimulatorTest, RejectsPastScheduling) {
 TEST(SimulatorTest, TimersFireUnlessCancelled) {
   Simulator sim;
   int fired = 0;
-  const TimerId keep = sim.schedule_timer(10, [&] { ++fired; });
-  const TimerId drop = sim.schedule_timer(20, [&] { ++fired; });
+  const TimerId keep = sim.schedule_timer_at(10, [&] { ++fired; });
+  const TimerId drop = sim.schedule_timer_at(20, [&] { ++fired; });
   EXPECT_NE(keep, drop);
   EXPECT_TRUE(sim.cancel_timer(drop));
   EXPECT_FALSE(sim.cancel_timer(drop));  // second cancel is a no-op
@@ -74,7 +74,7 @@ TEST(SimulatorTest, CancelledTimerDoesNotAdvanceClock) {
   // ends at the last *live* event, not at the dead timer's deadline.
   Simulator sim;
   sim.schedule(5, [] {});
-  const TimerId t = sim.schedule_timer(100, [] {});
+  const TimerId t = sim.schedule_timer_at(100, [] {});
   sim.cancel_timer(t);
   EXPECT_EQ(sim.run(), 5.0);
   EXPECT_EQ(sim.executed(), 1u);
@@ -84,8 +84,9 @@ TEST(SimulatorTest, CancelledTimerDoesNotAdvanceClock) {
 TEST(SimulatorTest, TimerMayCancelLaterTimer) {
   Simulator sim;
   bool late_fired = false;
-  const TimerId late = sim.schedule_timer(50, [&] { late_fired = true; });
-  sim.schedule_timer(10, [&] { sim.cancel_timer(late); });
+  const TimerId late =
+      sim.schedule_timer_at(50, [&] { late_fired = true; });
+  sim.schedule_timer_at(10, [&] { sim.cancel_timer(late); });
   EXPECT_EQ(sim.run(), 10.0);
   EXPECT_FALSE(late_fired);
 }
@@ -112,7 +113,7 @@ TEST(SimulatorTest, PendingIsExactUnderCancellation) {
   sim.schedule(100, [] {});
   std::vector<TimerId> timers;
   for (int i = 0; i < 6; ++i) {
-    timers.push_back(sim.schedule_timer(10 + i, [] {}));
+    timers.push_back(sim.schedule_timer_at(10 + i, [] {}));
   }
   EXPECT_EQ(sim.pending(), 7u);
   EXPECT_TRUE(sim.cancel_timer(timers[1]));
@@ -133,12 +134,13 @@ TEST(SimulatorTest, TombstoneCompactionKeepsLiveOrder) {
   for (int i = 0; i < 64; ++i) {
     if (i % 4 == 0) {
       const int tag = i;
-      sim.schedule_timer(static_cast<SimTime>(i) + 1,
-                         [&order, tag] { order.push_back(tag); });
+      sim.schedule_timer_at(static_cast<SimTime>(i) + 1,
+                            [&order, tag] { order.push_back(tag); });
     } else {
-      doomed.push_back(sim.schedule_timer(static_cast<SimTime>(i) + 1, [&] {
-        ADD_FAILURE() << "cancelled timer fired";
-      }));
+      doomed.push_back(
+          sim.schedule_timer_at(static_cast<SimTime>(i) + 1, [&] {
+            ADD_FAILURE() << "cancelled timer fired";
+          }));
     }
   }
   for (const TimerId id : doomed) EXPECT_TRUE(sim.cancel_timer(id));
@@ -156,7 +158,9 @@ TEST(SimulatorTest, TombstoneCompactionKeepsLiveOrder) {
 TEST(SimulatorTest, CancelAfterCompactionIsIdempotent) {
   Simulator sim;
   std::vector<TimerId> timers;
-  for (int i = 0; i < 8; ++i) timers.push_back(sim.schedule_timer(10, [] {}));
+  for (int i = 0; i < 8; ++i) {
+    timers.push_back(sim.schedule_timer_at(10, [] {}));
+  }
   for (int i = 0; i < 7; ++i) EXPECT_TRUE(sim.cancel_timer(timers[i]));
   // The compaction pass already removed these entries; cancelling again
   // must stay a no-op rather than corrupting the live count.
@@ -205,8 +209,8 @@ TEST(SimulatorTest, StressWithInterleavedCancellation) {
   std::vector<TimerId> ids;
   for (int round = 0; round < 50; ++round) {
     for (int j = 0; j < 8; ++j) {
-      ids.push_back(sim.schedule_timer(1 + ((round * 13 + j * 7) % 200),
-                                       [&fired] { ++fired; }));
+      ids.push_back(sim.schedule_timer_at(1 + ((round * 13 + j * 7) % 200),
+                                          [&fired] { ++fired; }));
     }
     // Cancel every third outstanding timer from this round.
     for (std::size_t k = ids.size() - 8; k < ids.size(); k += 3) {
