@@ -18,7 +18,9 @@
 // the snapshot's — a reboot must force fresh key agreement, so a stolen
 // or stale snapshot cannot revive old resumption material.
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "argus/object_engine.hpp"
 #include "argus/subject_engine.hpp"
@@ -116,7 +118,7 @@ void ObjectEngine::save_state(ByteWriter& w) const {
   }
 
   w.u32(static_cast<std::uint32_t>(seen_rs_.size()));
-  for (const auto& [r_s, stamp] : seen_rs_) {
+  for (const auto& [r_s, stamp] : seen_rs_.entries()) {
     w.bytes16(r_s);
     w.u64(stamp);
   }
@@ -211,11 +213,22 @@ void ObjectEngine::load_state(ByteReader& r) {
     ++resume_dropped;
   }
 
-  std::map<Bytes, std::uint64_t> seen_rs;
+  // Replay stamps come from lru_seq, one per insert: distinct and below
+  // the restored counter. The window's eviction order relies on that.
+  ReplayWindow::Entries seen_rs;
+  std::vector<std::uint64_t> stamps;
   for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
     Bytes key = r.bytes16();
     const std::uint64_t stamp = r.u64();
+    if (stamp >= lru_seq) {
+      throw std::invalid_argument("ObjectEngine: replay stamp from the future");
+    }
+    stamps.push_back(stamp);
     seen_rs.emplace(std::move(key), stamp);
+  }
+  std::sort(stamps.begin(), stamps.end());
+  if (std::adjacent_find(stamps.begin(), stamps.end()) != stamps.end()) {
+    throw std::invalid_argument("ObjectEngine: repeated replay stamp");
   }
 
   std::map<std::uint64_t, TokenBucket> peer_buckets;
@@ -253,7 +266,7 @@ void ObjectEngine::load_state(ByteReader& r) {
   sessions_ = std::move(sessions);
   res2_cache_ = std::move(res2_cache);
   resume_cache_.clear();
-  seen_rs_ = std::move(seen_rs);
+  seen_rs_.assign(std::move(seen_rs));
   peer_buckets_ = std::move(peer_buckets);
   revoked_ = std::move(revoked);
 }

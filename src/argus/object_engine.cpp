@@ -14,7 +14,8 @@ using crypto::SealedBox;
 ObjectEngine::ObjectEngine(ObjectEngineConfig cfg)
     : cfg_(std::move(cfg)),
       group_(crypto::group_for(cfg_.strength)),
-      rng_(crypto::make_rng(cfg_.seed, "object:" + cfg_.creds.id)) {
+      rng_(crypto::make_rng(cfg_.seed, "object:" + cfg_.creds.id)),
+      seen_rs_(cfg_.replay_window) {
   // Constant RES2 length: every variant pads to the largest profile.
   max_prof_wire_ = cfg_.creds.public_prof.serialize().size();
   for (const auto& v : cfg_.creds.variants2) {
@@ -187,12 +188,10 @@ void ObjectEngine::bound_state() {
     res2_cache_.erase(victim);
     ++evicted;
   }
+  // Replay stamps are never refreshed, so the oldest insert is the
+  // smallest stamp: the window evicts it in O(1).
   while (cfg_.replay_window > 0 && seen_rs_.size() > cfg_.replay_window) {
-    auto victim = seen_rs_.begin();
-    for (auto it = seen_rs_.begin(); it != seen_rs_.end(); ++it) {
-      if (it->second < victim->second) victim = it;
-    }
-    seen_rs_.erase(victim);
+    seen_rs_.evict_oldest();
     ++evicted;
   }
   while (cfg_.resumption.capacity > 0 &&
@@ -259,7 +258,7 @@ HandleResult ObjectEngine::handle_que1(const Que1& msg, const Bytes& wire,
   // exchange is open, resend the cached RES1 byte-for-byte (no fresh
   // crypto, so a duplicate cannot desynchronize the session); once the
   // exchange completed, stay silent — a replayed QUE1 learns nothing new.
-  if (seen_rs_.find(msg.r_s) != seen_rs_.end()) {
+  if (seen_rs_.contains(msg.r_s)) {
     ++stats_.replays_detected;
     if (cfg_.creds.level == Level::kL1) {
       // Level 1 is stateless public plaintext: always safe to resend.
@@ -282,7 +281,7 @@ HandleResult ObjectEngine::handle_que1(const Que1& msg, const Bytes& wire,
     const HandleStatus adm = admit(peer);
     if (adm != HandleStatus::kOk) return shed(adm);
   }
-  seen_rs_.emplace(msg.r_s, lru_seq_++);
+  seen_rs_.insert(msg.r_s, lru_seq_++);
   bound_state();
   ++stats_.que1_handled;
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "argus/messages.hpp"
+#include "argus/replay_window.hpp"
 #include "argus/result.hpp"
 #include "argus/session.hpp"
 #include "backend/registry.hpp"
@@ -116,9 +117,11 @@ class ObjectEngine {
   /// pending window first, so sequential semantics are preserved exactly.
   std::vector<HandleResult> handle_batch(const std::vector<BatchInput>& items);
 
-  /// Feed the engine virtual time (monotonic, ms). Sessions, cached
-  /// replies, and replay entries older than the TTL are evicted here.
-  /// Drivers that never call it get capacity bounds only.
+  /// Feed the engine virtual time (monotonic, ms). Sessions and cached
+  /// replies older than the TTL are evicted here, and so are resumption
+  /// premasters past their own TTL. The replay window has no TTL: it is
+  /// bounded by capacity alone. Drivers that never call it get capacity
+  /// bounds only.
   void advance_clock(double virtual_ms);
 
   /// Modeled crypto milliseconds accrued since the last call; the caller
@@ -311,7 +314,7 @@ class ObjectEngine {
   bool epoch_eph_valid_ = false;
   std::uint64_t epoch_ = 0;
   double epoch_born_ms_ = 0;
-  std::map<Bytes, std::uint64_t> seen_rs_;  // replay detection, LRU-stamped
+  ReplayWindow seen_rs_;  // replay detection, stamped at insert
   std::map<std::uint64_t, TokenBucket> peer_buckets_;  // admission, LRU-capped
   TokenBucket global_bucket_;
   std::set<std::string> revoked_;

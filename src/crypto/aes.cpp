@@ -251,47 +251,55 @@ Bytes aes_cbc_decrypt(ByteSpan key, ByteSpan iv, ByteSpan ciphertext) {
 namespace {
 
 struct BoxKeys {
-  Bytes enc_key;  // AES-128
-  Bytes mac_key;  // HMAC-SHA256
+  Bytes enc_key;   // AES-128
+  HmacKey mac_key;  // HMAC-SHA256, pads absorbed
 };
 
 BoxKeys derive_box_keys(ByteSpan session_key) {
-  Bytes km = prf_expand(session_key, "sealed box", {}, 48);
-  return BoxKeys{
-      Bytes(km.begin(), km.begin() + 16),
-      Bytes(km.begin() + 16, km.end()),
-  };
+  const Bytes km = prf_expand(session_key, "sealed box", {}, 48);
+  return BoxKeys{Bytes(km.begin(), km.begin() + 16),
+                 HmacKey(ByteSpan(km).subspan(16))};
+}
+
+bool well_formed(ByteSpan box) {
+  constexpr std::size_t kFrame = SealedBox::kIvSize + SealedBox::kTagSize;
+  return box.size() >= kFrame + Aes::kBlockSize &&
+         (box.size() - kFrame) % Aes::kBlockSize == 0;
+}
+
+bool tag_verifies(const BoxKeys& keys, ByteSpan box) {
+  const ByteSpan body = box.first(box.size() - SealedBox::kTagSize);
+  std::uint8_t expect[SealedBox::kTagSize] = {};
+  keys.mac_key.mac_into({body}, expect);
+  return ct_equal(expect, box.last(SealedBox::kTagSize));
 }
 
 }  // namespace
 
 Bytes SealedBox::seal(ByteSpan session_key, ByteSpan iv, ByteSpan plaintext) {
   const BoxKeys keys = derive_box_keys(session_key);
-  Bytes ct = aes_cbc_encrypt(keys.enc_key, iv, plaintext);
-  Bytes box = concat({iv, ct});
-  Bytes tag = hmac_sha256(keys.mac_key, box);
-  append(box, tag);
+  Bytes box = concat({iv, aes_cbc_encrypt(keys.enc_key, iv, plaintext)});
+  const std::size_t body = box.size();
+  box.resize(body + kTagSize);
+  keys.mac_key.mac_into({ByteSpan(box).first(body)}, box.data() + body);
   return box;
 }
 
 Bytes SealedBox::open(ByteSpan session_key, ByteSpan box) {
-  if (!verifies(session_key, box)) {
+  if (!well_formed(box)) {
     throw std::invalid_argument("SealedBox: authentication failed");
   }
   const BoxKeys keys = derive_box_keys(session_key);
+  if (!tag_verifies(keys, box)) {
+    throw std::invalid_argument("SealedBox: authentication failed");
+  }
   ByteSpan iv = box.subspan(0, kIvSize);
   ByteSpan ct = box.subspan(kIvSize, box.size() - kIvSize - kTagSize);
   return aes_cbc_decrypt(keys.enc_key, iv, ct);
 }
 
 bool SealedBox::verifies(ByteSpan session_key, ByteSpan box) {
-  if (box.size() < kIvSize + Aes::kBlockSize + kTagSize) return false;
-  if ((box.size() - kIvSize - kTagSize) % Aes::kBlockSize != 0) return false;
-  const BoxKeys keys = derive_box_keys(session_key);
-  ByteSpan body = box.first(box.size() - kTagSize);
-  ByteSpan tag = box.last(kTagSize);
-  Bytes expect = hmac_sha256(keys.mac_key, body);
-  return ct_equal(expect, tag);
+  return well_formed(box) && tag_verifies(derive_box_keys(session_key), box);
 }
 
 std::size_t SealedBox::sealed_size(std::size_t plaintext_len) {

@@ -1,37 +1,55 @@
 #include "crypto/drbg.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "common/serde.hpp"
-#include "crypto/hmac.hpp"
 
 namespace argus::crypto {
 
+namespace {
+
+std::array<std::uint8_t, 32> filled(std::uint8_t byte) {
+  std::array<std::uint8_t, 32> a{};
+  a.fill(byte);
+  return a;
+}
+
+}  // namespace
+
 HmacDrbg::HmacDrbg(ByteSpan entropy, ByteSpan nonce, ByteSpan personalization)
-    : k_(32, 0x00), v_(32, 0x01) {
+    : k_(filled(0x00)), v_(filled(0x01)), key_(k_) {
   Bytes seed = concat({entropy, nonce, personalization});
   update(seed);
 }
 
+void HmacDrbg::rekey(std::uint8_t sep, ByteSpan data1, ByteSpan data2) {
+  key_.mac_into({v_, ByteSpan(&sep, 1), data1, data2}, k_.data());
+  key_ = HmacKey(k_);
+}
+
 void HmacDrbg::update(ByteSpan data1, ByteSpan data2) {
-  const std::uint8_t zero = 0x00;
-  const std::uint8_t one = 0x01;
-  k_ = hmac_sha256(k_, concat({v_, ByteSpan(&zero, 1), data1, data2}));
-  v_ = hmac_sha256(k_, v_);
+  rekey(0x00, data1, data2);
+  key_.mac_into({v_}, v_.data());
   if (!data1.empty() || !data2.empty()) {
-    k_ = hmac_sha256(k_, concat({v_, ByteSpan(&one, 1), data1, data2}));
-    v_ = hmac_sha256(k_, v_);
+    rekey(0x01, data1, data2);
+    key_.mac_into({v_}, v_.data());
   }
 }
 
-Bytes HmacDrbg::generate(std::size_t n) {
-  Bytes out;
-  out.reserve(n);
-  while (out.size() < n) {
-    v_ = hmac_sha256(k_, v_);
-    const std::size_t take = std::min(v_.size(), n - out.size());
-    out.insert(out.end(), v_.begin(),
-               v_.begin() + static_cast<std::ptrdiff_t>(take));
+void HmacDrbg::fill(std::uint8_t* out, std::size_t n) {
+  for (std::size_t done = 0; done < n;) {
+    key_.mac_into({v_}, v_.data());
+    const std::size_t take = std::min(v_.size(), n - done);
+    std::copy_n(v_.begin(), take, out + done);
+    done += take;
   }
   update({});
+}
+
+Bytes HmacDrbg::generate(std::size_t n) {
+  Bytes out(n);
+  fill(out.data(), n);
   return out;
 }
 
@@ -41,8 +59,9 @@ void HmacDrbg::import_state(const State& s) {
   if (s.k.size() != 32 || s.v.size() != 32) {
     throw std::invalid_argument("HmacDrbg::import_state: bad state size");
   }
-  k_ = s.k;
-  v_ = s.v;
+  std::copy(s.k.begin(), s.k.end(), k_.begin());
+  std::copy(s.v.begin(), s.v.end(), v_.begin());
+  key_ = HmacKey(k_);
 }
 
 std::uint64_t HmacDrbg::uniform(std::uint64_t bound) {
@@ -50,9 +69,10 @@ std::uint64_t HmacDrbg::uniform(std::uint64_t bound) {
   // Rejection sampling over the smallest power-of-two envelope.
   const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
   for (;;) {
-    Bytes b = generate(8);
+    std::uint8_t b[8] = {};
+    fill(b, sizeof b);
     std::uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) x = (x << 8) | b[static_cast<std::size_t>(i)];
+    for (const std::uint8_t byte : b) x = (x << 8) | byte;
     if (x < limit) return x % bound;
   }
 }

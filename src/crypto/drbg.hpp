@@ -6,10 +6,12 @@
 // core with the per-message instantiation the RFC prescribes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
 #include "common/bytes.hpp"
+#include "crypto/hmac.hpp"
 
 namespace argus::crypto {
 
@@ -36,14 +38,21 @@ class HmacDrbg {
     Bytes k;
     Bytes v;
   };
-  [[nodiscard]] State export_state() const { return {k_, v_}; }
+  [[nodiscard]] State export_state() const {
+    return {Bytes(k_.begin(), k_.end()), Bytes(v_.begin(), v_.end())};
+  }
   void import_state(const State& s);
 
  private:
   void update(ByteSpan data1, ByteSpan data2 = {});
+  /// Fill out[0, n) with generator output (generate() without the copy).
+  void fill(std::uint8_t* out, std::size_t n);
+  /// K := HMAC_K(V || sep || data1 || data2), then re-absorb the new K.
+  void rekey(std::uint8_t sep, ByteSpan data1, ByteSpan data2);
 
-  Bytes k_;
-  Bytes v_;
+  std::array<std::uint8_t, 32> k_{};
+  std::array<std::uint8_t, 32> v_{};
+  HmacKey key_;  // k_ with its pads absorbed
 };
 
 /// Deterministic per-entity RNG: DRBG seeded from (run_seed, name).

@@ -17,7 +17,12 @@ class Sha256 {
   static constexpr std::size_t kDigestSize = 32;
   static constexpr std::size_t kBlockSize = 64;
 
+  using Chain = std::array<std::uint32_t, 8>;
+
   Sha256();
+  /// Resume after `blocks` whole blocks that left the chaining value
+  /// `chain` (an HMAC key's midstate; export_state covers partial ones).
+  Sha256(const Chain& chain, std::uint64_t blocks);
 
   /// Absorb more input. May be called any number of times.
   void update(ByteSpan data);
@@ -25,6 +30,8 @@ class Sha256 {
   /// Finalize and return the 32-byte digest. The object must not be
   /// reused afterwards without calling reset().
   Bytes finish();
+  /// finish() into caller storage: writes kDigestSize bytes to `out`.
+  void finish_into(std::uint8_t* out);
 
   void reset();
 
@@ -46,9 +53,7 @@ class Sha256 {
   static Bytes hash(ByteSpan data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
-  std::array<std::uint32_t, 8> state_{};
+  Chain state_{};
   std::array<std::uint8_t, kBlockSize> buf_{};
   std::size_t buf_len_ = 0;
   std::uint64_t total_len_ = 0;

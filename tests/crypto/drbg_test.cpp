@@ -66,6 +66,31 @@ TEST(DrbgTest, UniformZeroBound) {
   EXPECT_EQ(a.uniform(1), 0u);
 }
 
+// A generator exported mid-stream and imported into a fresh one
+// continues the same byte stream.
+TEST(DrbgTest, ExportImportContinuesStream) {
+  HmacDrbg a(str_bytes("stream"), str_bytes("nonce"), str_bytes("pers"));
+  (void)a.generate(45);
+  (void)a.uniform(1000);
+  const HmacDrbg::State mid = a.export_state();
+  ASSERT_EQ(mid.k.size(), 32u);
+  ASSERT_EQ(mid.v.size(), 32u);
+  HmacDrbg b(str_bytes("unrelated"));
+  b.import_state(mid);
+  EXPECT_EQ(b.generate(77), a.generate(77));
+  b.reseed(str_bytes("more"));
+  a.reseed(str_bytes("more"));
+  EXPECT_EQ(b.uniform(12345), a.uniform(12345));
+  EXPECT_EQ(b.export_state().k, a.export_state().k);
+  EXPECT_EQ(b.export_state().v, a.export_state().v);
+}
+
+TEST(DrbgTest, ImportRejectsBadSizes) {
+  HmacDrbg a(str_bytes("x"));
+  EXPECT_THROW(a.import_state({Bytes(31), Bytes(32)}), std::invalid_argument);
+  EXPECT_THROW(a.import_state({Bytes(32), Bytes(33)}), std::invalid_argument);
+}
+
 TEST(DrbgTest, MakeRngSeparatesByName) {
   auto a = make_rng(7, "node-a");
   auto b = make_rng(7, "node-b");

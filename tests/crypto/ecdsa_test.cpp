@@ -122,6 +122,27 @@ INSTANTIATE_TEST_SUITE_P(AllStrengths, EcdsaTest,
                                   std::to_string(strength_bits(info.param));
                          });
 
+// RFC 6979 A.2.5: P-256 with SHA-256. The deterministic nonce comes from
+// HMAC-DRBG, so these vectors pin the DRBG and HMAC byte streams too.
+TEST(EcdsaRfc6979Test, P256Sha256Vectors) {
+  const EcGroup& g = group_for(Strength::b128);
+  const UInt x = UInt::from_bytes_be(from_hex(
+      "C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721"));
+  const EcdsaSignature sample = ecdsa_sign(g, x, str_bytes("sample"));
+  EXPECT_EQ(to_hex(sample.r.to_bytes_be(32)),
+            "efd48b2aacb6a8fd1140dd9cd45e81d69d2c877b56aaf991c34d0ea84eaf3716");
+  EXPECT_EQ(to_hex(sample.s.to_bytes_be(32)),
+            "f7cb1c942d657c41d436c7a1b6e29f65f3e900dbb9aff4064dc4ab2f843acda8");
+  const EcdsaSignature test = ecdsa_sign(g, x, str_bytes("test"));
+  EXPECT_EQ(to_hex(test.r.to_bytes_be(32)),
+            "f1abb023518351cd71d881567b1ea663ed3efcf6c5132b354f28d3b0b7d38367");
+  EXPECT_EQ(to_hex(test.s.to_bytes_be(32)),
+            "019f4113742a2b14bd25926b49c649155f267e60d3814b4c0cc84250e46f0083");
+  const EcPoint pub = g.scalar_mul_base(x);
+  EXPECT_TRUE(ecdsa_verify(g, pub, str_bytes("sample"), sample));
+  EXPECT_TRUE(ecdsa_verify(g, pub, str_bytes("test"), test));
+}
+
 TEST(EcdsaSizeTest, Paper128BitSizes) {
   // §IX-A: at 128-bit strength KEXM and SIG are 64 B.
   const EcGroup& g = group_for(Strength::b128);

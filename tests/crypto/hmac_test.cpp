@@ -97,6 +97,39 @@ TEST(HmacTest, PrfMatchesManualConcat) {
             hmac_sha256(secret, concat({str_bytes("lbl"), seed})));
 }
 
+// A keyed HmacKey reused across messages (and fed in several spans)
+// equals one-shot hmac_sha256 for keys shorter than, equal to and longer
+// than the 64-byte block.
+TEST(HmacTest, ReusedKeyMatchesOneShot) {
+  for (const std::size_t key_len : {0u, 1u, 32u, 63u, 64u, 65u, 131u}) {
+    Bytes key(key_len);
+    for (std::size_t i = 0; i < key_len; ++i) {
+      key[i] = static_cast<std::uint8_t>(3 * i + 1);
+    }
+    const HmacKey keyed(key);
+    for (const std::size_t msg_len : {0u, 1u, 55u, 56u, 64u, 100u, 200u}) {
+      Bytes msg(msg_len);
+      for (std::size_t i = 0; i < msg_len; ++i) {
+        msg[i] = static_cast<std::uint8_t>(i ^ key_len);
+      }
+      const Bytes want = hmac_sha256(key, msg);
+      EXPECT_EQ(keyed.mac({msg}), want) << key_len << "/" << msg_len;
+      const ByteSpan view(msg);
+      const std::size_t cut = msg_len / 3;
+      EXPECT_EQ(keyed.mac({view.first(cut), {}, view.subspan(cut)}), want)
+          << key_len << "/" << msg_len;
+    }
+  }
+}
+
+TEST(HmacTest, MacIntoMayOverwriteItsInput) {
+  const HmacKey key(str_bytes("key"));
+  Bytes v(32, 0x01);
+  const Bytes want = key.mac({v});
+  key.mac_into({v}, v.data());
+  EXPECT_EQ(v, want);
+}
+
 TEST(HmacTest, PrfExpandLengths) {
   const Bytes secret = str_bytes("secret");
   for (std::size_t n : {0u, 1u, 31u, 32u, 33u, 48u, 64u, 100u}) {

@@ -63,6 +63,19 @@ TEST(Sha256Test, BlockBoundaryLengths) {
   }
 }
 
+// An empty span after a partial block used to reach memcpy with a null
+// source pointer (undefined even for zero bytes; UBSan aborts on it).
+TEST(Sha256Test, EmptyUpdateAfterPartialBlock) {
+  Sha256 h;
+  h.update(str_bytes("ab"));
+  h.update({});
+  h.update(ByteSpan{});
+  h.update(str_bytes("c"));
+  h.update({});
+  EXPECT_EQ(to_hex(h.finish()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(Sha256Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(Sha256::hash(str_bytes("a")), Sha256::hash(str_bytes("b")));
 }
