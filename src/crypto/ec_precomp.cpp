@@ -110,15 +110,18 @@ EcPrecomp::EcPrecomp(const EcGroup& g, const EcPoint& p) : g_(&g), p_(p) {
 EcGroup::AffM EcPrecomp::entry_ct(std::size_t v) const {
   // Branch-free select: sweep the whole table and OR in the matching
   // entry under an all-ones/all-zeros mask. Every call touches the same
-  // 15 * sizeof(AffM) bytes in the same order regardless of v, so a
-  // cache-timing observer learns nothing about the window nibble.
+  // words of all 15 entries in the same order regardless of v, so a
+  // cache-timing observer learns nothing about the window nibble. Only
+  // the field's active words are swept: every coordinate is < p, so the
+  // words above nwords() are zero in all entries, and the width is public.
   AffM out{};
+  const std::size_t nw = g_->field().nwords();
   const std::uint64_t target = static_cast<std::uint64_t>(v - 1);
   for (std::size_t e = 0; e < tab_.size(); ++e) {
     const std::uint64_t diff = static_cast<std::uint64_t>(e) ^ target;
     const std::uint64_t nonzero = (diff | (0 - diff)) >> 63;
     const std::uint64_t mask = nonzero - 1;  // all-ones iff e == v-1
-    for (std::size_t i = 0; i < kMaxWords; ++i) {
+    for (std::size_t i = 0; i < nw; ++i) {
       out.x.w[i] |= tab_[e].x.w[i] & mask;
       out.y.w[i] |= tab_[e].y.w[i] & mask;
     }
@@ -173,7 +176,7 @@ std::shared_ptr<const EcPrecomp> EcPrecompCache::get(const EcGroup& g,
   std::lock_guard<std::mutex> lk(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
-    it->second.lru = ++tick_;
+    recency_.splice(recency_.begin(), recency_, it->second.pos);
     ++stats_.hits;
     return it->second.tab;
   }
@@ -182,14 +185,13 @@ std::shared_ptr<const EcPrecomp> EcPrecompCache::get(const EcGroup& g,
   // cheap enough that avoiding duplicate concurrent builds wins.
   auto tab = std::make_shared<const EcPrecomp>(g, p);
   if (map_.size() >= capacity_) {
-    auto victim = map_.begin();
-    for (auto jt = map_.begin(); jt != map_.end(); ++jt) {
-      if (jt->second.lru < victim->second.lru) victim = jt;
-    }
-    map_.erase(victim);
+    map_.erase(map_.find(*recency_.back()));
+    recency_.pop_back();
     ++stats_.evictions;
   }
-  map_.emplace(key, Entry{tab, ++tick_});
+  it = map_.emplace(key, Entry{tab, {}}).first;
+  recency_.push_front(&it->first);
+  it->second.pos = recency_.begin();
   return tab;
 }
 
@@ -206,8 +208,8 @@ std::size_t EcPrecompCache::size() const {
 void EcPrecompCache::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   map_.clear();
+  recency_.clear();
   stats_ = Stats{};
-  tick_ = 0;
 }
 
 EcPrecompCache& EcPrecompCache::global() {

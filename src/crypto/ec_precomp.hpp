@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -79,12 +80,14 @@ class EcPrecomp {
   [[nodiscard]] const EcGroup::AffM& entry(std::size_t v) const {
     return tab_[v - 1];
   }
-  /// Constant-time variant of entry(): reads every table slot and keeps
-  /// `v`'s under a branch-free mask, so the memory access pattern is
-  /// independent of `v`. mul()/mul_jac() use this because their window
-  /// nibbles come from secret scalars (ECDH, signing nonces); the
-  /// verification paths (msm, shamir_verify_x) keep the direct lookup —
-  /// their scalars are public.
+  /// Constant-time variant of entry(): reads the active field words of
+  /// every table slot, in the same order, and keeps `v`'s under a
+  /// branch-free mask, so the memory access pattern depends on the curve
+  /// (public) but not on `v`. mul_jac() uses it because its window
+  /// nibbles can come from secret scalars (ECDH, signing nonces); that
+  /// includes shamir_verify_x, which runs its u2*Q term through mul_jac
+  /// even though verification scalars are public. Only msm keeps the
+  /// direct lookup.
   [[nodiscard]] EcGroup::AffM entry_ct(std::size_t v) const;
 
   /// k * P, bit-identical to g.scalar_mul(P, k).
@@ -100,7 +103,9 @@ class EcPrecomp {
 
 /// Process-wide LRU cache of per-point tables, keyed by (group, x, y).
 /// Thread-safe; entries are shared_ptr so an eviction never invalidates a
-/// table another thread is still multiplying against.
+/// table another thread is still multiplying against. A recency list
+/// orders the keys, so a hit moves its key to the front in O(1) and a miss
+/// evicts the key at the back without scanning the table.
 class EcPrecompCache {
  public:
   explicit EcPrecompCache(std::size_t capacity = 256);
@@ -126,14 +131,16 @@ class EcPrecompCache {
   using Key = std::tuple<const EcGroup*, Coord, Coord>;
   struct Entry {
     std::shared_ptr<const EcPrecomp> tab;
-    std::uint64_t lru = 0;
+    std::list<const Key*>::iterator pos;  // this entry's slot in recency_
   };
 
   mutable std::mutex mu_;
   std::size_t capacity_;
-  std::uint64_t tick_ = 0;
   Stats stats_;
   std::map<Key, Entry> map_;
+  // Keys of map_ (map nodes never move), most recently used first; the
+  // back is the next victim.
+  std::list<const Key*> recency_;
 };
 
 /// Shamir's trick + projective x-check: does x(u1*G + u2*Q) reduce to r

@@ -2,10 +2,15 @@
 //
 // A MontCtx captures one modulus (curve field prime, curve group order, or
 // pairing field prime). Values passed to mul/pow/inv must be in Montgomery
-// form and < n; use to_mont/from_mont at the boundary. The active word
-// count is taken from the modulus at construction, so smaller fields pay
-// proportionally less per multiplication — matching the paper's
-// strength-sweep behaviour in Fig 6(a).
+// form and < n; use to_mont/from_mont at the boundary.
+//
+// The field kernels (mul, add, sub, neg) are one template per limb count,
+// instantiated for 1..kMaxWords words. The constructor picks the row for
+// the modulus's word count once, so P-224/P-256 run 4-word loops, P-384
+// 6, the pairing field 8 and P-521 9 — every loop bound is a compile-time
+// constant, and smaller fields pay proportionally less per operation, as
+// in the paper's strength sweep (Fig 6(a)). Results are the unique fully
+// reduced values, so the choice of kernel never changes an output bit.
 #pragma once
 
 #include <optional>
@@ -14,6 +19,21 @@
 #include "crypto/wide.hpp"
 
 namespace argus::crypto {
+
+namespace detail {
+
+// The kernel set for one limb count (defined in mont.cpp; here only so the
+// MontCtx members can call it inline). Inputs are < n; outputs are < n
+// with every word at or above the count zero.
+struct MontKernels {
+  UInt (*mul)(const UInt& a, const UInt& b, const UInt& n,
+              std::uint64_t n0inv);
+  UInt (*add)(const UInt& a, const UInt& b, const UInt& n);
+  UInt (*sub)(const UInt& a, const UInt& b, const UInt& n);
+  UInt (*neg)(const UInt& a, const UInt& n);
+};
+
+}  // namespace detail
 
 class MontCtx {
  public:
@@ -28,19 +48,19 @@ class MontCtx {
   [[nodiscard]] const UInt& one() const { return one_; }
 
   /// Montgomery product a*b*R^-1 mod n.
-  [[nodiscard]] UInt mul(const UInt& a, const UInt& b) const;
+  [[nodiscard]] UInt mul(const UInt& a, const UInt& b) const {
+    return k_->mul(a, b, n_, n0inv_);
+  }
   [[nodiscard]] UInt sqr(const UInt& a) const { return mul(a, a); }
 
   /// Modular add/sub (domain-agnostic: works for plain or Montgomery form).
   [[nodiscard]] UInt add(const UInt& a, const UInt& b) const {
-    return addmod(a, b, n_);
+    return k_->add(a, b, n_);
   }
   [[nodiscard]] UInt sub(const UInt& a, const UInt& b) const {
-    return submod(a, b, n_);
+    return k_->sub(a, b, n_);
   }
-  [[nodiscard]] UInt neg(const UInt& a) const {
-    return a.is_zero() ? a : crypto::sub(n_, a);
-  }
+  [[nodiscard]] UInt neg(const UInt& a) const { return k_->neg(a, n_); }
 
   /// base^exp (base in Montgomery form; result in Montgomery form).
   [[nodiscard]] UInt pow(const UInt& base_m, const UInt& exp) const;
@@ -67,6 +87,7 @@ class MontCtx {
  private:
   UInt n_;
   std::size_t nwords_;
+  const detail::MontKernels* k_;  // the kernel row for nwords_
   std::uint64_t n0inv_;  // -n^{-1} mod 2^64
   UInt rr_;              // R^2 mod n
   UInt one_;             // R mod n

@@ -1,11 +1,12 @@
 // Fixed-capacity multiprecision integers.
 //
-// One kernel serves every field in the repository: the NIST curves
+// One value type serves every field in the repository: the NIST curves
 // P-224/P-256/P-384/P-521 (up to 9 x 64-bit limbs) and the 512-bit
 // supersingular pairing field. Values are little-endian limb arrays of
-// fixed capacity; arithmetic that needs a modulus-sized loop takes the
-// active word count from the Montgomery context instead of templates, so
-// there is a single, well-tested code path.
+// fixed capacity, and the routines here always run over all of it; they
+// serve setup, encoding and other paths outside the field-arithmetic
+// loops. The hot modular arithmetic lives in MontCtx (mont.hpp), whose
+// kernels loop over the modulus's own word count.
 #pragma once
 
 #include <array>

@@ -1,0 +1,159 @@
+// Differential test of EcPrecompCache's recency-list eviction against a
+// frozen copy of the tick-scan LRU it replaced: the same seeded key
+// sequences must produce the same hit/miss verdict at every step, the
+// same hits/misses/evictions counters, and the same resident set.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "crypto/ec.hpp"
+#include "crypto/ec_precomp.hpp"
+
+namespace argus::crypto {
+namespace {
+
+// The scan LRU, frozen: every entry carries the tick of its last use and a
+// miss at capacity walks the whole map for the smallest tick.
+class ScanLru {
+ public:
+  explicit ScanLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool get(int key) {
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second = ++tick_;
+      ++stats_.hits;
+      return true;
+    }
+    ++stats_.misses;
+    if (map_.size() >= capacity_) {
+      auto victim = map_.begin();
+      for (auto jt = map_.begin(); jt != map_.end(); ++jt) {
+        if (jt->second < victim->second) victim = jt;
+      }
+      map_.erase(victim);
+      ++stats_.evictions;
+    }
+    map_.emplace(key, ++tick_);
+    return false;
+  }
+
+  [[nodiscard]] const EcPrecompCache::Stats& stats() const { return stats_; }
+  [[nodiscard]] std::vector<int> resident() const {
+    std::vector<int> keys;
+    for (const auto& [k, tick] : map_) keys.push_back(k);
+    return keys;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::uint64_t tick_ = 0;
+  EcPrecompCache::Stats stats_;
+  std::map<int, std::uint64_t> map_;
+};
+
+TEST(EcPrecompCacheTest, EvictsExactlyLikeTheFrozenScan) {
+  const EcGroup& g = group_for(Strength::b112);
+  std::vector<EcPoint> pool;
+  for (std::uint64_t k = 1; k <= 12; ++k) {
+    pool.push_back(g.scalar_mul_base(UInt::from_u64(k)));
+  }
+
+  for (std::size_t cap = 1; cap <= 8; ++cap) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(cap) + " seed " +
+                   std::to_string(seed));
+      std::mt19937_64 rng(seed * 1000 + cap);
+      // Keys drawn from a pool a little larger than the capacity, with a
+      // bias towards recently used keys so both hits and misses are common.
+      const std::size_t span = std::min(pool.size(), cap + 3);
+      EcPrecompCache cache(cap);
+      ScanLru model(cap);
+      std::vector<int> recent;
+      for (int step = 0; step < 400; ++step) {
+        int key = static_cast<int>(rng() % span);
+        if (!recent.empty() && rng() % 3 == 0) {
+          key = recent[rng() % recent.size()];
+        }
+        recent.push_back(key);
+        if (recent.size() > 4) recent.erase(recent.begin());
+
+        const auto before = cache.stats().hits;
+        const auto tab = cache.get(g, pool[static_cast<std::size_t>(key)]);
+        const bool model_hit = model.get(key);
+        ASSERT_EQ(cache.stats().hits != before, model_hit) << "step " << step;
+        ASSERT_EQ(tab->point(), pool[static_cast<std::size_t>(key)]);
+        ASSERT_EQ(cache.stats().misses, model.stats().misses);
+        ASSERT_EQ(cache.stats().evictions, model.stats().evictions);
+        ASSERT_EQ(cache.size(), model.resident().size());
+      }
+      // Same resident set: every key the model holds is a hit (a hit never
+      // evicts), and the sizes already agree.
+      const auto hits = cache.stats().hits;
+      const std::vector<int> resident = model.resident();
+      for (int key : resident) {
+        (void)cache.get(g, pool[static_cast<std::size_t>(key)]);
+      }
+      EXPECT_EQ(cache.stats().hits, hits + resident.size());
+      EXPECT_EQ(cache.stats().evictions, model.stats().evictions);
+    }
+  }
+}
+
+TEST(EcPrecompCacheTest, ClearResetsRecency) {
+  const EcGroup& g = group_for(Strength::b112);
+  const EcPoint a = g.scalar_mul_base(UInt::from_u64(2));
+  const EcPoint b = g.scalar_mul_base(UInt::from_u64(3));
+  const EcPoint c = g.scalar_mul_base(UInt::from_u64(5));
+  EcPrecompCache cache(2);
+  (void)cache.get(g, a);
+  (void)cache.get(g, b);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  (void)cache.get(g, c);
+  (void)cache.get(g, a);
+  (void)cache.get(g, c);  // a is now the LRU entry
+  (void)cache.get(g, b);  // evicts a
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  (void)cache.get(g, c);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+TEST(EcPrecompCacheTest, ConcurrentLookupsKeepTablesAndCounts) {
+  const EcGroup& g = group_for(Strength::b112);
+  std::vector<EcPoint> pool;
+  for (std::uint64_t k = 1; k <= 8; ++k) {
+    pool.push_back(g.scalar_mul_base(UInt::from_u64(k)));
+  }
+  constexpr std::size_t kThreads = 4;
+  constexpr int kLookups = 300;
+  EcPrecompCache cache(4);
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(t + 1);
+      for (int i = 0; i < kLookups; ++i) {
+        const EcPoint& p = pool[rng() % pool.size()];
+        if (!(cache.get(g, p)->point() == p)) ++wrong[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int w : wrong) EXPECT_EQ(w, 0);
+  const EcPrecompCache::Stats st = cache.stats();
+  EXPECT_EQ(st.hits + st.misses, kThreads * kLookups);
+  EXPECT_LE(cache.size(), 4u);
+  // Every miss inserts one table; every insert into a full cache evicts.
+  EXPECT_EQ(st.evictions, st.misses - cache.size());
+}
+
+}  // namespace
+}  // namespace argus::crypto
