@@ -60,12 +60,7 @@ transport::HostConfig host_config(const core::DiscoveryScenario& scenario,
   cfg.epoch = scenario.epoch;
   cfg.metrics = metrics;
   for (std::size_t i = 0; i < scenario.objects.size(); ++i) {
-    core::ObjectEngineConfig ocfg;
-    ocfg.version = scenario.version;
-    ocfg.creds = scenario.objects[i].creds;
-    ocfg.admin_pub = scenario.admin_pub;
-    ocfg.strength = scenario.strength;
-    ocfg.seed = scenario.seed + 1000 + i;
+    core::ObjectEngineConfig ocfg = core::object_engine_config(scenario, i);
     ocfg.metrics = metrics;
     cfg.objects.push_back(std::move(ocfg));
   }
@@ -74,13 +69,7 @@ transport::HostConfig host_config(const core::DiscoveryScenario& scenario,
 
 core::SubjectEngineConfig subject_config(
     const core::DiscoveryScenario& scenario, obs::MetricsRegistry* metrics) {
-  core::SubjectEngineConfig scfg;
-  scfg.version = scenario.version;
-  scfg.creds = scenario.subject;
-  scfg.admin_pub = scenario.admin_pub;
-  scfg.strength = scenario.strength;
-  scfg.seed = scenario.seed;
-  scfg.seek_level3 = scenario.seek_level3;
+  core::SubjectEngineConfig scfg = core::subject_engine_config(scenario);
   scfg.metrics = metrics;
   return scfg;
 }

@@ -313,6 +313,36 @@ class FlooderNode final : public net::SimNode {
 
 }  // namespace
 
+ObjectEngineConfig object_engine_config(const DiscoveryScenario& scenario,
+                                        std::size_t i) {
+  ObjectEngineConfig cfg;
+  cfg.version = scenario.version;
+  cfg.creds = scenario.objects[i].creds;
+  cfg.admin_pub = scenario.admin_pub;
+  cfg.strength = scenario.strength;
+  cfg.seed = scenario.seed + 1000 + i;
+  cfg.compute = scenario.object_compute;
+  cfg.pad_res2 = scenario.pad_res2;
+  cfg.equalize_timing = scenario.equalize_timing;
+  cfg.admission = scenario.admission;
+  cfg.replay_window = scenario.replay_window;
+  cfg.metrics = scenario.metrics;
+  return cfg;
+}
+
+SubjectEngineConfig subject_engine_config(const DiscoveryScenario& scenario) {
+  SubjectEngineConfig cfg;
+  cfg.version = scenario.version;
+  cfg.creds = scenario.subject;
+  cfg.admin_pub = scenario.admin_pub;
+  cfg.strength = scenario.strength;
+  cfg.seed = scenario.seed;
+  cfg.compute = scenario.subject_compute;
+  cfg.seek_level3 = scenario.seek_level3;
+  cfg.metrics = scenario.metrics;
+  return cfg;
+}
+
 std::size_t DiscoveryReport::count_level(int level) const {
   return static_cast<std::size_t>(
       std::count_if(services.begin(), services.end(),
@@ -354,15 +384,7 @@ struct DiscoveryTestbed::Impl {
     net.set_tracer(scenario.tracer);
     net.set_metrics(scenario.metrics);
 
-    SubjectEngineConfig scfg;
-    scfg.version = scenario.version;
-    scfg.creds = scenario.subject;
-    scfg.admin_pub = scenario.admin_pub;
-    scfg.strength = scenario.strength;
-    scfg.seed = scenario.seed;
-    scfg.compute = scenario.subject_compute;
-    scfg.seek_level3 = scenario.seek_level3;
-    scfg.metrics = scenario.metrics;
+    SubjectEngineConfig scfg = subject_engine_config(scenario);
 
     // Retries default to kAuto: armed only when the radio can actually
     // lose or duplicate frames, a fault plan is live, or a flooder is
@@ -390,20 +412,8 @@ struct DiscoveryTestbed::Impl {
     objects.reserve(scenario.objects.size());
     object_ids.reserve(scenario.objects.size());
     for (std::size_t i = 0; i < scenario.objects.size(); ++i) {
-      ObjectEngineConfig ocfg;
-      ocfg.version = scenario.version;
-      ocfg.creds = scenario.objects[i].creds;
-      ocfg.admin_pub = scenario.admin_pub;
-      ocfg.strength = scenario.strength;
-      ocfg.seed = scenario.seed + 1000 + i;
-      ocfg.compute = scenario.object_compute;
-      ocfg.pad_res2 = scenario.pad_res2;
-      ocfg.equalize_timing = scenario.equalize_timing;
-      ocfg.admission = scenario.admission;
-      ocfg.replay_window = scenario.replay_window;
-      ocfg.metrics = scenario.metrics;
-      objects.push_back(
-          std::make_unique<ObjectNode>(std::move(ocfg), &shared));
+      objects.push_back(std::make_unique<ObjectNode>(
+          object_engine_config(scenario, i), &shared));
       const net::NodeId id = net.add_node(
           objects.back().get(), std::max(1u, scenario.objects[i].hops));
       object_ids.push_back(id);

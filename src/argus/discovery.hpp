@@ -206,6 +206,14 @@ struct DiscoveryReport {
   [[nodiscard]] std::size_t count_level(int level) const;
 };
 
+/// Engine config of the scenario's object `i` and of its subject, as
+/// every fleet of the scenario builds them: the simulator testbed, the
+/// daemon tools and their benches. Callers set tool-only fields (metrics
+/// sinks, resumption and admission switches) after the call.
+ObjectEngineConfig object_engine_config(const DiscoveryScenario& scenario,
+                                        std::size_t i);
+SubjectEngineConfig subject_engine_config(const DiscoveryScenario& scenario);
+
 /// Run one full discovery (possibly multi-round) to completion.
 DiscoveryReport run_discovery(const DiscoveryScenario& scenario);
 

@@ -83,10 +83,11 @@ void ObjectEngine::save_state(ByteWriter& w) const {
 
   put_f64(w, global_bucket_.tokens);
   put_f64(w, global_bucket_.last_ms);
-  w.u64(global_bucket_.lru);
+  w.u64(0);  // the global bucket's stamp: it is never evicted
 
   w.u32(static_cast<std::uint32_t>(sessions_.size()));
-  for (const auto& [r_s, sess] : sessions_) {
+  for (const auto& [r_s, entry] : sessions_) {
+    const Session& sess = entry.value;
     w.bytes16(sess.r_s);
     w.bytes16(sess.r_o);
     persist::put_keypair(w, group_, sess.eph);
@@ -94,15 +95,15 @@ void ObjectEngine::save_state(ByteWriter& w) const {
     persist::put_sha256(w, sess.transcript.export_state());
     w.bytes32(sess.res1_wire);
     put_f64(w, sess.born_ms);
-    w.u64(sess.lru);
+    w.u64(entry.stamp);
   }
 
   w.u32(static_cast<std::uint32_t>(res2_cache_.size()));
-  for (const auto& [r_s, cached] : res2_cache_) {
+  for (const auto& [r_s, entry] : res2_cache_) {
     w.bytes16(r_s);
-    w.bytes32(cached.wire);
-    put_f64(w, cached.born_ms);
-    w.u64(cached.lru);
+    w.bytes32(entry.value.wire);
+    put_f64(w, entry.value.born_ms);
+    w.u64(entry.stamp);
   }
 
   // Serialized for completeness (a snapshot is a full state capture);
@@ -110,25 +111,25 @@ void ObjectEngine::save_state(ByteWriter& w) const {
   w.u32(static_cast<std::uint32_t>(resume_cache_.size()));
   for (const auto& [cert_hash, entry] : resume_cache_) {
     w.bytes16(cert_hash);
-    w.bytes16(entry.peer_kexm);
-    w.bytes16(entry.pre_k);
-    w.u64(entry.epoch);
-    put_f64(w, entry.born_ms);
-    w.u64(entry.lru);
+    w.bytes16(entry.value.peer_kexm);
+    w.bytes16(entry.value.pre_k);
+    w.u64(entry.value.epoch);
+    put_f64(w, entry.value.born_ms);
+    w.u64(entry.stamp);
   }
 
   w.u32(static_cast<std::uint32_t>(seen_rs_.size()));
-  for (const auto& [r_s, stamp] : seen_rs_.entries()) {
+  for (const auto& [r_s, entry] : seen_rs_) {
     w.bytes16(r_s);
-    w.u64(stamp);
+    w.u64(entry.stamp);
   }
 
   w.u32(static_cast<std::uint32_t>(peer_buckets_.size()));
-  for (const auto& [peer, bucket] : peer_buckets_) {
+  for (const auto& [peer, entry] : peer_buckets_) {
     w.u64(peer);
-    put_f64(w, bucket.tokens);
-    put_f64(w, bucket.last_ms);
-    w.u64(bucket.lru);
+    put_f64(w, entry.value.tokens);
+    put_f64(w, entry.value.last_ms);
+    w.u64(entry.stamp);
   }
 
   w.u32(static_cast<std::uint32_t>(revoked_.size()));
@@ -151,6 +152,15 @@ void ObjectEngine::load_state(ByteReader& r) {
   const std::uint64_t lru_seq = r.u64();
   const double consumed_ms = get_f64(r);
   const std::uint64_t last_revocation_seq = r.u64();
+  // Every table stamp came from lru_seq, so it is below the restored
+  // counter, and every stamp the engine draws next lands past it. The
+  // tables' eviction order relies on that.
+  const auto stamp_below_seq = [&](std::uint64_t stamp) {
+    if (stamp >= lru_seq) {
+      throw std::invalid_argument("ObjectEngine: stamp from the future");
+    }
+    return stamp;
+  };
 
   Stats stats;
   stats.que1_handled = r.u64();
@@ -173,9 +183,9 @@ void ObjectEngine::load_state(ByteReader& r) {
   TokenBucket global_bucket;
   global_bucket.tokens = get_f64(r);
   global_bucket.last_ms = get_f64(r);
-  global_bucket.lru = r.u64();
+  (void)r.u64();  // the global bucket's stamp
 
-  std::map<Bytes, Session> sessions;
+  decltype(sessions_)::Index sessions;
   for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
     Session sess;
     sess.r_s = r.bytes16();
@@ -185,19 +195,21 @@ void ObjectEngine::load_state(ByteReader& r) {
     sess.transcript.import_state(persist::get_sha256(r));
     sess.res1_wire = r.bytes32();
     sess.born_ms = get_f64(r);
-    sess.lru = r.u64();
+    const std::uint64_t stamp = stamp_below_seq(r.u64());
     Bytes key = sess.r_s;
-    sessions.emplace(std::move(key), std::move(sess));
+    sessions.emplace(std::move(key), decltype(sessions_)::Entry{
+                                         std::move(sess), stamp});
   }
 
-  std::map<Bytes, CachedRes2> res2_cache;
+  decltype(res2_cache_)::Index res2_cache;
   for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
     Bytes key = r.bytes16();
     CachedRes2 cached;
     cached.wire = r.bytes32();
     cached.born_ms = get_f64(r);
-    cached.lru = r.u64();
-    res2_cache.emplace(std::move(key), std::move(cached));
+    const std::uint64_t stamp = stamp_below_seq(r.u64());
+    res2_cache.emplace(std::move(key), decltype(res2_cache_)::Entry{
+                                           std::move(cached), stamp});
   }
 
   // Parsed for envelope integrity, never committed: premaster caches die
@@ -209,36 +221,32 @@ void ObjectEngine::load_state(ByteReader& r) {
     (void)r.bytes16();  // premaster
     (void)r.u64();      // epoch
     (void)get_f64(r);   // born_ms
-    (void)r.u64();      // lru
+    (void)r.u64();      // stamp
     ++resume_dropped;
   }
 
-  // Replay stamps come from lru_seq, one per insert: distinct and below
-  // the restored counter. The window's eviction order relies on that.
-  ReplayWindow::Entries seen_rs;
+  // Replay stamps are drawn once per insert, so they are also distinct.
+  decltype(seen_rs_)::Index seen_rs;
   std::vector<std::uint64_t> stamps;
   for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
     Bytes key = r.bytes16();
-    const std::uint64_t stamp = r.u64();
-    if (stamp >= lru_seq) {
-      throw std::invalid_argument("ObjectEngine: replay stamp from the future");
-    }
+    const std::uint64_t stamp = stamp_below_seq(r.u64());
     stamps.push_back(stamp);
-    seen_rs.emplace(std::move(key), stamp);
+    seen_rs.emplace(std::move(key), decltype(seen_rs_)::Entry{{}, stamp});
   }
   std::sort(stamps.begin(), stamps.end());
   if (std::adjacent_find(stamps.begin(), stamps.end()) != stamps.end()) {
     throw std::invalid_argument("ObjectEngine: repeated replay stamp");
   }
 
-  std::map<std::uint64_t, TokenBucket> peer_buckets;
+  decltype(peer_buckets_)::Index peer_buckets;
   for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
     const std::uint64_t peer = r.u64();
     TokenBucket bucket;
     bucket.tokens = get_f64(r);
     bucket.last_ms = get_f64(r);
-    bucket.lru = r.u64();
-    peer_buckets.emplace(peer, bucket);
+    const std::uint64_t stamp = stamp_below_seq(r.u64());
+    peer_buckets.emplace(peer, decltype(peer_buckets_)::Entry{bucket, stamp});
   }
 
   std::set<std::string> revoked;
@@ -263,11 +271,11 @@ void ObjectEngine::load_state(ByteReader& r) {
   stats_ = stats;
   stats_.resumption_dropped += resume_dropped;
   global_bucket_ = global_bucket;
-  sessions_ = std::move(sessions);
-  res2_cache_ = std::move(res2_cache);
+  sessions_.assign(std::move(sessions));
+  res2_cache_.assign(std::move(res2_cache));
   resume_cache_.clear();
   seen_rs_.assign(std::move(seen_rs));
-  peer_buckets_ = std::move(peer_buckets);
+  peer_buckets_.assign(std::move(peer_buckets));
   revoked_ = std::move(revoked);
 }
 
@@ -365,11 +373,11 @@ void SubjectEngine::save_state(ByteWriter& w) const {
   w.u32(static_cast<std::uint32_t>(resume_cache_.size()));
   for (const auto& [cert_hash, entry] : resume_cache_) {
     w.bytes16(cert_hash);
-    w.bytes16(entry.object_kexm);
-    persist::put_keypair(w, group_, entry.eph);
-    w.bytes16(entry.pre_k);
-    w.u64(entry.born_now);
-    w.u64(entry.lru);
+    w.bytes16(entry.value.object_kexm);
+    persist::put_keypair(w, group_, entry.value.eph);
+    w.bytes16(entry.value.pre_k);
+    w.u64(entry.value.born_now);
+    w.u64(entry.stamp);
   }
 
   w.u32(static_cast<std::uint32_t>(completed_.size()));
@@ -440,7 +448,7 @@ void SubjectEngine::load_state(ByteReader& r) {
     (void)persist::get_keypair(r, group_);  // cached ephemeral
     (void)r.bytes16();                   // premaster
     (void)r.u64();                       // born_now
-    (void)r.u64();                       // lru
+    (void)r.u64();                       // stamp
     ++resume_dropped;
   }
 

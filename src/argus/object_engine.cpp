@@ -14,8 +14,7 @@ using crypto::SealedBox;
 ObjectEngine::ObjectEngine(ObjectEngineConfig cfg)
     : cfg_(std::move(cfg)),
       group_(crypto::group_for(cfg_.strength)),
-      rng_(crypto::make_rng(cfg_.seed, "object:" + cfg_.creds.id)),
-      seen_rs_(cfg_.replay_window) {
+      rng_(crypto::make_rng(cfg_.seed, "object:" + cfg_.creds.id)) {
   // Constant RES2 length: every variant pads to the largest profile.
   max_prof_wire_ = cfg_.creds.public_prof.serialize().size();
   for (const auto& v : cfg_.creds.variants2) {
@@ -81,23 +80,18 @@ void ObjectEngine::refill(TokenBucket& bucket, double now_ms,
 
 HandleStatus ObjectEngine::admit(std::uint64_t peer) {
   const AdmissionParams& adm = cfg_.admission;
-  const auto [it, fresh] = peer_buckets_.try_emplace(peer);
-  TokenBucket& pb = it->second;
+  const auto [it, fresh] = peer_buckets_.try_emplace(peer, lru_seq_++);
+  TokenBucket& pb = it->second.value;
   if (fresh) {
     pb.tokens = adm.peer_burst;
     pb.last_ms = now_ms_;
   }
-  pb.lru = lru_seq_++;
   if (fresh && adm.peer_capacity > 0 &&
       peer_buckets_.size() > adm.peer_capacity) {
     // Evict the least-recently-active bucket (never the one just made —
-    // it holds the newest lru stamp). A re-appearing evicted peer starts
+    // it holds the newest stamp). A re-appearing evicted peer starts
     // over with a full bucket, which errs in the peer's favor.
-    auto victim = peer_buckets_.begin();
-    for (auto bit = peer_buckets_.begin(); bit != peer_buckets_.end(); ++bit) {
-      if (bit->second.lru < victim->second.lru) victim = bit;
-    }
-    peer_buckets_.erase(victim);
+    peer_buckets_.evict_oldest();
     if (cfg_.metrics != nullptr) {
       cfg_.metrics->counter("object.admission.peer_evicted").inc();
     }
@@ -133,7 +127,7 @@ void ObjectEngine::advance_clock(double virtual_ms) {
     if (cfg_.resumption.ttl_ms > 0) {
       std::uint64_t expired = 0;
       for (auto it = resume_cache_.begin(); it != resume_cache_.end();) {
-        if (now_ms_ - it->second.born_ms > cfg_.resumption.ttl_ms) {
+        if (now_ms_ - it->second.value.born_ms > cfg_.resumption.ttl_ms) {
           it = resume_cache_.erase(it);
           ++expired;
         } else {
@@ -147,7 +141,7 @@ void ObjectEngine::advance_clock(double virtual_ms) {
   if (ttl <= 0) return;
   std::uint64_t evicted = 0;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (now_ms_ - it->second.born_ms > ttl) {
+    if (now_ms_ - it->second.value.born_ms > ttl) {
       it = sessions_.erase(it);
       ++evicted;
     } else {
@@ -155,7 +149,7 @@ void ObjectEngine::advance_clock(double virtual_ms) {
     }
   }
   for (auto it = res2_cache_.begin(); it != res2_cache_.end();) {
-    if (now_ms_ - it->second.born_ms > ttl) {
+    if (now_ms_ - it->second.value.born_ms > ttl) {
       it = res2_cache_.erase(it);
       ++evicted;
     } else {
@@ -168,40 +162,16 @@ void ObjectEngine::advance_clock(double virtual_ms) {
 void ObjectEngine::bound_state() {
   // LRU capacity bound: a flood of half-open sessions (zombie subjects,
   // replayed QUE1 storms) evicts the least-recently-touched entry instead
-  // of growing without bound.
+  // of growing without bound. Replay stamps are never refreshed, so the
+  // window forgets the oldest nonce first.
   std::uint64_t evicted = 0;
-  while (cfg_.session_capacity > 0 &&
-         sessions_.size() > cfg_.session_capacity) {
-    auto victim = sessions_.begin();
-    for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-      if (it->second.lru < victim->second.lru) victim = it;
-    }
-    sessions_.erase(victim);
-    ++evicted;
+  if (cfg_.session_capacity > 0) {
+    evicted += sessions_.trim(cfg_.session_capacity);
+    evicted += res2_cache_.trim(cfg_.session_capacity);
   }
-  while (cfg_.session_capacity > 0 &&
-         res2_cache_.size() > cfg_.session_capacity) {
-    auto victim = res2_cache_.begin();
-    for (auto it = res2_cache_.begin(); it != res2_cache_.end(); ++it) {
-      if (it->second.lru < victim->second.lru) victim = it;
-    }
-    res2_cache_.erase(victim);
-    ++evicted;
-  }
-  // Replay stamps are never refreshed, so the oldest insert is the
-  // smallest stamp: the window evicts it in O(1).
-  while (cfg_.replay_window > 0 && seen_rs_.size() > cfg_.replay_window) {
-    seen_rs_.evict_oldest();
-    ++evicted;
-  }
-  while (cfg_.resumption.capacity > 0 &&
-         resume_cache_.size() > cfg_.resumption.capacity) {
-    auto victim = resume_cache_.begin();
-    for (auto it = resume_cache_.begin(); it != resume_cache_.end(); ++it) {
-      if (it->second.lru < victim->second.lru) victim = it;
-    }
-    resume_cache_.erase(victim);
-    ++evicted;
+  if (cfg_.replay_window > 0) evicted += seen_rs_.trim(cfg_.replay_window);
+  if (cfg_.resumption.capacity > 0) {
+    evicted += resume_cache_.trim(cfg_.resumption.capacity);
   }
   note_eviction(evicted);
 }
@@ -269,8 +239,8 @@ HandleResult ObjectEngine::handle_que1(const Que1& msg, const Bytes& wire,
     const auto sit = sessions_.find(msg.r_s);
     if (sit != sessions_.end()) {
       ++stats_.retransmissions;
-      sit->second.lru = lru_seq_++;
-      return {sit->second.res1_wire, HandleStatus::kDuplicate};
+      sessions_.touch(sit, lru_seq_++);
+      return {sit->second.value.res1_wire, HandleStatus::kDuplicate};
     }
     return HandleResult(HandleStatus::kStale);
   }
@@ -281,7 +251,7 @@ HandleResult ObjectEngine::handle_que1(const Que1& msg, const Bytes& wire,
     const HandleStatus adm = admit(peer);
     if (adm != HandleStatus::kOk) return shed(adm);
   }
-  seen_rs_.insert(msg.r_s, lru_seq_++);
+  seen_rs_.put(msg.r_s, {}, lru_seq_++);
   bound_state();
   ++stats_.que1_handled;
 
@@ -325,8 +295,7 @@ HandleResult ObjectEngine::handle_que1(const Que1& msg, const Bytes& wire,
   sess.transcript.absorb(res_wire);
   sess.res1_wire = res_wire;
   sess.born_ms = now_ms_;
-  sess.lru = lru_seq_++;
-  sessions_[sess.r_s] = std::move(sess);
+  sessions_.put(msg.r_s, std::move(sess), lru_seq_++);
   bound_state();
   ++stats_.replies_sent;
   return {res_wire};
@@ -342,8 +311,8 @@ std::optional<HandleResult> ObjectEngine::que2_front(const Que2& msg,
   if (const auto cit = res2_cache_.find(msg.r_s); cit != res2_cache_.end()) {
     ++stats_.replays_detected;
     ++stats_.retransmissions;
-    cit->second.lru = lru_seq_++;
-    return HandleResult{cit->second.wire, HandleStatus::kDuplicate};
+    res2_cache_.touch(cit, lru_seq_++);
+    return HandleResult{cit->second.value.wire, HandleStatus::kDuplicate};
   }
   const auto sit = sessions_.find(msg.r_s);
   if (sit == sessions_.end()) {
@@ -361,7 +330,7 @@ std::optional<HandleResult> ObjectEngine::que2_front(const Que2& msg,
   }
   // Work on a copy: a QUE2 that fails verification must leave the session
   // untouched so a later (possibly retransmitted) QUE2 can still complete.
-  *out = sit->second;
+  *out = sit->second.value;
   ++stats_.que2_handled;
   return std::nullopt;
 }
@@ -438,12 +407,14 @@ HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
   if (cfg_.resumption.enabled) {
     cert_hash = crypto::Sha256::hash(msg.cert);
     const auto rit = resume_cache_.find(cert_hash);
-    if (rit != resume_cache_.end() && rit->second.epoch == sess.eph_epoch &&
-        rit->second.peer_kexm == msg.kexm &&
+    const ResumeEntry* hit =
+        rit != resume_cache_.end() ? &rit->second.value : nullptr;
+    if (hit != nullptr && hit->epoch == sess.eph_epoch &&
+        hit->peer_kexm == msg.kexm &&
         (cfg_.resumption.ttl_ms <= 0 ||
-         now_ms_ - rit->second.born_ms <= cfg_.resumption.ttl_ms)) {
-      rit->second.lru = lru_seq_++;
-      pre_k = rit->second.pre_k;
+         now_ms_ - hit->born_ms <= cfg_.resumption.ttl_ms)) {
+      pre_k = hit->pre_k;
+      resume_cache_.touch(rit, lru_seq_++);
       resumed = true;
       ++stats_.resumption_hits;
       if (cfg_.metrics != nullptr) {
@@ -474,8 +445,9 @@ HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
     pre_k = std::move(*secret);
     charge(net::CryptoOp::kEcdhCompute);
     if (cfg_.resumption.enabled) {
-      resume_cache_[cert_hash] =
-          ResumeEntry{msg.kexm, pre_k, sess.eph_epoch, now_ms_, lru_seq_++};
+      resume_cache_.put(cert_hash,
+                        ResumeEntry{msg.kexm, pre_k, sess.eph_epoch, now_ms_},
+                        lru_seq_++);
       bound_state();
     }
   }
@@ -551,7 +523,7 @@ HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
   // Exchange complete: retire the session and remember the exact reply so
   // duplicate QUE2s get a byte-identical resend instead of fresh crypto.
   sessions_.erase(msg.r_s);
-  res2_cache_[msg.r_s] = CachedRes2{res_wire, now_ms_, lru_seq_++};
+  res2_cache_.put(msg.r_s, CachedRes2{res_wire, now_ms_}, lru_seq_++);
   bound_state();
   return {res_wire};
 }

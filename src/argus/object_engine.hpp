@@ -10,17 +10,17 @@
 // rejection status, never a throw.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <set>
+#include <variant>
 #include <vector>
 
 #include "argus/messages.hpp"
-#include "argus/replay_window.hpp"
 #include "argus/result.hpp"
 #include "argus/session.hpp"
 #include "backend/registry.hpp"
 #include "backend/revocation.hpp"
+#include "common/lru_table.hpp"
 #include "crypto/ecdh.hpp"
 #include "crypto/verified_cache.hpp"
 #include "net/compute.hpp"
@@ -215,7 +215,6 @@ class ObjectEngine {
     Transcript transcript;
     Bytes res1_wire;  // cached reply: duplicate QUE1 resends it unchanged
     double born_ms = 0;
-    std::uint64_t lru = 0;
   };
   /// Premaster cache entry, keyed by SHA-256 of the subject certificate.
   struct ResumeEntry {
@@ -223,19 +222,16 @@ class ObjectEngine {
     Bytes pre_k;
     std::uint64_t epoch = 0;  // valid only for sessions of the same epoch
     double born_ms = 0;
-    std::uint64_t lru = 0;
   };
   struct CachedRes2 {
     Bytes wire;
     double born_ms = 0;
-    std::uint64_t lru = 0;
   };
 
   /// Deterministic token bucket refilled from the engine's virtual clock.
   struct TokenBucket {
     double tokens = 0;
     double last_ms = 0;
-    std::uint64_t lru = 0;
   };
 
   HandleResult handle_que1(const Que1& msg, const Bytes& wire,
@@ -307,15 +303,17 @@ class ObjectEngine {
   ObjectEngineConfig cfg_;
   const crypto::EcGroup& group_;
   crypto::HmacDrbg rng_;
-  std::map<Bytes, Session> sessions_;  // keyed by R_S
-  std::map<Bytes, CachedRes2> res2_cache_;  // R_S -> completed-exchange RES2
-  std::map<Bytes, ResumeEntry> resume_cache_;  // subject-cert hash -> preK
+  // Bounded tables, stamped from lru_seq_ (the stamps are snapshotted).
+  LruMap<Bytes, Session> sessions_;  // keyed by R_S
+  LruMap<Bytes, CachedRes2> res2_cache_;  // R_S -> completed-exchange RES2
+  LruMap<Bytes, ResumeEntry> resume_cache_;  // subject-cert hash -> preK
   crypto::EcKeyPair epoch_eph_{};
   bool epoch_eph_valid_ = false;
   std::uint64_t epoch_ = 0;
   double epoch_born_ms_ = 0;
-  ReplayWindow seen_rs_;  // replay detection, stamped at insert
-  std::map<std::uint64_t, TokenBucket> peer_buckets_;  // admission, LRU-capped
+  // Replay detection: stamped at insert only, so the window is FIFO.
+  LruMap<Bytes, std::monostate> seen_rs_;
+  LruMap<std::uint64_t, TokenBucket> peer_buckets_;  // admission
   TokenBucket global_bucket_;
   std::set<std::string> revoked_;
   crypto::VerifiedCache verified_;

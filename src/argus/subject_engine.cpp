@@ -159,14 +159,16 @@ HandleResult SubjectEngine::handle_res1(const Res1& msg, const Bytes& wire,
   if (cfg_.resumption.enabled) {
     cert_hash = crypto::Sha256::hash(msg.cert);
     const auto rit = resume_cache_.find(cert_hash);
-    if (rit != resume_cache_.end() && rit->second.object_kexm == msg.kexm &&
+    const ResumeEntry* hit =
+        rit != resume_cache_.end() ? &rit->second.value : nullptr;
+    if (hit != nullptr && hit->object_kexm == msg.kexm &&
         (cfg_.resumption.ttl_ms <= 0 ||
-         (now >= rit->second.born_now &&
-          static_cast<double>(now - rit->second.born_now) <=
+         (now >= hit->born_now &&
+          static_cast<double>(now - hit->born_now) <=
               cfg_.resumption.ttl_ms))) {
-      rit->second.lru = lru_seq_++;
-      eph = rit->second.eph;
-      pre_k = rit->second.pre_k;
+      eph = hit->eph;
+      pre_k = hit->pre_k;
+      resume_cache_.touch(rit, lru_seq_++);
       resumed = true;
       ++stats_.resumption_hits;
       if (cfg_.metrics != nullptr) {
@@ -194,19 +196,12 @@ HandleResult SubjectEngine::handle_res1(const Res1& msg, const Bytes& wire,
     pre_k = std::move(*secret);
     charge(net::CryptoOp::kEcdhCompute);
     if (cfg_.resumption.enabled) {
-      resume_cache_[cert_hash] =
-          ResumeEntry{msg.kexm, eph, pre_k, now, lru_seq_++};
-      std::uint64_t evicted = 0;
-      while (cfg_.resumption.capacity > 0 &&
-             resume_cache_.size() > cfg_.resumption.capacity) {
-        auto victim = resume_cache_.begin();
-        for (auto it = resume_cache_.begin(); it != resume_cache_.end();
-             ++it) {
-          if (it->second.lru < victim->second.lru) victim = it;
-        }
-        resume_cache_.erase(victim);
-        ++evicted;
-      }
+      resume_cache_.put(cert_hash, ResumeEntry{msg.kexm, eph, pre_k, now},
+                        lru_seq_++);
+      const std::size_t evicted =
+          cfg_.resumption.capacity > 0
+              ? resume_cache_.trim(cfg_.resumption.capacity)
+              : 0;
       if (evicted > 0 && cfg_.metrics != nullptr) {
         cfg_.metrics->counter("subject.resumption.evict").inc(evicted);
       }

@@ -15,6 +15,7 @@
 #include "argus/result.hpp"
 #include "argus/session.hpp"
 #include "backend/registry.hpp"
+#include "common/lru_table.hpp"
 #include "crypto/ecdh.hpp"
 #include "crypto/verified_cache.hpp"
 #include "net/compute.hpp"
@@ -135,7 +136,6 @@ class SubjectEngine {
     crypto::EcKeyPair eph;
     Bytes pre_k;
     std::uint64_t born_now = 0;
-    std::uint64_t lru = 0;
   };
 
   HandleResult handle_res1_l1(const Res1Level1& msg);
@@ -169,7 +169,8 @@ class SubjectEngine {
   Bytes que1_wire_;    // current round QUE1 bytes (transcript prefix)
   std::size_t group_idx_ = 0;
   std::map<Bytes, Session> sessions_;  // keyed by R_O
-  std::map<Bytes, ResumeEntry> resume_cache_;  // object-cert hash -> preK
+  // Object-cert hash -> preK, stamped from lru_seq_ (snapshotted).
+  LruMap<Bytes, ResumeEntry> resume_cache_;
   std::uint64_t lru_seq_ = 0;
   std::set<Bytes> completed_;          // R_O of finished exchanges this round
   std::vector<DiscoveredService> discovered_;

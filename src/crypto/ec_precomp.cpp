@@ -174,24 +174,17 @@ std::shared_ptr<const EcPrecomp> EcPrecompCache::get(const EcGroup& g,
   const Key key{&g, cx, cy};
 
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    recency_.splice(recency_.begin(), recency_, it->second.pos);
+  if (const auto it = map_.find(key); it != map_.end()) {
+    map_.touch(it, clock_++);
     ++stats_.hits;
-    return it->second.tab;
+    return it->second.value;
   }
   ++stats_.misses;
   // Built under the lock: a table is ~15 additions plus one inversion,
   // cheap enough that avoiding duplicate concurrent builds wins.
   auto tab = std::make_shared<const EcPrecomp>(g, p);
-  if (map_.size() >= capacity_) {
-    map_.erase(map_.find(*recency_.back()));
-    recency_.pop_back();
-    ++stats_.evictions;
-  }
-  it = map_.emplace(key, Entry{tab, {}}).first;
-  recency_.push_front(&it->first);
-  it->second.pos = recency_.begin();
+  stats_.evictions += map_.trim(capacity_ - 1);
+  map_.put(key, tab, clock_++);
   return tab;
 }
 
@@ -208,7 +201,6 @@ std::size_t EcPrecompCache::size() const {
 void EcPrecompCache::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   map_.clear();
-  recency_.clear();
   stats_ = Stats{};
 }
 

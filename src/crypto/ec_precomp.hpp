@@ -20,13 +20,12 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <tuple>
 #include <vector>
 
+#include "common/lru_table.hpp"
 #include "crypto/ec.hpp"
 
 namespace argus::crypto {
@@ -103,9 +102,7 @@ class EcPrecomp {
 
 /// Process-wide LRU cache of per-point tables, keyed by (group, x, y).
 /// Thread-safe; entries are shared_ptr so an eviction never invalidates a
-/// table another thread is still multiplying against. A recency list
-/// orders the keys, so a hit moves its key to the front in O(1) and a miss
-/// evicts the key at the back without scanning the table.
+/// table another thread is still multiplying against.
 class EcPrecompCache {
  public:
   explicit EcPrecompCache(std::size_t capacity = 256);
@@ -129,18 +126,12 @@ class EcPrecompCache {
  private:
   using Coord = std::array<std::uint64_t, kMaxWords>;
   using Key = std::tuple<const EcGroup*, Coord, Coord>;
-  struct Entry {
-    std::shared_ptr<const EcPrecomp> tab;
-    std::list<const Key*>::iterator pos;  // this entry's slot in recency_
-  };
 
   mutable std::mutex mu_;
   std::size_t capacity_;
   Stats stats_;
-  std::map<Key, Entry> map_;
-  // Keys of map_ (map nodes never move), most recently used first; the
-  // back is the next victim.
-  std::list<const Key*> recency_;
+  LruMap<Key, std::shared_ptr<const EcPrecomp>> map_;
+  std::uint64_t clock_ = 0;  // recency stamps
 };
 
 /// Shamir's trick + projective x-check: does x(u1*G + u2*Q) reduce to r

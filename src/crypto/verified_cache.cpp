@@ -35,9 +35,9 @@ VerifiedCache::Key VerifiedCache::key(const EcGroup& group,
 
 bool VerifiedCache::contains(const Key& key) {
   if (table_) {
-    if (const auto it = table_->index.find(key); it != table_->index.end()) {
+    if (const auto it = table_->find(key); it != table_->end()) {
       ++hits_;
-      table_->lru.splice(table_->lru.begin(), table_->lru, it->second);
+      table_->touch(it, clock_++);
       return true;
     }
   }
@@ -47,17 +47,8 @@ bool VerifiedCache::contains(const Key& key) {
 
 void VerifiedCache::insert(const Key& key) {
   if (!table_) table_ = std::make_unique<Table>();
-  auto& [lru, index] = *table_;
-  if (const auto it = index.find(key); it != index.end()) {
-    lru.splice(lru.begin(), lru, it->second);
-    return;
-  }
-  lru.push_front(key);
-  index.emplace(key, lru.begin());
-  if (index.size() > kCapacity) {
-    index.erase(lru.back());
-    lru.pop_back();
-  }
+  table_->try_emplace(key, clock_++);
+  table_->trim(kCapacity);
 }
 
 }  // namespace argus::crypto

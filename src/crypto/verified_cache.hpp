@@ -24,10 +24,10 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <list>
 #include <memory>
-#include <unordered_map>
+#include <variant>
 
+#include "common/lru_table.hpp"
 #include "crypto/ec.hpp"
 
 namespace argus::crypto {
@@ -61,7 +61,7 @@ class VerifiedCache {
   }
 
   [[nodiscard]] std::size_t size() const {
-    return table_ ? table_->index.size() : 0;
+    return table_ ? table_->size() : 0;
   }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
@@ -75,12 +75,10 @@ class VerifiedCache {
     }
   };
 
-  struct Table {
-    std::list<Key> lru;  // most recent first
-    std::unordered_map<Key, std::list<Key>::iterator, KeyHash> index;
-  };
+  using Table = LruHashMap<Key, std::monostate, KeyHash>;
 
   std::unique_ptr<Table> table_;
+  std::uint64_t clock_ = 0;  // recency stamps
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -75,13 +75,7 @@ void SubjectClient::on_frame(PeerId from, const Bytes& frame) {
     count("client.mux_decode_failed");
     return;
   }
-  if (mux->channel == kMuxControl) {
-    if (const auto ctl = decode_ctl(mux->payload);
-        ctl && ctl->first == CtlOp::kStatsResp) {
-      last_stats_ = ctl->second;
-    }
-    return;
-  }
+  if (mux->channel == kMuxControl) return;  // the daemon sends none
   if (mux->channel >= driver_.slots()) {
     count("client.bad_channel");
     return;

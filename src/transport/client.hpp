@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "argus/round_driver.hpp"
@@ -68,12 +67,8 @@ class SubjectClient {
   [[nodiscard]] bool round_done() const { return driver_.settled(); }
   ClientReport finish_round(double now_ms);
 
-  /// Fire-and-forget control frame to `to` (shutdown, snapshot, stats).
+  /// Fire-and-forget control frame to `to` (shutdown, snapshot).
   void send_control(PeerId to, CtlOp op, double now_ms);
-  /// Body of the last kStatsResp seen, if any.
-  [[nodiscard]] const std::optional<Bytes>& last_stats() const {
-    return last_stats_;
-  }
 
   [[nodiscard]] const core::SubjectEngine& engine() const {
     return driver_.engine();
@@ -93,7 +88,6 @@ class SubjectClient {
   double round_start_ms_ = 0;
   std::vector<PeerId> peers_;   // per channel: who answered (QUE2 target)
   std::vector<double> due_ms_;  // per driver timer: when it fires
-  std::optional<Bytes> last_stats_;
 };
 
 }  // namespace argus::transport

@@ -16,13 +16,16 @@ TransportEndpoint::TransportEndpoint(DatagramSocket& socket,
       next_conn_id_(params.conn_id_base == 0 ? 1 : params.conn_id_base) {}
 
 ReliableConn* TransportEndpoint::connect(const NetAddr& peer, double now_ms) {
-  if (Entry* e = find(peer); e != nullptr) return e->conn.get();
-  Entry* e = create(peer, next_conn_id_++, /*initiator=*/true, now_ms);
+  if (const auto it = conns_.find(peer); it != conns_.end()) {
+    return it->second.value.get();
+  }
+  ReliableConn& c =
+      *create(peer, next_conn_id_++, /*initiator=*/true, now_ms)->second.value;
   stats_.opened++;
   count("conn.opened");
   trace_conn(now_ms, "conn.open", peer);
-  flush(peer, *e);
-  return e->conn.get();
+  flush(peer, c);
+  return &c;
 }
 
 SendStatus TransportEndpoint::send(const NetAddr& peer, Bytes frame,
@@ -30,9 +33,8 @@ SendStatus TransportEndpoint::send(const NetAddr& peer, Bytes frame,
   ReliableConn* c = connect(peer, now_ms);
   const SendStatus st = c->send(std::move(frame), now_ms);
   if (st == SendStatus::kCongested) count("transport.congested");
-  Entry* e = find(peer);
-  e->lru = ++lru_seq_;
-  flush(peer, *e);
+  conns_.touch(conns_.find(peer), ++lru_seq_);
+  flush(peer, *c);
   return st;
 }
 
@@ -56,8 +58,8 @@ std::vector<TransportEndpoint::Inbound> TransportEndpoint::pump(
       count("transport.decode_failed");
       continue;
     }
-    Entry* e = find(from);
-    if (e == nullptr) {
+    auto it = conns_.find(from);
+    if (it == conns_.end()) {
       if (packet->type != PacketType::kSyn) {
         // No connection and no dial: stale traffic from a reaped or
         // restarted peer. Drop it — the peer's retransmits die on their
@@ -66,41 +68,42 @@ std::vector<TransportEndpoint::Inbound> TransportEndpoint::pump(
         count("transport.stale_dropped");
         continue;
       }
-      e = create(from, packet->conn, /*initiator=*/false, now_ms);
+      it = create(from, packet->conn, /*initiator=*/false, now_ms);
       stats_.accepted++;
       count("conn.accepted");
       trace_conn(now_ms, "conn.accept", from);
     } else if (packet->type == PacketType::kSyn &&
-               packet->conn != e->conn->conn_id()) {
+               packet->conn != it->second.value->conn_id()) {
       // Same address, fresh conn id: the peer restarted. Replace the
       // stale connection rather than feeding its successor's handshake
       // into a dead state machine.
-      conns_.erase(from);
-      e = create(from, packet->conn, /*initiator=*/false, now_ms);
+      conns_.erase(it);
+      it = create(from, packet->conn, /*initiator=*/false, now_ms);
       stats_.replaced++;
       count("conn.replaced");
       trace_conn(now_ms, "conn.replace", from);
     }
-    const bool was_established = e->conn->established();
-    e->conn->on_packet(*packet, now_ms);
-    if (!was_established && e->conn->established()) {
+    ReliableConn& c = *it->second.value;
+    const bool was_established = c.established();
+    c.on_packet(*packet, now_ms);
+    if (!was_established && c.established()) {
       count("conn.established");
       trace_conn(now_ms, "conn.establish", from);
     }
-    e->lru = ++lru_seq_;
-    for (Bytes& frame : e->conn->take_delivered()) {
+    conns_.touch(it, ++lru_seq_);
+    for (Bytes& frame : c.take_delivered()) {
       out.push_back(Inbound{from, std::move(frame)});
     }
-    flush(from, *e);
+    flush(from, c);
   }
 
   // 2. Timers: retransmits, keep-alives, death clocks.
   for (auto& [peer, e] : conns_) {
-    e.conn->tick(now_ms);
-    for (Bytes& frame : e.conn->take_delivered()) {
+    e.value->tick(now_ms);
+    for (Bytes& frame : e.value->take_delivered()) {
       out.push_back(Inbound{peer, std::move(frame)});
     }
-    flush(peer, e);
+    flush(peer, *e.value);
   }
 
   // 3. Reap the defunct.
@@ -109,30 +112,30 @@ std::vector<TransportEndpoint::Inbound> TransportEndpoint::pump(
 }
 
 void TransportEndpoint::close(const NetAddr& peer, double now_ms) {
-  Entry* e = find(peer);
-  if (e == nullptr) return;
-  e->conn->close(now_ms);
-  flush(peer, *e);
+  const auto it = conns_.find(peer);
+  if (it == conns_.end()) return;
+  it->second.value->close(now_ms);
+  flush(peer, *it->second.value);
 }
 
 void TransportEndpoint::close_all(double now_ms) {
   for (auto& [peer, e] : conns_) {
-    e.conn->close(now_ms);
-    flush(peer, e);
+    e.value->close(now_ms);
+    flush(peer, *e.value);
   }
   reap(now_ms);
 }
 
 std::size_t TransportEndpoint::established_conns() const {
   std::size_t n = 0;
-  for (const auto& [peer, e] : conns_) n += e.conn->established() ? 1 : 0;
+  for (const auto& [peer, e] : conns_) n += e.value->established() ? 1 : 0;
   return n;
 }
 
 std::vector<NetAddr> TransportEndpoint::established_peers() const {
   std::vector<NetAddr> peers;
   for (const auto& [peer, e] : conns_) {
-    if (e.conn->established()) peers.push_back(peer);
+    if (e.value->established()) peers.push_back(peer);
   }
   return peers;
 }
@@ -140,51 +143,33 @@ std::vector<NetAddr> TransportEndpoint::established_peers() const {
 std::vector<NetAddr> TransportEndpoint::live_peers() const {
   std::vector<NetAddr> peers;
   for (const auto& [peer, e] : conns_) {
-    if (!e.conn->defunct()) peers.push_back(peer);
+    if (!e.value->defunct()) peers.push_back(peer);
   }
   return peers;
 }
 
 const ReliableConn* TransportEndpoint::conn(const NetAddr& peer) const {
   const auto it = conns_.find(peer);
-  return it == conns_.end() ? nullptr : it->second.conn.get();
+  return it == conns_.end() ? nullptr : it->second.value.get();
 }
 
-TransportEndpoint::Entry* TransportEndpoint::find(const NetAddr& peer) {
-  const auto it = conns_.find(peer);
-  return it == conns_.end() ? nullptr : &it->second;
-}
-
-TransportEndpoint::Entry* TransportEndpoint::create(const NetAddr& peer,
-                                                    std::uint32_t conn_id,
-                                                    bool initiator,
-                                                    double now_ms) {
-  if (conns_.size() >= params_.max_conns) evict_lru(now_ms);
-  auto conn =
-      std::make_unique<ReliableConn>(conn_id, initiator, params_.reliable,
-                                     now_ms);
-  Entry& e = conns_[peer];
-  e.conn = std::move(conn);
-  e.lru = ++lru_seq_;
-  return &e;
-}
-
-void TransportEndpoint::evict_lru(double now_ms) {
-  auto victim = conns_.end();
-  for (auto it = conns_.begin(); it != conns_.end(); ++it) {
-    if (victim == conns_.end() || it->second.lru < victim->second.lru) {
-      victim = it;
-    }
+TransportEndpoint::Conns::iterator TransportEndpoint::create(
+    const NetAddr& peer, std::uint32_t conn_id, bool initiator,
+    double now_ms) {
+  if (!conns_.empty() && conns_.size() >= params_.max_conns) {
+    stats_.evicted++;
+    count("conn.evicted");
+    trace_conn(now_ms, "conn.evict", conns_.oldest());
+    conns_.evict_oldest();
   }
-  if (victim == conns_.end()) return;
-  stats_.evicted++;
-  count("conn.evicted");
-  trace_conn(now_ms, "conn.evict", victim->first);
-  conns_.erase(victim);
+  return conns_.put(peer,
+                    std::make_unique<ReliableConn>(conn_id, initiator,
+                                                   params_.reliable, now_ms),
+                    ++lru_seq_);
 }
 
-void TransportEndpoint::flush(const NetAddr& peer, Entry& e) {
-  for (const Bytes& datagram : e.conn->take_outgoing()) {
+void TransportEndpoint::flush(const NetAddr& peer, ReliableConn& c) {
+  for (const Bytes& datagram : c.take_outgoing()) {
     stats_.tx_packets++;
     count("transport.tx.packets");
     count("transport.tx.bytes", datagram.size());
@@ -194,7 +179,7 @@ void TransportEndpoint::flush(const NetAddr& peer, Entry& e) {
 
 void TransportEndpoint::reap(double now_ms) {
   for (auto it = conns_.begin(); it != conns_.end();) {
-    ReliableConn& c = *it->second.conn;
+    ReliableConn& c = *it->second.value;
     if (!c.defunct()) {
       ++it;
       continue;

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "common/lru_table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "transport/datagram.hpp"
@@ -93,16 +93,13 @@ class TransportEndpoint {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    std::unique_ptr<ReliableConn> conn;
-    std::uint64_t lru = 0;
-  };
+  using Conns = LruMap<NetAddr, std::unique_ptr<ReliableConn>>;
 
-  Entry* find(const NetAddr& peer);
-  Entry* create(const NetAddr& peer, std::uint32_t conn_id, bool initiator,
-                double now_ms);
-  void evict_lru(double now_ms);
-  void flush(const NetAddr& peer, Entry& e);
+  /// Add a connection, evicting the least-recently-active one at
+  /// `max_conns`.
+  Conns::iterator create(const NetAddr& peer, std::uint32_t conn_id,
+                         bool initiator, double now_ms);
+  void flush(const NetAddr& peer, ReliableConn& c);
   void reap(double now_ms);
   void count(const std::string& name, std::uint64_t delta = 1);
   void trace_conn(double now_ms, const char* event, const NetAddr& peer,
@@ -113,7 +110,7 @@ class TransportEndpoint {
   obs::MetricsRegistry* metrics_;
   obs::Tracer* tracer_;
   NetAddr local_;
-  std::map<NetAddr, Entry> conns_;
+  Conns conns_;  // stamped from lru_seq_ on every send and receive
   std::uint32_t next_conn_id_;
   std::uint64_t lru_seq_ = 0;
   Stats stats_;

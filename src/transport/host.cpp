@@ -13,7 +13,7 @@ ObjectHost::ObjectHost(HostConfig cfg, SockTransport& transport)
     engines_.push_back(std::make_unique<core::ObjectEngine>(ocfg));
   }
   transport_.set_handler([this](PeerId from, const Bytes& frame) {
-    on_frame(from, frame, now_ms_);
+    on_frame(from, frame);
   });
 }
 
@@ -78,7 +78,7 @@ persist::RestoreError ObjectHost::restore_from_file() {
   return persist::RestoreError::kOk;
 }
 
-void ObjectHost::on_frame(PeerId from, const Bytes& frame, double now_ms) {
+void ObjectHost::on_frame(PeerId from, const Bytes& frame) {
   stats_.frames_rx++;
   const auto mux = decode_mux(frame);
   if (!mux) {
@@ -97,7 +97,7 @@ void ObjectHost::on_frame(PeerId from, const Bytes& frame, double now_ms) {
   }
   if (mux->channel == kMuxControl) {
     stats_.ctl_rx++;
-    handle_ctl(from, mux->payload, now_ms);
+    handle_ctl(mux->payload);
     return;
   }
   if (mux->channel >= engines_.size()) {
@@ -118,7 +118,7 @@ void ObjectHost::handle_engine(std::size_t idx, PeerId from,
                   now_ms_);
 }
 
-void ObjectHost::handle_ctl(PeerId from, ByteSpan payload, double now_ms) {
+void ObjectHost::handle_ctl(ByteSpan payload) {
   const auto ctl = decode_ctl(payload);
   if (!ctl) {
     stats_.mux_decode_failed++;
@@ -132,21 +132,6 @@ void ObjectHost::handle_ctl(PeerId from, ByteSpan payload, double now_ms) {
     case CtlOp::kSnapshot:
       write_snapshot();
       return;
-    case CtlOp::kStatsReq: {
-      ByteWriter w;
-      w.u64(stats_.frames_rx);
-      w.u64(stats_.replies_tx);
-      std::size_t sessions = 0;
-      for (const auto& engine : engines_) sessions += engine->open_sessions();
-      w.u64(sessions);
-      transport_.send(from,
-                      encode_mux(kMuxControl,
-                                 encode_ctl(CtlOp::kStatsResp, w.data())),
-                      now_ms);
-      return;
-    }
-    case CtlOp::kStatsResp:
-      return;  // daemon side never expects one
   }
 }
 

@@ -81,9 +81,9 @@ class ObjectHost {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  void on_frame(PeerId from, const Bytes& frame, double now_ms);
+  void on_frame(PeerId from, const Bytes& frame);
   void handle_engine(std::size_t idx, PeerId from, ByteSpan payload);
-  void handle_ctl(PeerId from, ByteSpan payload, double now_ms);
+  void handle_ctl(ByteSpan payload);
 
   HostConfig cfg_;
   SockTransport& transport_;

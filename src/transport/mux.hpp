@@ -53,8 +53,6 @@ inline std::optional<MuxFrame> decode_mux(ByteSpan wire) {
 enum class CtlOp : std::uint8_t {
   kShutdown = 1,   // write a final snapshot (if armed) and exit
   kSnapshot = 2,   // write a snapshot now
-  kStatsReq = 3,   // reply with a kStatsResp
-  kStatsResp = 4,  // body: u64 frames_rx, u64 replies_tx, u64 open sessions
 };
 
 inline Bytes encode_ctl(CtlOp op, ByteSpan body = {}) {
@@ -71,7 +69,7 @@ inline std::optional<std::pair<CtlOp, Bytes>> decode_ctl(ByteSpan payload) {
     Bytes body = r.bytes16();
     r.expect_done();
     if (op < static_cast<std::uint8_t>(CtlOp::kShutdown) ||
-        op > static_cast<std::uint8_t>(CtlOp::kStatsResp)) {
+        op > static_cast<std::uint8_t>(CtlOp::kSnapshot)) {
       return std::nullopt;
     }
     return std::make_pair(static_cast<CtlOp>(op), std::move(body));

@@ -1,13 +1,15 @@
-// Replay window: the O(1) insertion-order eviction against a frozen copy
-// of the min-stamp scan it replaced, at the window level and through a
-// Level-1 ObjectEngine, across snapshot/restore, reset and copies.
+// Replay window: the object's never-touched LruMap of seen nonces against
+// a frozen copy of the min-stamp scan it replaced, at the table level and
+// through a Level-1 ObjectEngine, across snapshot/restore, reset and
+// copies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <variant>
 
 #include "argus/object_engine.hpp"
-#include "argus/replay_window.hpp"
+#include "common/lru_table.hpp"
 #include "common/serde.hpp"
 
 namespace argus::core {
@@ -42,20 +44,32 @@ Bytes pooled_nonce(std::mt19937_64& rng, std::size_t pool) {
   return r_s;
 }
 
+using Window = LruMap<Bytes, std::monostate>;
+
+std::map<Bytes, std::uint64_t> stamps_of(const Window& window) {
+  std::map<Bytes, std::uint64_t> out;
+  for (const auto& [r_s, entry] : window) out.emplace(r_s, entry.stamp);
+  return out;
+}
+
 TEST(ReplayWindowTest, MatchesMinScanReference) {
   for (std::size_t bound = 1; bound <= 8; ++bound) {
     std::mt19937_64 rng(900 + bound);
-    ReplayWindow window(bound);
+    Window window;
     MinScanWindow ref;
     std::uint64_t stamp = 0;
     for (int step = 0; step < 3000; ++step) {
       const std::uint64_t action = rng() % 100;
       if (action == 0) {  // snapshot/restore: rebuild order from stamps
-        ReplayWindow restored(bound);
-        restored.assign(window.entries());
+        Window::Index parsed;
+        for (const auto& [r_s, s] : stamps_of(window)) {
+          parsed.emplace(r_s, Window::Entry{{}, s});
+        }
+        Window restored;
+        restored.assign(std::move(parsed));
         window = std::move(restored);
       } else if (action == 1) {  // copy, then keep going on the copy
-        const ReplayWindow copy(window);
+        const Window copy(window);
         window = copy;
       } else if (action == 2) {  // reset to blank
         window.clear();
@@ -66,14 +80,15 @@ TEST(ReplayWindowTest, MatchesMinScanReference) {
       const bool replay = ref.seen.contains(r_s);
       ASSERT_EQ(window.contains(r_s), replay) << "bound " << bound;
       if (replay) continue;
-      window.insert(r_s, stamp);
+      window.put(r_s, {}, stamp);
       ref.seen.emplace(r_s, stamp);
       ++stamp;
       while (window.size() > bound) {
-        ASSERT_EQ(window.evict_oldest(), ref.evict_oldest())
+        ASSERT_EQ(window.oldest(), ref.evict_oldest())
             << "bound " << bound << " step " << step;
+        window.evict_oldest();
       }
-      ASSERT_EQ(window.entries(), ref.seen);
+      ASSERT_EQ(stamps_of(window), ref.seen);
     }
   }
 }
@@ -208,6 +223,47 @@ TEST_F(ReplayEngineTest, RestoreRejectsImpossibleStamps) {
   EXPECT_EQ(target.replay_entries(), 0u);
   EXPECT_NE(target.restore(with_stamp(2, 3)), persist::RestoreError::kOk);
   EXPECT_EQ(target.replay_entries(), 0u);
+}
+
+// Every table stamp comes from the one counter. A restored bucket stamped
+// at or above it would make a fresh peer's bucket the next victim while
+// admit() still holds it, so such a snapshot restores blank too.
+TEST_F(ReplayEngineTest, RestoreRejectsBucketStampsFromTheFuture) {
+  const auto make = [&] {
+    ObjectEngineConfig cfg;
+    cfg.creds = creds_;
+    cfg.admin_pub = be_.admin_public_key();
+    cfg.admission.enabled = true;
+    cfg.admission.peer_capacity = 1;
+    return ObjectEngine(std::move(cfg));
+  };
+  ObjectEngine donor = make();
+  ASSERT_EQ(donor.handle(encode(Que1{Bytes(kNonceSize, 1)}), 0, 7).status,
+            HandleStatus::kOk);  // bucket stamp 0, replay stamp 1
+  const persist::OpenResult open = persist::open_snapshot(
+      donor.snapshot(), persist::SnapshotKind::kObjectEngine);
+  ASSERT_TRUE(open);
+  // The payload ends with the bucket's u64 stamp, an empty revocation list
+  // (u32) and the DRBG's two length-prefixed 32-byte fields.
+  const std::size_t stamp_at = open.payload.size() - 8 - 4 - 2 * (2 + 32);
+  const auto with_stamp = [&](std::uint8_t high, std::uint8_t low) {
+    Bytes payload = open.payload;
+    payload[stamp_at] = high;
+    payload[stamp_at + 7] = low;
+    return persist::seal_snapshot(persist::SnapshotKind::kObjectEngine,
+                                  payload);
+  };
+  ObjectEngine target = make();
+  EXPECT_EQ(target.restore(with_stamp(0, 1)), persist::RestoreError::kOk);
+  EXPECT_EQ(target.peer_bucket_count(), 1u);
+  EXPECT_NE(target.restore(with_stamp(0, 2)), persist::RestoreError::kOk);
+  EXPECT_EQ(target.peer_bucket_count(), 0u);
+  EXPECT_NE(target.restore(with_stamp(0x7f, 0)), persist::RestoreError::kOk);
+  EXPECT_EQ(target.peer_bucket_count(), 0u);
+  // A blank engine admits the next peer as usual.
+  EXPECT_EQ(target.handle(encode(Que1{Bytes(kNonceSize, 2)}), 0, 8).status,
+            HandleStatus::kOk);
+  EXPECT_EQ(target.peer_bucket_count(), 1u);
 }
 
 }  // namespace

@@ -41,12 +41,7 @@ HostConfig host_config(const core::DiscoveryScenario& scenario,
   cfg.epoch = scenario.epoch;
   cfg.metrics = metrics;
   for (std::size_t i = 0; i < scenario.objects.size(); ++i) {
-    core::ObjectEngineConfig ocfg;
-    ocfg.version = scenario.version;
-    ocfg.creds = scenario.objects[i].creds;
-    ocfg.admin_pub = scenario.admin_pub;
-    ocfg.strength = scenario.strength;
-    ocfg.seed = scenario.seed + 1000 + i;
+    core::ObjectEngineConfig ocfg = core::object_engine_config(scenario, i);
     ocfg.metrics = metrics;
     cfg.objects.push_back(std::move(ocfg));
   }
@@ -56,13 +51,7 @@ HostConfig host_config(const core::DiscoveryScenario& scenario,
 core::SubjectEngineConfig subject_config(
     const core::DiscoveryScenario& scenario,
     obs::MetricsRegistry* metrics = nullptr) {
-  core::SubjectEngineConfig scfg;
-  scfg.version = scenario.version;
-  scfg.creds = scenario.subject;
-  scfg.admin_pub = scenario.admin_pub;
-  scfg.strength = scenario.strength;
-  scfg.seed = scenario.seed;
-  scfg.seek_level3 = scenario.seek_level3;
+  core::SubjectEngineConfig scfg = core::subject_engine_config(scenario);
   scfg.metrics = metrics;
   return scfg;
 }
@@ -197,25 +186,6 @@ TEST(Daemon, UdpLoopbackRound) {
   EXPECT_TRUE(report.complete())
       << report.resolved << "/" << report.expected;
   EXPECT_EQ(report.services.size(), 5u);
-}
-
-TEST(Daemon, ControlStatsRoundTrip) {
-  PipeDeployment d(4, /*loss=*/0.0);
-  const ClientReport report = d.run_round(0);
-  ASSERT_TRUE(report.complete());
-  d.client.send_control(d.dsock->local_addr().pack(), CtlOp::kStatsReq, d.now);
-  for (int i = 0; i < 100 && !d.client.last_stats().has_value(); ++i) {
-    d.now += 5;
-    d.host.pump(d.now);
-    d.client.step(d.now);
-  }
-  ASSERT_TRUE(d.client.last_stats().has_value());
-  ByteReader r(*d.client.last_stats());
-  const std::uint64_t frames_rx = r.u64();
-  const std::uint64_t replies_tx = r.u64();
-  (void)r.u64();  // open sessions
-  EXPECT_GT(frames_rx, 0u);
-  EXPECT_GE(replies_tx, 8u);  // RES1 + RES2 per hosted engine
 }
 
 TEST(Daemon, ControlShutdownFlagsTheHost) {

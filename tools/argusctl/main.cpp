@@ -127,13 +127,7 @@ int main(int argc, char** argv) {
   transport::TransportEndpoint endpoint(shimmed, ep, &metrics);
   transport::SockTransport sock(endpoint);
 
-  core::SubjectEngineConfig scfg;
-  scfg.version = scenario.version;
-  scfg.creds = scenario.subject;
-  scfg.admin_pub = scenario.admin_pub;
-  scfg.strength = scenario.strength;
-  scfg.seed = scenario.seed;
-  scfg.seek_level3 = scenario.seek_level3;
+  core::SubjectEngineConfig scfg = core::subject_engine_config(scenario);
   scfg.resumption.enabled = opt.resumption;
   scfg.metrics = &metrics;
 
