@@ -13,11 +13,16 @@
 // One "handshake" is a resolved channel: the full QUE1/RES1/QUE2/RES2
 // exchange for one hosted object, carried over the reliable connection.
 //
+// Every cell runs the shipped reliable-layer defaults. The table splits
+// reliable-layer resends by cause: retransmit-timer expiry, RACK-detected
+// loss and tail-loss probe.
+//
 // `--smoke` is the ctest/CI gate: clean pipe rounds must complete with
 // zero retransmits and zero reliable-layer resends, lossy rounds must
 // still deliver every service (delivery_ratio == 1.0, recovery counters
-// > 0), the lossy cell must replay byte-deterministically, and a UDP
-// loopback round at 10% shim loss must complete. (The two-process CI
+// > 0) with zero retry-driver retransmits (the reliable layer alone
+// recovers losses), the lossy cell must replay byte-deterministically,
+// and a UDP loopback round at 10% shim loss must complete. (The two-process CI
 // smoke additionally asserts zero leaked daemon connections.)
 #include <algorithm>
 #include <cstdio>
@@ -82,19 +87,10 @@ transport::ClientParams client_params(const core::DiscoveryScenario& s) {
   return params;
 }
 
+/// Shipped reliable-layer defaults; only the conn-id base differs.
 transport::EndpointParams endpoint_params(std::uint32_t base) {
   transport::EndpointParams p;
   p.conn_id_base = base;
-  // Loss-hardened RTO profile. The default 2000 ms backoff ceiling allows
-  // only ~4 recovery attempts inside the 8 s round deadline; at 30% loss
-  // with ~100 frames outstanding per round, some frame misses all of its
-  // retransmissions often enough to stall the cumulative frontier for the
-  // whole round. A 250 ms ceiling buys ~30 attempts, which makes loss of
-  // a frame within the deadline astronomically unlikely while leaving the
-  // clean path untouched (first RTO still fires after rto_initial_ms).
-  p.reliable.rto_initial_ms = 60;
-  p.reliable.rto_max_ms = 250;
-  p.reliable.max_resend = 60;
   return p;
 }
 
@@ -111,7 +107,7 @@ struct VirtualCell {
   double total_round_ms = 0;   // summed over rounds — deterministic
   double worst_ratio = 1.0;
   std::uint64_t retransmits = 0;  // QUE1 + QUE2 (retry driver)
-  std::uint64_t resends = 0;      // reliable-layer DATA retransmissions
+  transport::ReliableConn::Stats reliable;  // client -> daemon connection
   std::uint64_t shim_dropped = 0;
   std::size_t handshakes = 0;
 };
@@ -150,7 +146,7 @@ VirtualCell run_virtual(const Grid& grid, double loss) {
     cell.handshakes += report.resolved;
   }
   if (const auto* conn = cend.conn(dsock->local_addr())) {
-    cell.resends = conn->stats().resends;
+    cell.reliable = conn->stats();
   }
   cell.shim_dropped = dshim.stats().dropped + cshim.stats().dropped;
   return cell;
@@ -225,25 +221,27 @@ int smoke(const bench::Args& args) {
   // Clean pipe: complete, and quiet — zero retry-driver retransmits and
   // zero reliable-layer resends.
   const VirtualCell clean = run_virtual(grid, 0.0);
-  if (!clean.ok || clean.retransmits != 0 || clean.resends != 0) {
+  if (!clean.ok || clean.retransmits != 0 || clean.reliable.resends != 0) {
     std::fprintf(stderr,
                  "smoke: clean pipe regressed (ok %d, rtx %llu, resends "
                  "%llu)\n",
                  clean.ok, static_cast<unsigned long long>(clean.retransmits),
-                 static_cast<unsigned long long>(clean.resends));
+                 static_cast<unsigned long long>(clean.reliable.resends));
     return 1;
   }
-  // Lossy pipe: the shim must have really dropped packets and the
-  // reliable layer must still deliver every service.
+  // Lossy pipe: the shim must have really dropped packets, the reliable
+  // layer must still deliver every service, and it must be the only
+  // loss-recovery owner: zero retry-driver retransmits.
   const VirtualCell lossy = run_virtual(grid, 0.30);
   if (!lossy.ok || lossy.worst_ratio < 1.0 || lossy.shim_dropped == 0 ||
-      lossy.resends == 0) {
+      lossy.reliable.resends == 0 || lossy.retransmits != 0) {
     std::fprintf(stderr,
                  "smoke: lossy pipe regressed (ok %d, ratio %.3f, dropped "
-                 "%llu, resends %llu)\n",
+                 "%llu, resends %llu, rtx %llu)\n",
                  lossy.ok, lossy.worst_ratio,
                  static_cast<unsigned long long>(lossy.shim_dropped),
-                 static_cast<unsigned long long>(lossy.resends));
+                 static_cast<unsigned long long>(lossy.reliable.resends),
+                 static_cast<unsigned long long>(lossy.retransmits));
     return 1;
   }
   // Determinism: the lossy cell replays to the same virtual timings and
@@ -251,7 +249,7 @@ int smoke(const bench::Args& args) {
   const VirtualCell replay = run_virtual(grid, 0.30);
   if (replay.total_round_ms != lossy.total_round_ms ||
       replay.retransmits != lossy.retransmits ||
-      replay.resends != lossy.resends ||
+      replay.reliable.resends != lossy.reliable.resends ||
       replay.shim_dropped != lossy.shim_dropped) {
     std::fprintf(stderr, "smoke: lossy pipe cell is not deterministic\n");
     return 1;
@@ -268,7 +266,8 @@ int smoke(const bench::Args& args) {
       "p99 %.1f ms\n",
       clean.handshakes, lossy.worst_ratio,
       static_cast<unsigned long long>(lossy.shim_dropped),
-      static_cast<unsigned long long>(lossy.resends), wall.handshakes_per_s,
+      static_cast<unsigned long long>(lossy.reliable.resends),
+      wall.handshakes_per_s,
       wall.p99_round_ms);
 
   obs::bench::BenchReporter reporter("transport");
@@ -279,7 +278,8 @@ int smoke(const bench::Args& args) {
   reporter.metric("virtual.round_ms_total.loss30", lossy.total_round_ms, "ms",
                   "virtual");
   reporter.metric("virtual.resends.loss30",
-                  static_cast<double>(lossy.resends), "count", "virtual");
+                  static_cast<double>(lossy.reliable.resends), "count",
+                  "virtual");
   reporter.metric("virtual.delivery_ratio.worst", lossy.worst_ratio, "ratio",
                   "virtual", /*lower_is_better=*/false);
   reporter.metric("wall.handshakes_per_s.loss10", wall.handshakes_per_s,
@@ -299,9 +299,11 @@ int main(int argc, char** argv) {
   std::printf("Transport — %zu objects, %zu virtual + %zu loopback rounds "
               "per loss point\n\n",
               grid.objects, grid.rounds, grid.wall_rounds);
-  std::printf("%6s | %10s %8s %8s | %12s %10s\n", "loss", "virt ms/rd",
-              "rtx", "resends", "hs/s", "p99 ms");
-  std::printf("-------+------------------------------+------------------------\n");
+  std::printf("%6s | %10s %6s %8s %6s %6s %6s | %10s %8s\n", "loss",
+              "virt ms/rd", "rtx", "resends", "rto", "fast", "tlp", "hs/s",
+              "p99 ms");
+  std::printf("-------+---------------------------------------------------"
+              "+--------------------\n");
 
   obs::bench::BenchReporter reporter("transport");
   reporter.set_threads(1);
@@ -314,10 +316,14 @@ int main(int argc, char** argv) {
                    loss * 100, v.worst_ratio);
       return 1;
     }
-    std::printf("%5.0f%% | %10.1f %8llu %8llu | %12.1f %10.1f\n", loss * 100,
-                v.total_round_ms / static_cast<double>(grid.rounds),
+    std::printf("%5.0f%% | %10.1f %6llu %8llu %6llu %6llu %6llu | %10.1f "
+                "%8.1f\n",
+                loss * 100, v.total_round_ms / static_cast<double>(grid.rounds),
                 static_cast<unsigned long long>(v.retransmits),
-                static_cast<unsigned long long>(v.resends),
+                static_cast<unsigned long long>(v.reliable.resends),
+                static_cast<unsigned long long>(v.reliable.rto_resends),
+                static_cast<unsigned long long>(v.reliable.fast_resends),
+                static_cast<unsigned long long>(v.reliable.tlp_probes),
                 w.handshakes_per_s, w.p99_round_ms);
     const std::string tag = loss_tag(loss);
     // Virtual numbers are --repeat invariant (one deterministic pass);
@@ -326,7 +332,8 @@ int main(int argc, char** argv) {
                     "virtual");
     reporter.metric("virtual.retransmits." + tag,
                     static_cast<double>(v.retransmits), "count", "virtual");
-    reporter.metric("virtual.resends." + tag, static_cast<double>(v.resends),
+    reporter.metric("virtual.resends." + tag,
+                    static_cast<double>(v.reliable.resends),
                     "count", "virtual");
     reporter.metric("wall.handshakes_per_s." + tag, w.handshakes_per_s,
                     "hs/s", "wall", /*lower_is_better=*/false);

@@ -1,5 +1,6 @@
 #include "transport/client.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -45,6 +46,12 @@ void SubjectClient::step(double now_ms) {
   };
   fire(driver_.que1_timer());
   for (std::size_t c = 0; c < driver_.slots(); ++c) fire(c);
+}
+
+double SubjectClient::next_deadline_ms() const {
+  double due = driver_.deadline_after(round_start_ms_);
+  for (const double t : due_ms_) due = std::min(due, t);
+  return due;
 }
 
 ClientReport SubjectClient::finish_round(double now_ms) {

@@ -65,6 +65,9 @@ class SubjectClient {
   void step(double now_ms);
   /// Every channel settled, or the round deadline passed.
   [[nodiscard]] bool round_done() const { return driver_.settled(); }
+  /// Earliest instant step() has timer work: a retry timer or the round
+  /// deadline (socket readiness and transport timers are the caller's).
+  [[nodiscard]] double next_deadline_ms() const;
   ClientReport finish_round(double now_ms);
 
   /// Fire-and-forget control frame to `to` (shutdown, snapshot).

@@ -1,5 +1,7 @@
 #include "transport/endpoint.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace argus::transport {
@@ -85,7 +87,7 @@ std::vector<TransportEndpoint::Inbound> TransportEndpoint::pump(
     }
     ReliableConn& c = *it->second.value;
     const bool was_established = c.established();
-    c.on_packet(*packet, now_ms);
+    recover(c, [&] { c.on_packet(*packet, now_ms); });
     if (!was_established && c.established()) {
       count("conn.established");
       trace_conn(now_ms, "conn.establish", from);
@@ -99,7 +101,7 @@ std::vector<TransportEndpoint::Inbound> TransportEndpoint::pump(
 
   // 2. Timers: retransmits, keep-alives, death clocks.
   for (auto& [peer, e] : conns_) {
-    e.value->tick(now_ms);
+    recover(*e.value, [&] { e.value->tick(now_ms); });
     for (Bytes& frame : e.value->take_delivered()) {
       out.push_back(Inbound{peer, std::move(frame)});
     }
@@ -153,6 +155,14 @@ const ReliableConn* TransportEndpoint::conn(const NetAddr& peer) const {
   return it == conns_.end() ? nullptr : it->second.value.get();
 }
 
+double TransportEndpoint::next_deadline_ms() const {
+  double due = std::numeric_limits<double>::infinity();
+  for (const auto& [peer, e] : conns_) {
+    due = std::min(due, e.value->next_deadline_ms());
+  }
+  return due;
+}
+
 TransportEndpoint::Conns::iterator TransportEndpoint::create(
     const NetAddr& peer, std::uint32_t conn_id, bool initiator,
     double now_ms) {
@@ -175,6 +185,22 @@ void TransportEndpoint::flush(const NetAddr& peer, ReliableConn& c) {
     count("transport.tx.bytes", datagram.size());
     socket_.send_to(peer, datagram);
   }
+}
+
+template <class Step>
+void TransportEndpoint::recover(ReliableConn& c, Step&& step) {
+  if (metrics_ == nullptr) {
+    step();
+    return;
+  }
+  const ReliableConn::Stats before = c.stats();
+  step();
+  const ReliableConn::Stats& after = c.stats();
+  if (after.resends == before.resends) return;
+  count("transport.reliable.rto_resend", after.rto_resends - before.rto_resends);
+  count("transport.reliable.fast_resend",
+        after.fast_resends - before.fast_resends);
+  count("transport.reliable.tlp_probe", after.tlp_probes - before.tlp_probes);
 }
 
 void TransportEndpoint::reap(double now_ms) {

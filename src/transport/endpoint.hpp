@@ -11,7 +11,9 @@
 // tick every connection's timers, flush their outgoing datagrams, and
 // reap the dead (retry-exhausted, keep-alive silence, half-open
 // timeouts) with a traced drop per reap. All `transport.*` / `conn.*`
-// counters and trace events on the real path live here.
+// counters and trace events on the real path live here, including the
+// reliable layer's retransmissions by cause
+// (`transport.reliable.{rto_resend,fast_resend,tlp_probe}`).
 #pragma once
 
 #include <cstdint>
@@ -76,6 +78,9 @@ class TransportEndpoint {
   [[nodiscard]] std::vector<NetAddr> live_peers() const;
   /// Table probe for tests; nullptr when no connection exists.
   [[nodiscard]] const ReliableConn* conn(const NetAddr& peer) const;
+  /// Earliest reliable-layer deadline over every connection (+infinity
+  /// when none): a driver may block on the socket until then.
+  [[nodiscard]] double next_deadline_ms() const;
 
   struct Stats {
     std::uint64_t opened = 0;    // we dialed
@@ -100,6 +105,9 @@ class TransportEndpoint {
   Conns::iterator create(const NetAddr& peer, std::uint32_t conn_id,
                          bool initiator, double now_ms);
   void flush(const NetAddr& peer, ReliableConn& c);
+  /// Run `step` on `c`, exporting the retransmissions it caused by cause.
+  template <class Step>
+  void recover(ReliableConn& c, Step&& step);
   void reap(double now_ms);
   void count(const std::string& name, std::uint64_t delta = 1);
   void trace_conn(double now_ms, const char* event, const NetAddr& peer,

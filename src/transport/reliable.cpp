@@ -1,6 +1,8 @@
 #include "transport/reliable.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <tuple>
 #include <utility>
 
 namespace argus::transport {
@@ -34,8 +36,7 @@ ReliableConn::ReliableConn(std::uint32_t conn_id, bool initiator,
       params_(params),
       state_(initiator ? ConnState::kSynSent : ConnState::kSynReceived),
       born_ms_(now_ms),
-      last_recv_ms_(now_ms),
-      last_send_ms_(now_ms) {
+      last_recv_ms_(now_ms) {
   if (initiator_) {
     emit(Packet{PacketType::kSyn, conn_id_, 0, 0, 0, {}});
     syn_rto_ms_ = params_.rto_initial_ms;
@@ -47,12 +48,8 @@ ReliableConn::ReliableConn(std::uint32_t conn_id, bool initiator,
 SendStatus ReliableConn::send(Bytes frame, double now_ms) {
   if (defunct()) return SendStatus::kClosed;
   if (established() && in_flight_.size() < params_.window) {
-    const std::uint32_t seq = next_seq_++;
     stats_.frames_sent++;
-    send_data(seq, frame, now_ms, nullptr);
-    in_flight_.emplace(seq,
-                       InFlight{std::move(frame), now_ms + params_.rto_initial_ms,
-                                params_.rto_initial_ms, 1});
+    launch(std::move(frame), now_ms);
     return SendStatus::kQueued;
   }
   if (send_queue_.size() >= params_.send_queue_cap) {
@@ -133,15 +130,26 @@ void ReliableConn::tick(double now_ms) {
       return;
   }
 
-  // Retransmit expired in-flight frames with per-frame backoff.
+  // Loss recovery, fastest first: RACK's reordering deadlines, then one
+  // tail-loss probe, then expired retransmit timers with per-frame
+  // backoff.
+  if (now_ms >= rack_timer_ms_) detect_losses(now_ms);
+  if (now_ms >= probe_ms_ && !in_flight_.empty()) {
+    probe_ms_ = kNever;
+    auto& [seq, slot] = *in_flight_.rbegin();
+    retransmit(seq, slot, now_ms);
+    stats_.tlp_probes++;
+  }
   for (auto& [seq, slot] : in_flight_) {
     if (now_ms < slot.next_resend_ms) continue;
     if (slot.attempts > params_.max_resend) {
       die(DeadReason::kRetryExhausted);
       return;
     }
-    send_data(seq, slot.frame, now_ms, &slot);
-    stats_.resends++;
+    slot.rto_ms = std::min(slot.rto_ms * params_.rto_backoff,
+                           params_.rto_max_ms);
+    retransmit(seq, slot, now_ms);
+    stats_.rto_resends++;
   }
 
   // Keep-alive: probe an idle peer, declare it dead past the timeout.
@@ -165,6 +173,34 @@ void ReliableConn::close(double now_ms) {
   state_ = ConnState::kClosed;
   in_flight_.clear();
   send_queue_.clear();
+}
+
+double ReliableConn::rto_ms() const {
+  if (min_rtt_ms_ == kNever) return params_.rto_initial_ms;
+  const double rto = srtt_ms_ + std::max(kClockGranularityMs, 4 * rttvar_ms_);
+  return std::max(kClockGranularityMs, std::min(rto, params_.rto_max_ms));
+}
+
+double ReliableConn::next_deadline_ms() const {
+  switch (state_) {
+    case ConnState::kSynSent:
+      return next_syn_ms_;
+    case ConnState::kSynReceived:
+      return born_ms_ + params_.half_open_timeout_ms;
+    case ConnState::kEstablished:
+      break;
+    case ConnState::kClosed:
+    case ConnState::kDead:
+      return kNever;
+  }
+  double due = std::min({rack_timer_ms_, probe_ms_,
+                         last_recv_ms_ + params_.keepalive_timeout_ms,
+                         std::max(last_recv_ms_, last_ping_ms_) +
+                             params_.keepalive_idle_ms});
+  for (const auto& [seq, slot] : in_flight_) {
+    due = std::min(due, slot.next_resend_ms);
+  }
+  return due;
 }
 
 std::vector<Bytes> ReliableConn::take_outgoing() {
@@ -200,36 +236,118 @@ void ReliableConn::die(DeadReason reason) {
 
 void ReliableConn::fill_window(double now_ms) {
   while (!send_queue_.empty() && in_flight_.size() < params_.window) {
-    const std::uint32_t seq = next_seq_++;
     Bytes frame = std::move(send_queue_.front());
     send_queue_.pop_front();
-    send_data(seq, frame, now_ms, nullptr);
-    in_flight_.emplace(seq,
-                       InFlight{std::move(frame), now_ms + params_.rto_initial_ms,
-                                params_.rto_initial_ms, 1});
+    launch(std::move(frame), now_ms);
   }
 }
 
-void ReliableConn::send_data(std::uint32_t seq, const Bytes& frame,
-                             double now_ms, InFlight* slot) {
+void ReliableConn::launch(Bytes frame, double now_ms) {
+  const std::uint32_t seq = next_seq_++;
+  if (in_flight_.empty()) probe_ms_ = now_ms + probe_timeout_ms();
+  emit_data(seq, frame);
+  const double rto = rto_ms();
+  in_flight_.emplace(seq,
+                     InFlight{std::move(frame), now_ms, now_ms + rto, rto, 1});
+}
+
+void ReliableConn::emit_data(std::uint32_t seq, const Bytes& frame) {
   emit(Packet{PacketType::kData, conn_id_, seq, cum_recv_, sack_bits(), frame});
-  if (slot != nullptr) {
-    slot->attempts++;
-    slot->rto_ms = std::min(slot->rto_ms * params_.rto_backoff,
-                            params_.rto_max_ms);
-    slot->next_resend_ms = now_ms + slot->rto_ms;
-  }
+}
+
+void ReliableConn::retransmit(std::uint32_t seq, InFlight& slot,
+                              double now_ms) {
+  emit_data(seq, slot.frame);
+  slot.attempts++;
+  slot.sent_ms = now_ms;
+  slot.next_resend_ms = now_ms + slot.rto_ms;
+  stats_.resends++;
 }
 
 void ReliableConn::on_ack(std::uint32_t ack, std::uint32_t sack,
                           double now_ms) {
+  // One RTT sample per ack, from the newest-sent frame it newly covers
+  // that was transmitted once (Karn). A cumulative advance across a
+  // retransmitted frame samples nothing cumulatively: frames above the
+  // SACK span that it also covers waited for the repair.
+  const std::size_t unacked = in_flight_.size();
+  double sample_sent_ms = -kNever;
+  const auto covered = [&](auto it, bool may_sample) {
+    const InFlight& slot = it->second;
+    if (may_sample && slot.attempts == 1) {
+      sample_sent_ms = std::max(sample_sent_ms, slot.sent_ms);
+    }
+    on_delivered(it->first, slot, now_ms);
+    return in_flight_.erase(it);
+  };
   // Cumulative: everything at or below `ack` arrived.
-  in_flight_.erase(in_flight_.begin(), in_flight_.upper_bound(ack));
+  const auto cum_end = in_flight_.upper_bound(ack);
+  const bool cum_sample =
+      std::none_of(in_flight_.begin(), cum_end,
+                   [](const auto& e) { return e.second.attempts > 1; });
+  for (auto it = in_flight_.begin(); it != cum_end;) {
+    it = covered(it, cum_sample);
+  }
   // Selective: bit i covers seq ack+1+i.
   for (std::uint32_t i = 0; i < kSackSpan && sack != 0; ++i) {
-    if ((sack >> i) & 1U) in_flight_.erase(ack + 1 + i);
+    if (((sack >> i) & 1U) == 0) continue;
+    if (const auto it = in_flight_.find(ack + 1 + i); it != in_flight_.end()) {
+      covered(it, true);
+    }
+  }
+  if (in_flight_.size() < unacked) {
+    if (sample_sent_ms != -kNever) sample_rtt(now_ms - sample_sent_ms);
+    detect_losses(now_ms);
+    probe_ms_ = in_flight_.empty() ? kNever : now_ms + probe_timeout_ms();
   }
   fill_window(now_ms);
+}
+
+void ReliableConn::on_delivered(std::uint32_t seq, const InFlight& slot,
+                                double now_ms) {
+  const double rtt = now_ms - slot.sent_ms;
+  // An ack faster than any path RTT answers an earlier copy of a
+  // retransmitted frame: it says nothing about the retransmission.
+  if (slot.attempts > 1 && rtt < min_rtt_ms_) return;
+  if (std::tie(slot.sent_ms, seq) > std::tie(rack_sent_ms_, rack_seq_)) {
+    rack_sent_ms_ = slot.sent_ms;
+    rack_seq_ = seq;
+    rack_rtt_ms_ = rtt;
+  }
+}
+
+void ReliableConn::sample_rtt(double rtt_ms) {
+  if (min_rtt_ms_ == kNever) {
+    srtt_ms_ = rtt_ms;
+    rttvar_ms_ = rtt_ms / 2;
+  } else {
+    rttvar_ms_ = 0.75 * rttvar_ms_ + 0.25 * std::abs(srtt_ms_ - rtt_ms);
+    srtt_ms_ = 0.875 * srtt_ms_ + 0.125 * rtt_ms;
+  }
+  min_rtt_ms_ = std::min(min_rtt_ms_, rtt_ms);
+}
+
+void ReliableConn::detect_losses(double now_ms) {
+  rack_timer_ms_ = kNever;
+  const double reorder_window_ms = min_rtt_ms_ / 4;
+  for (auto& [seq, slot] : in_flight_) {
+    // Only frames sent before the newest delivered one can be lost.
+    if (std::tie(slot.sent_ms, seq) >= std::tie(rack_sent_ms_, rack_seq_)) {
+      continue;
+    }
+    const double lost_at = slot.sent_ms + rack_rtt_ms_ + reorder_window_ms;
+    if (now_ms >= lost_at) {
+      retransmit(seq, slot, now_ms);
+      stats_.fast_resends++;
+    } else {
+      rack_timer_ms_ = std::min(rack_timer_ms_, lost_at);
+    }
+  }
+}
+
+double ReliableConn::probe_timeout_ms() const {
+  if (min_rtt_ms_ == kNever) return kNever;  // the RTO covers the start
+  return std::max(2 * srtt_ms_, kClockGranularityMs);
 }
 
 void ReliableConn::on_data(const Packet& p, double now_ms) {

@@ -6,9 +6,14 @@
 //   * every DATA frame carries a 1-based sequence number; the receiver
 //     acks cumulatively (every seq <= ack arrived) plus a 32-bit
 //     selective-ack bitmap for out-of-order arrivals;
-//   * unacked frames sit in a bounded in-flight window and retransmit on
-//     an exponential-backoff timer; a frame that exhausts its retries
-//     declares the peer dead (graceful degradation, never a hang);
+//   * unacked frames sit in a bounded in-flight window. A lost frame is
+//     found in about one round trip: RACK (RFC 8985) marks a frame lost
+//     once a frame sent after it is acked and a reordering window has
+//     passed, and a tail-loss probe resends the newest frame when acks
+//     stop. The per-frame retransmit timer (RFC 6298 RTO from SRTT and
+//     RTTVAR, Karn's rule, exponential backoff) is the fallback; a frame
+//     that exhausts its retries declares the peer dead (graceful
+//     degradation, never a hang);
 //   * sends beyond the window queue up to a cap, past which send()
 //     reports congestion — the caller's SendOutcome::congested;
 //   * keep-alive PINGs probe an idle peer; silence past the timeout
@@ -25,6 +30,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -32,10 +38,14 @@
 
 namespace argus::transport {
 
+/// Clock granularity G of RFC 6298 / RFC 9002 (kGranularity): the
+/// floor of the RTO and of the tail-loss probe delay.
+inline constexpr double kClockGranularityMs = 1.0;
+
 struct ReliableParams {
-  double rto_initial_ms = 120.0;  // first retransmit delay
+  double rto_initial_ms = 120.0;  // SYN and pre-first-RTT-sample RTO
   double rto_backoff = 2.0;       // delay multiplier per attempt
-  double rto_max_ms = 2000.0;     // backoff ceiling
+  double rto_max_ms = 2000.0;     // RTO and backoff ceiling
   unsigned max_resend = 20;       // per frame; exhausted => peer dead
   std::size_t window = 64;        // unacked DATA frames in flight
   std::size_t send_queue_cap = 1024;  // queued beyond the window
@@ -115,10 +125,22 @@ class ReliableConn {
   [[nodiscard]] std::size_t queued() const { return send_queue_.size(); }
   [[nodiscard]] std::size_t recv_buffered() const { return recv_buf_.size(); }
 
+  /// Smoothed RTT; 0 until the first sample.
+  [[nodiscard]] double srtt_ms() const { return srtt_ms_; }
+  /// Retransmit timeout a fresh frame gets: rto_initial_ms until the
+  /// first RTT sample, then SRTT + max(G, 4 RTTVAR) within [G, rto_max_ms].
+  [[nodiscard]] double rto_ms() const;
+  /// Earliest instant tick() has work to do (a retransmit, probe,
+  /// keep-alive or death clock); +infinity when there is none.
+  [[nodiscard]] double next_deadline_ms() const;
+
   struct Stats {
     std::uint64_t frames_sent = 0;       // distinct DATA frames accepted
     std::uint64_t packets_sent = 0;      // datagrams emitted (all types)
-    std::uint64_t resends = 0;           // DATA retransmissions
+    std::uint64_t resends = 0;           // DATA retransmissions, all causes
+    std::uint64_t rto_resends = 0;       //   ... on retransmit-timer expiry
+    std::uint64_t fast_resends = 0;      //   ... RACK-detected losses
+    std::uint64_t tlp_probes = 0;        //   ... tail-loss probes
     std::uint64_t frames_delivered = 0;  // in-order app deliveries
     std::uint64_t dup_rx = 0;            // already-delivered DATA seen again
     std::uint64_t out_of_order_rx = 0;   // buffered above the cumulative ack
@@ -130,11 +152,14 @@ class ReliableConn {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
+
   struct InFlight {
     Bytes frame;
-    double next_resend_ms = 0;
-    double rto_ms = 0;
-    unsigned attempts = 0;
+    double sent_ms = 0;         // last (re)transmission
+    double next_resend_ms = 0;  // retransmit timer
+    double rto_ms = 0;          // this frame's timeout, backed off per expiry
+    unsigned attempts = 0;      // transmissions so far
   };
 
   void emit(Packet p);
@@ -142,9 +167,20 @@ class ReliableConn {
   void establish(double now_ms);
   void die(DeadReason reason);
   void fill_window(double now_ms);
-  void send_data(std::uint32_t seq, const Bytes& frame, double now_ms,
-                 InFlight* slot);
+  /// Give `frame` the next seq and transmit it.
+  void launch(Bytes frame, double now_ms);
+  void emit_data(std::uint32_t seq, const Bytes& frame);
+  /// Retransmit without touching the frame's timeout (the caller backs
+  /// it off on RTO expiry).
+  void retransmit(std::uint32_t seq, InFlight& slot, double now_ms);
   void on_ack(std::uint32_t ack, std::uint32_t sack, double now_ms);
+  /// RACK bookkeeping for one newly acked frame, before it is erased.
+  void on_delivered(std::uint32_t seq, const InFlight& slot, double now_ms);
+  void sample_rtt(double rtt_ms);
+  /// RACK: retransmit every frame sent before the newest delivered one
+  /// whose reordering window has passed; arm rack_timer_ms_ for the rest.
+  void detect_losses(double now_ms);
+  [[nodiscard]] double probe_timeout_ms() const;
   void on_data(const Packet& p, double now_ms);
   [[nodiscard]] std::uint32_t sack_bits() const;
 
@@ -164,10 +200,23 @@ class ReliableConn {
   std::map<std::uint32_t, Bytes> recv_buf_; // out-of-order, above cum_recv_
   std::vector<Bytes> delivered_;
 
+  // --- RTT estimator (RFC 6298) ---
+  double srtt_ms_ = 0;  // 0 until the first sample
+  double rttvar_ms_ = 0;
+  double min_rtt_ms_ = kNever;
+
+  // --- RACK (RFC 8985): the newest-transmitted delivered frame ---
+  double rack_sent_ms_ = -kNever;
+  std::uint32_t rack_seq_ = 0;  // tie-break between equal send times
+  double rack_rtt_ms_ = 0;
+  double rack_timer_ms_ = kNever;  // earliest pending reordering deadline
+
+  // --- tail-loss probe ---
+  double probe_ms_ = kNever;  // armed on ack progress; fires at most once
+
   // --- clocks ---
   double born_ms_;
   double last_recv_ms_;
-  double last_send_ms_;
   double last_ping_ms_ = -1e18;
   double next_syn_ms_ = 0;
   double syn_rto_ms_ = 0;

@@ -3,10 +3,13 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 
 namespace argus::transport {
@@ -71,6 +74,14 @@ bool UdpSocket::recv_from(NetAddr* from, Bytes* data) {
   if (from != nullptr) *from = from_sockaddr(sa);
   if (data != nullptr) data->assign(buf, buf + n);
   return true;
+}
+
+bool UdpSocket::wait_readable(double timeout_ms) const {
+  const int wait =
+      timeout_ms > 0 ? static_cast<int>(std::ceil(std::min(timeout_ms, 1000.0)))
+                     : 0;
+  pollfd pfd{fd_, POLLIN, 0};
+  return ::poll(&pfd, 1, wait) > 0 && (pfd.revents & POLLIN) != 0;
 }
 
 }  // namespace argus::transport

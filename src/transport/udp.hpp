@@ -21,6 +21,11 @@ class UdpSocket final : public DatagramSocket {
   bool recv_from(NetAddr* from, Bytes* data) override;
   [[nodiscard]] NetAddr local_addr() const override { return addr_; }
 
+  /// Block until a datagram is pending or `timeout_ms` passes (rounded
+  /// up to whole ms, capped at one second; <= 0 polls without waiting).
+  /// True when readable. A signal ends the wait early.
+  bool wait_readable(double timeout_ms) const;
+
  private:
   UdpSocket(int fd, NetAddr addr) : fd_(fd), addr_(addr) {}
 

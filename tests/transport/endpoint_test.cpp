@@ -4,9 +4,11 @@
 // PipeHub with hand-stepped clocks.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
+#include "fault/netem.hpp"
 #include "obs/metrics.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/pipe.hpp"
@@ -215,6 +217,52 @@ TEST(Endpoint, OrderlyCloseDrainsBothTables) {
   EXPECT_EQ(t.a.live_conns(), 0u);
   EXPECT_EQ(t.b.live_conns(), 0u);
   EXPECT_GE(t.a.stats().closed + t.b.stats().closed, 2u);
+}
+
+TEST(Endpoint, NextDeadlineTracksTheEarliestTimer) {
+  PipeHub hub;
+  auto sa = hub.open(0);
+  auto sb = hub.open(0);
+  TransportEndpoint a(*sa, EndpointParams{});
+  EXPECT_TRUE(std::isinf(a.next_deadline_ms()));  // no connections
+  a.connect(sb->local_addr(), 0);
+  // Nobody answers the SYN: its retry is the next thing to do.
+  EXPECT_DOUBLE_EQ(a.next_deadline_ms(),
+                   EndpointParams{}.reliable.rto_initial_ms);
+}
+
+TEST(Endpoint, RecoveryCountersExportedByCause) {
+  PipeHub hub;
+  auto sa = hub.open(0);
+  auto sb = hub.open(0);
+  fault::NetemParams loss;
+  loss.drop_prob = 0.3;
+  loss.seed = 5;
+  fault::NetemSocket lossy(*sa, loss);
+  obs::MetricsRegistry metrics;
+  TransportEndpoint a(lossy, EndpointParams{}, &metrics);
+  TransportEndpoint b(*sb, EndpointParams{});
+  double now = 0;
+  for (std::uint8_t i = 0; i < 40; ++i) {
+    ASSERT_EQ(a.send(sb->local_addr(), Bytes{i}, now), SendStatus::kQueued);
+  }
+  std::size_t delivered = 0;
+  while (delivered < 40 && now < 60000) {
+    now += 5;
+    a.pump(now);
+    delivered += b.pump(now).size();
+  }
+  ASSERT_EQ(delivered, 40u);
+  const ReliableConn::Stats& s = a.conn(sb->local_addr())->stats();
+  EXPECT_GT(s.resends, 0u);
+  EXPECT_EQ(s.resends, s.rto_resends + s.fast_resends + s.tlp_probes);
+  const auto exported = [&](const char* name) {
+    const obs::Counter* c = metrics.find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  EXPECT_EQ(exported("transport.reliable.rto_resend"), s.rto_resends);
+  EXPECT_EQ(exported("transport.reliable.fast_resend"), s.fast_resends);
+  EXPECT_EQ(exported("transport.reliable.tlp_probe"), s.tlp_probes);
 }
 
 }  // namespace

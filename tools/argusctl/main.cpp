@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <unistd.h>
 
@@ -148,11 +147,18 @@ int main(int argc, char** argv) {
   double last_round_ms = 0;
   std::uint64_t que1_retx = 0, que2_retx = 0, rejects = 0;
   bool all_complete = true;
+  // Sleep on the socket until a datagram arrives or the earliest
+  // reliable-layer deadline, capped by `until_ms`.
+  const auto sleep_until_due = [&](double until_ms) {
+    socket->wait_readable(std::min(endpoint.next_deadline_ms(), until_ms) -
+                          wall_now());
+  };
   for (std::size_t r = 0; r < opt.rounds; ++r) {
     client.begin_round(r, wall_now());
-    while (!client.round_done()) {
+    while (true) {
       client.step(wall_now());
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (client.round_done()) break;
+      sleep_until_due(client.next_deadline_ms());
     }
     const transport::ClientReport report = client.finish_round(wall_now());
     resolved += report.resolved;
@@ -205,7 +211,7 @@ int main(int argc, char** argv) {
           (conn->in_flight() == 0 && conn->queued() == 0)) {
         break;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      sleep_until_due(until);
     }
   }
 

@@ -12,13 +12,14 @@
 // then drains until every connection is reaped and prints one JSON stats
 // line. With --snapshot-dir the engine fleet restores on start and
 // persists (atomically) on interval/shutdown.
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
-#include <thread>
 #include <unistd.h>
 
 #include "fault/netem.hpp"
@@ -168,14 +169,26 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(opt.seed), port, restored);
   }
 
+  // Sleep on the socket until a datagram arrives or a timer is due: the
+  // reliable layer's next deadline, capped by `until` (a signal also
+  // ends the wait).
+  const auto sleep_until_due = [&](double now_ms, double until_ms) {
+    double due = std::min(endpoint.next_deadline_ms(), until_ms);
+    if (opt.snapshot_interval_ms > 0) {
+      due = std::min(due, now_ms + opt.snapshot_interval_ms);
+    }
+    socket->wait_readable(due - now_ms);
+  };
   const double start = transport::steady_now_ms();
+  const double run_until =
+      opt.run_ms > 0 ? opt.run_ms : std::numeric_limits<double>::infinity();
   double now = 0;
   while (!g_stop.load()) {
     now = transport::steady_now_ms() - start;
     host.pump(now);
     if (host.shutdown_requested()) break;
-    if (opt.run_ms > 0 && now >= opt.run_ms) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (now >= run_until) break;
+    sleep_until_due(now, run_until);
   }
 
   // Drain: let keep-alive/half-open reaping retire every connection so a
@@ -187,7 +200,7 @@ int main(int argc, char** argv) {
     now = transport::steady_now_ms() - start;
     if (now >= drain_deadline) break;
     host.pump(now);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    sleep_until_due(now, drain_deadline);
   }
   if (!opt.snapshot_dir.empty()) host.write_snapshot();
 
