@@ -12,20 +12,9 @@ namespace argus::core {
 
 namespace {
 
-const char* wire_type_name(ByteSpan wire) {
-  if (wire.empty()) return "?";
-  switch (static_cast<MsgType>(wire[0])) {
-    case MsgType::kQue1: return "QUE1";
-    case MsgType::kRes1Level1: return "RES1-L1";
-    case MsgType::kRes1: return "RES1";
-    case MsgType::kQue2: return "QUE2";
-    case MsgType::kRes2: return "RES2";
-  }
-  return "?";
-}
-
-bool is_msg(ByteSpan wire, MsgType t) {
-  return !wire.empty() && static_cast<MsgType>(wire[0]) == t;
+/// The type byte of a wire message; 0, which names no type, when empty.
+MsgType wire_type(ByteSpan wire) {
+  return wire.empty() ? MsgType{} : static_cast<MsgType>(wire[0]);
 }
 
 // Per-run observability context. `metrics` always points at the run-local
@@ -77,8 +66,8 @@ class ObjectNode final : public net::SimNode {
         engine_->inner().stats().fellows_confirmed;
     if (tr) {
       tr->begin(net_->now(), node_id(),
-                std::string("handle.") + wire_type_name(payload), "phase",
-                payload.size());
+                std::string("handle.") + msg_type_name(wire_type(payload)),
+                "phase", payload.size());
     }
     engine_->inner().advance_clock(net_->now());
     auto reply = engine_->handle(payload, shared_->epoch, from);
@@ -108,12 +97,12 @@ class ObjectNode final : public net::SimNode {
       reply.reply.reset();
     }
     if (reply) {
-      if (is_msg(*reply, MsgType::kRes2)) {
+      if (wire_type(*reply) == MsgType::kRes2) {
         reply_level =
             engine_->inner().stats().fellows_confirmed > fellows_before ? 3
                                                                         : 2;
       }
-      const char* type = wire_type_name(*reply);
+      const char* type = msg_type_name(wire_type(*reply));
       const std::size_t size = reply->size();
       if (tr) {
         tr->instant(net_->now(), node_id(), std::string("tx.") + type, "net",
@@ -171,8 +160,8 @@ class SubjectNode final : public net::SimNode {
     obs::Tracer* const tr = shared_->tracer;
     if (tr) {
       tr->begin(net_->now(), node_id(),
-                std::string("handle.") + wire_type_name(payload), "phase",
-                payload.size());
+                std::string("handle.") + msg_type_name(wire_type(payload)),
+                "phase", payload.size());
     }
     SubjectEngine& engine = driver_.engine();
     const std::size_t before = engine.discovered().size();
@@ -212,7 +201,7 @@ class SubjectNode final : public net::SimNode {
         case RoundDriver::Effect::Kind::kBroadcast:
         case RoundDriver::Effect::Kind::kSend: {
           const bool bcast = e.kind == RoundDriver::Effect::Kind::kBroadcast;
-          const char* type = wire_type_name(e.wire);
+          const char* type = msg_type_name(wire_type(e.wire));
           if (tr) {
             tr->instant(net_->now(), node_id(), std::string("tx.") + type,
                         "net", e.wire.size(), bcast ? group_idx_ : 0);
@@ -560,7 +549,8 @@ struct DiscoveryTestbed::Impl {
     persist::BundleEntries entries;
     entries.emplace_back("subject", subject->engine().snapshot());
     for (std::size_t i = 0; i < objects.size(); ++i) {
-      entries.emplace_back("object:" + scenario.objects[i].creds.id,
+      const std::string& id = scenario.objects[i].creds.id;
+      entries.emplace_back(persist::object_section(id),
                            objects[i]->engine().snapshot());
     }
     return persist::seal_bundle(entries);
@@ -735,14 +725,6 @@ DiscoveryTestbed::FleetGauges DiscoveryTestbed::gauges() const {
   return g;
 }
 
-std::uint64_t DiscoveryTestbed::fleet_evictions() const {
-  std::uint64_t total = 0;
-  for (const auto& obj : impl_->objects) {
-    total += obj->engine().stats().evictions;
-  }
-  return total;
-}
-
 Bytes DiscoveryTestbed::snapshot_object(std::size_t index) const {
   return impl_->objects.at(index)->engine().snapshot();
 }
@@ -758,14 +740,6 @@ Bytes DiscoveryTestbed::snapshot_subject() const {
 
 persist::RestoreError DiscoveryTestbed::restore_subject(ByteSpan sealed) {
   return impl_->subject->engine().restore(sealed);
-}
-
-Bytes DiscoveryTestbed::object_state_digest(std::size_t index) const {
-  return impl_->objects.at(index)->engine().state_digest();
-}
-
-Bytes DiscoveryTestbed::subject_state_digest() const {
-  return impl_->subject->engine().state_digest();
 }
 
 Bytes DiscoveryTestbed::fleet_bundle() const { return impl_->fleet_bundle(); }

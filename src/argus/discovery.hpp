@@ -275,17 +275,11 @@ class DiscoveryTestbed {
   };
   [[nodiscard]] FleetGauges gauges() const;
 
-  /// Admission evictions observed so far (sum of the fleet's
-  /// object.admission.peer_evicted behaviour via engine stats).
-  [[nodiscard]] std::uint64_t fleet_evictions() const;
-
   // --- persistence probes -------------------------------------------------
   [[nodiscard]] Bytes snapshot_object(std::size_t index) const;
   persist::RestoreError restore_object(std::size_t index, ByteSpan sealed);
   [[nodiscard]] Bytes snapshot_subject() const;
   persist::RestoreError restore_subject(ByteSpan sealed);
-  [[nodiscard]] Bytes object_state_digest(std::size_t index) const;
-  [[nodiscard]] Bytes subject_state_digest() const;
   /// All engines as a named sealed bundle ("subject", "object:<id>").
   [[nodiscard]] Bytes fleet_bundle() const;
 

@@ -1,282 +1,102 @@
 // Snapshot/restore for both protocol engines.
 //
-// The payload serializers cover *every* field that influences future
+// Each engine's walk covers *every* field that influences future
 // behaviour — open sessions (with their mid-stream transcript hashes),
 // reply caches, the replay window, admission buckets, the revocation
 // set, the DRBG working state, clocks, LRU stamps, and stats — so a
 // restored engine with resumption disabled continues byte-for-byte where
-// the snapshot was taken.
-//
-// Restore is blank-or-exact: the engine is reset to its post-construction
-// state first, the payload is parsed entirely into temporaries, identity
-// (entity id, strength, protocol version, seed) is checked against the
-// live config, and only then is everything committed with non-throwing
-// moves. Any failure on the way leaves the blank state.
+// the snapshot was taken. The one walk both writes and parses the format
+// (persist/codec.hpp); persist::Envelope makes the restore blank-or-exact.
 //
 // Security invariant (both engines): cached premaster secrets are parsed
 // but never committed, and the object's resumption epoch is bumped past
 // the snapshot's — a reboot must force fresh key agreement, so a stolen
 // or stale snapshot cannot revive old resumption material.
 
-#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "argus/object_engine.hpp"
 #include "argus/subject_engine.hpp"
-#include "common/serde.hpp"
 #include "persist/codec.hpp"
 
 namespace argus::core {
 
-namespace {
-
-using persist::get_f64;
-using persist::put_f64;
-
-void check_identity(const std::string& got_id, const std::string& want_id,
-                    std::uint8_t got_strength, crypto::Strength want_strength,
-                    std::uint8_t got_version, ProtocolVersion want_version,
-                    std::uint64_t got_seed, std::uint64_t want_seed) {
-  if (got_id != want_id ||
-      got_strength != static_cast<std::uint8_t>(want_strength) ||
-      got_version != static_cast<std::uint8_t>(want_version) ||
-      got_seed != want_seed) {
-    throw persist::IdentityMismatchError("engine snapshot identity mismatch");
-  }
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // ObjectEngine
 
-void ObjectEngine::save_state(ByteWriter& w) const {
-  w.str(cfg_.creds.id);
-  w.u8(static_cast<std::uint8_t>(cfg_.strength));
-  w.u8(static_cast<std::uint8_t>(cfg_.version));
-  w.u64(cfg_.seed);
+template <class Self, class Io>
+void ObjectEngine::walk(Self& self, Io& io) {
+  io.identity(self.cfg_.creds.id, self.cfg_.strength, self.cfg_.version,
+              self.cfg_.seed);
 
-  w.u64(epoch_);
-  put_f64(w, epoch_born_ms_);
-  put_f64(w, now_ms_);
-  w.u64(lru_seq_);
-  put_f64(w, consumed_ms_);
-  w.u64(last_revocation_seq_);
-
-  w.u64(stats_.que1_handled);
-  w.u64(stats_.que2_handled);
-  w.u64(stats_.replies_sent);
-  w.u64(stats_.drops);
-  w.u64(stats_.rejects);
-  w.u64(stats_.replays_detected);
-  w.u64(stats_.retransmissions);
-  w.u64(stats_.fellows_confirmed);
-  w.u64(stats_.evictions);
-  w.u64(stats_.shed_overload);
-  w.u64(stats_.rate_limited);
-  w.u64(stats_.resumption_hits);
-  w.u64(stats_.resumption_misses);
-  w.u64(stats_.resumption_dropped);
-  w.u64(stats_.batch_verified_sigs);
-  w.u64(stats_.batch_fallback_sigs);
-
-  put_f64(w, global_bucket_.tokens);
-  put_f64(w, global_bucket_.last_ms);
-  w.u64(0);  // the global bucket's stamp: it is never evicted
-
-  w.u32(static_cast<std::uint32_t>(sessions_.size()));
-  for (const auto& [r_s, entry] : sessions_) {
-    const Session& sess = entry.value;
-    w.bytes16(sess.r_s);
-    w.bytes16(sess.r_o);
-    persist::put_keypair(w, group_, sess.eph);
-    w.u64(sess.eph_epoch);
-    persist::put_sha256(w, sess.transcript.export_state());
-    w.bytes32(sess.res1_wire);
-    put_f64(w, sess.born_ms);
-    w.u64(entry.stamp);
-  }
-
-  w.u32(static_cast<std::uint32_t>(res2_cache_.size()));
-  for (const auto& [r_s, entry] : res2_cache_) {
-    w.bytes16(r_s);
-    w.bytes32(entry.value.wire);
-    put_f64(w, entry.value.born_ms);
-    w.u64(entry.stamp);
-  }
-
-  // Serialized for completeness (a snapshot is a full state capture);
-  // restore drops every entry — see the security invariant above.
-  w.u32(static_cast<std::uint32_t>(resume_cache_.size()));
-  for (const auto& [cert_hash, entry] : resume_cache_) {
-    w.bytes16(cert_hash);
-    w.bytes16(entry.value.peer_kexm);
-    w.bytes16(entry.value.pre_k);
-    w.u64(entry.value.epoch);
-    put_f64(w, entry.value.born_ms);
-    w.u64(entry.stamp);
-  }
-
-  w.u32(static_cast<std::uint32_t>(seen_rs_.size()));
-  for (const auto& [r_s, entry] : seen_rs_) {
-    w.bytes16(r_s);
-    w.u64(entry.stamp);
-  }
-
-  w.u32(static_cast<std::uint32_t>(peer_buckets_.size()));
-  for (const auto& [peer, entry] : peer_buckets_) {
-    w.u64(peer);
-    put_f64(w, entry.value.tokens);
-    put_f64(w, entry.value.last_ms);
-    w.u64(entry.stamp);
-  }
-
-  w.u32(static_cast<std::uint32_t>(revoked_.size()));
-  for (const std::string& id : revoked_) w.str(id);
-
-  persist::put_drbg(w, rng_);
-}
-
-void ObjectEngine::load_state(ByteReader& r) {
-  const std::string id = r.str();
-  const std::uint8_t strength = r.u8();
-  const std::uint8_t version = r.u8();
-  const std::uint64_t seed = r.u64();
-  check_identity(id, cfg_.creds.id, strength, cfg_.strength, version,
-                 cfg_.version, seed, cfg_.seed);
-
-  const std::uint64_t epoch = r.u64();
-  const double epoch_born_ms = get_f64(r);
-  const double now_ms = get_f64(r);
-  const std::uint64_t lru_seq = r.u64();
-  const double consumed_ms = get_f64(r);
-  const std::uint64_t last_revocation_seq = r.u64();
-  // Every table stamp came from lru_seq, so it is below the restored
-  // counter, and every stamp the engine draws next lands past it. The
-  // tables' eviction order relies on that.
-  const auto stamp_below_seq = [&](std::uint64_t stamp) {
-    if (stamp >= lru_seq) {
-      throw std::invalid_argument("ObjectEngine: stamp from the future");
-    }
-    return stamp;
-  };
-
-  Stats stats;
-  stats.que1_handled = r.u64();
-  stats.que2_handled = r.u64();
-  stats.replies_sent = r.u64();
-  stats.drops = r.u64();
-  stats.rejects = r.u64();
-  stats.replays_detected = r.u64();
-  stats.retransmissions = r.u64();
-  stats.fellows_confirmed = r.u64();
-  stats.evictions = r.u64();
-  stats.shed_overload = r.u64();
-  stats.rate_limited = r.u64();
-  stats.resumption_hits = r.u64();
-  stats.resumption_misses = r.u64();
-  stats.resumption_dropped = r.u64();
-  stats.batch_verified_sigs = r.u64();
-  stats.batch_fallback_sigs = r.u64();
-
-  TokenBucket global_bucket;
-  global_bucket.tokens = get_f64(r);
-  global_bucket.last_ms = get_f64(r);
-  (void)r.u64();  // the global bucket's stamp
-
-  decltype(sessions_)::Index sessions;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    Session sess;
-    sess.r_s = r.bytes16();
-    sess.r_o = r.bytes16();
-    sess.eph = persist::get_keypair(r, group_);
-    sess.eph_epoch = r.u64();
-    sess.transcript.import_state(persist::get_sha256(r));
-    sess.res1_wire = r.bytes32();
-    sess.born_ms = get_f64(r);
-    const std::uint64_t stamp = stamp_below_seq(r.u64());
-    Bytes key = sess.r_s;
-    sessions.emplace(std::move(key), decltype(sessions_)::Entry{
-                                         std::move(sess), stamp});
-  }
-
-  decltype(res2_cache_)::Index res2_cache;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    Bytes key = r.bytes16();
-    CachedRes2 cached;
-    cached.wire = r.bytes32();
-    cached.born_ms = get_f64(r);
-    const std::uint64_t stamp = stamp_below_seq(r.u64());
-    res2_cache.emplace(std::move(key), decltype(res2_cache_)::Entry{
-                                           std::move(cached), stamp});
-  }
-
-  // Parsed for envelope integrity, never committed: premaster caches die
-  // with the snapshot.
-  std::uint64_t resume_dropped = 0;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    (void)r.bytes16();  // cert hash
-    (void)r.bytes16();  // peer kexm
-    (void)r.bytes16();  // premaster
-    (void)r.u64();      // epoch
-    (void)get_f64(r);   // born_ms
-    (void)r.u64();      // stamp
-    ++resume_dropped;
-  }
-
-  // Replay stamps are drawn once per insert, so they are also distinct.
-  decltype(seen_rs_)::Index seen_rs;
-  std::vector<std::uint64_t> stamps;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    Bytes key = r.bytes16();
-    const std::uint64_t stamp = stamp_below_seq(r.u64());
-    stamps.push_back(stamp);
-    seen_rs.emplace(std::move(key), decltype(seen_rs_)::Entry{{}, stamp});
-  }
-  std::sort(stamps.begin(), stamps.end());
-  if (std::adjacent_find(stamps.begin(), stamps.end()) != stamps.end()) {
-    throw std::invalid_argument("ObjectEngine: repeated replay stamp");
-  }
-
-  decltype(peer_buckets_)::Index peer_buckets;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    const std::uint64_t peer = r.u64();
-    TokenBucket bucket;
-    bucket.tokens = get_f64(r);
-    bucket.last_ms = get_f64(r);
-    const std::uint64_t stamp = stamp_below_seq(r.u64());
-    peer_buckets.emplace(peer, decltype(peer_buckets_)::Entry{bucket, stamp});
-  }
-
-  std::set<std::string> revoked;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) revoked.insert(r.str());
-
-  crypto::HmacDrbg::State rng_state;
-  rng_state.k = r.bytes16();
-  rng_state.v = r.bytes16();
-  r.expect_done();
-
-  // Everything parsed and validated; commit wholesale (non-throwing).
-  // rng_.import_state validates sizes, so run it before the moves.
-  rng_.import_state(rng_state);
+  io.u64(self.epoch_);
   // Epoch rotation: one past the snapshot's, semi-static key retired.
-  epoch_ = epoch + 1;
-  epoch_eph_valid_ = false;
-  epoch_born_ms_ = epoch_born_ms;
-  now_ms_ = now_ms;
-  lru_seq_ = lru_seq;
-  consumed_ms_ = consumed_ms;
-  last_revocation_seq_ = last_revocation_seq;
-  stats_ = stats;
-  stats_.resumption_dropped += resume_dropped;
-  global_bucket_ = global_bucket;
-  sessions_.assign(std::move(sessions));
-  res2_cache_.assign(std::move(res2_cache));
-  resume_cache_.clear();
-  seen_rs_.assign(std::move(seen_rs));
-  peer_buckets_.assign(std::move(peer_buckets));
-  revoked_ = std::move(revoked);
+  if constexpr (Io::kLoading) ++self.epoch_;
+  io.f64(self.epoch_born_ms_);
+  io.f64(self.now_ms_);
+  io.u64(self.lru_seq_);
+  io.f64(self.consumed_ms_);
+  io.u64(self.last_revocation_seq_);
+
+  auto& st = self.stats_;
+  io.u64(st.que1_handled);
+  io.u64(st.que2_handled);
+  io.u64(st.replies_sent);
+  io.u64(st.drops);
+  io.u64(st.rejects);
+  io.u64(st.replays_detected);
+  io.u64(st.retransmissions);
+  io.u64(st.fellows_confirmed);
+  io.u64(st.evictions);
+  io.u64(st.shed_overload);
+  io.u64(st.rate_limited);
+  io.u64(st.resumption_hits);
+  io.u64(st.resumption_misses);
+  io.u64(st.resumption_dropped);
+  io.u64(st.batch_verified_sigs);
+  io.u64(st.batch_fallback_sigs);
+
+  io.f64(self.global_bucket_.tokens);
+  io.f64(self.global_bucket_.last_ms);
+  std::uint64_t global_stamp = 0;  // the global bucket is never evicted
+  io.u64(global_stamp);
+
+  io.table(self.sessions_, self.lru_seq_, [&](auto& r_s, auto& sess) {
+    io.bytes16(sess.r_s);  // the table key
+    if constexpr (Io::kLoading) r_s = sess.r_s;
+    io.bytes16(sess.r_o);
+    io.keypair(self.group_, sess.eph);
+    io.u64(sess.eph_epoch);
+    io.sha256(sess.transcript);
+    io.bytes32(sess.res1_wire);
+    io.f64(sess.born_ms);
+  });
+  io.table(self.res2_cache_, self.lru_seq_, [&](auto& r_s, auto& cached) {
+    io.bytes16(r_s);
+    io.bytes32(cached.wire);
+    io.f64(cached.born_ms);
+  });
+  io.dropped(self.resume_cache_, st.resumption_dropped,
+             [&](auto& cert_hash, auto& e) {
+               io.bytes16(cert_hash);
+               io.bytes16(e.peer_kexm);
+               io.bytes16(e.pre_k);
+               io.u64(e.epoch);
+               io.f64(e.born_ms);
+             });
+  // Replay stamps are drawn once per insert, so they are also distinct.
+  io.table(self.seen_rs_, self.lru_seq_,
+           [&](auto& r_s, auto&) { io.bytes16(r_s); },
+           persist::Stamps::kDistinct);
+  io.table(self.peer_buckets_, self.lru_seq_, [&](auto& peer, auto& bucket) {
+    io.u64(peer);
+    io.f64(bucket.tokens);
+    io.f64(bucket.last_ms);
+  });
+  io.seq(self.revoked_, [&](auto& id) { io.str(id); });
+  io.drbg(self.rng_);
 }
 
 void ObjectEngine::reset_to_blank() {
@@ -301,195 +121,91 @@ void ObjectEngine::reset_to_blank() {
   rng_ = crypto::make_rng(cfg_.seed, "object:" + cfg_.creds.id);
 }
 
-Bytes ObjectEngine::snapshot() const {
-  ByteWriter w;
-  save_state(w);
-  return persist::seal_snapshot(persist::SnapshotKind::kObjectEngine,
-                                w.data());
-}
+Bytes ObjectEngine::snapshot() const { return persist::Envelope::seal(*this); }
 
 Bytes ObjectEngine::state_digest() const {
-  ByteWriter w;
-  save_state(w);
-  return crypto::Sha256::hash(w.data());
+  return persist::Envelope::digest(*this);
 }
 
 persist::RestoreError ObjectEngine::restore(ByteSpan sealed) {
-  reset_to_blank();
-  const persist::OpenResult open =
-      persist::open_snapshot(sealed, persist::SnapshotKind::kObjectEngine);
-  if (!open) return open.error;
-  try {
-    ByteReader r(open.payload);
-    load_state(r);
-  } catch (const persist::IdentityMismatchError&) {
-    reset_to_blank();
-    return persist::RestoreError::kIdentityMismatch;
-  } catch (const std::exception&) {
-    reset_to_blank();
-    return persist::RestoreError::kBadPayload;
-  }
-  return persist::RestoreError::kOk;
+  return persist::Envelope::restore(*this, sealed);
 }
 
 // ---------------------------------------------------------------------------
 // SubjectEngine
 
-void SubjectEngine::save_state(ByteWriter& w) const {
-  w.str(cfg_.creds.id);
-  w.u8(static_cast<std::uint8_t>(cfg_.strength));
-  w.u8(static_cast<std::uint8_t>(cfg_.version));
-  w.u64(cfg_.seed);
+namespace {
 
-  w.bytes16(r_s_);
-  w.bytes32(que1_wire_);
-  w.u64(group_idx_);
-  w.u64(lru_seq_);
-  put_f64(w, consumed_ms_);
-
-  w.u64(stats_.rounds);
-  w.u64(stats_.res1_l1);
-  w.u64(stats_.res1);
-  w.u64(stats_.res2);
-  w.u64(stats_.drops);
-  w.u64(stats_.rejects);
-  w.u64(stats_.retransmissions);
-  w.u64(stats_.resumption_hits);
-  w.u64(stats_.resumption_misses);
-  w.u64(stats_.resumption_dropped);
-
-  w.u32(static_cast<std::uint32_t>(sessions_.size()));
-  for (const auto& [r_o, sess] : sessions_) {
-    w.bytes16(r_o);
-    w.str(sess.object_id);
-    w.bytes16(sess.k2);
-    w.bytes16(sess.k3);
-    persist::put_sha256(w, sess.transcript.export_state());
-    w.bytes32(sess.que2_wire);
+/// Discovered attributes travel as name/value pairs; on load a repeated
+/// name keeps its last value.
+template <class Io, class Attrs>
+void walk_attribute_pairs(Io& io, Attrs& attrs) {
+  std::vector<std::pair<std::string, std::string>> pairs(
+      attrs.items().begin(), attrs.items().end());
+  io.seq(pairs, [&](auto& kv) {
+    io.str(kv.first);
+    io.str(kv.second);
+  });
+  if constexpr (Io::kLoading) {
+    for (const auto& [name, value] : pairs) attrs.set(name, value);
   }
-
-  // Serialized for completeness; restore drops every entry (security
-  // invariant: premasters never survive a reboot).
-  w.u32(static_cast<std::uint32_t>(resume_cache_.size()));
-  for (const auto& [cert_hash, entry] : resume_cache_) {
-    w.bytes16(cert_hash);
-    w.bytes16(entry.value.object_kexm);
-    persist::put_keypair(w, group_, entry.value.eph);
-    w.bytes16(entry.value.pre_k);
-    w.u64(entry.value.born_now);
-    w.u64(entry.stamp);
-  }
-
-  w.u32(static_cast<std::uint32_t>(completed_.size()));
-  for (const Bytes& r_o : completed_) w.bytes16(r_o);
-
-  w.u32(static_cast<std::uint32_t>(discovered_.size()));
-  for (const DiscoveredService& svc : discovered_) {
-    w.str(svc.object_id);
-    w.u32(static_cast<std::uint32_t>(svc.level));
-    w.str(svc.variant_tag);
-    w.u32(static_cast<std::uint32_t>(svc.services.size()));
-    for (const std::string& s : svc.services) w.str(s);
-    w.u32(static_cast<std::uint32_t>(svc.attributes.size()));
-    for (const auto& [k, v] : svc.attributes.items()) {
-      w.str(k);
-      w.str(v);
-    }
-  }
-
-  persist::put_drbg(w, rng_);
 }
 
-void SubjectEngine::load_state(ByteReader& r) {
-  const std::string id = r.str();
-  const std::uint8_t strength = r.u8();
-  const std::uint8_t version = r.u8();
-  const std::uint64_t seed = r.u64();
-  check_identity(id, cfg_.creds.id, strength, cfg_.strength, version,
-                 cfg_.version, seed, cfg_.seed);
+}  // namespace
 
-  Bytes r_s = r.bytes16();
-  Bytes que1_wire = r.bytes32();
-  const std::uint64_t group_idx = r.u64();
-  if (group_idx >= cfg_.creds.group_keys.size()) {
-    throw persist::IdentityMismatchError("group index beyond credentials");
-  }
-  const std::uint64_t lru_seq = r.u64();
-  const double consumed_ms = get_f64(r);
+template <class Self, class Io>
+void SubjectEngine::walk(Self& self, Io& io) {
+  io.identity(self.cfg_.creds.id, self.cfg_.strength, self.cfg_.version,
+              self.cfg_.seed);
 
-  Stats stats;
-  stats.rounds = r.u64();
-  stats.res1_l1 = r.u64();
-  stats.res1 = r.u64();
-  stats.res2 = r.u64();
-  stats.drops = r.u64();
-  stats.rejects = r.u64();
-  stats.retransmissions = r.u64();
-  stats.resumption_hits = r.u64();
-  stats.resumption_misses = r.u64();
-  stats.resumption_dropped = r.u64();
-
-  std::map<Bytes, Session> sessions;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    Bytes key = r.bytes16();
-    Session sess;
-    sess.object_id = r.str();
-    sess.k2 = r.bytes16();
-    sess.k3 = r.bytes16();
-    sess.transcript.import_state(persist::get_sha256(r));
-    sess.que2_wire = r.bytes32();
-    sessions.emplace(std::move(key), std::move(sess));
-  }
-
-  std::uint64_t resume_dropped = 0;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    (void)r.bytes16();                   // cert hash
-    (void)r.bytes16();                   // object kexm
-    (void)persist::get_keypair(r, group_);  // cached ephemeral
-    (void)r.bytes16();                   // premaster
-    (void)r.u64();                       // born_now
-    (void)r.u64();                       // stamp
-    ++resume_dropped;
-  }
-
-  std::set<Bytes> completed;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    completed.insert(r.bytes16());
-  }
-
-  std::vector<DiscoveredService> discovered;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    DiscoveredService svc;
-    svc.object_id = r.str();
-    svc.level = static_cast<int>(r.u32());
-    svc.variant_tag = r.str();
-    for (std::uint32_t j = 0, m = r.u32(); j < m; ++j) {
-      svc.services.push_back(r.str());
+  io.bytes16(self.r_s_);
+  io.bytes32(self.que1_wire_);
+  io.u64(self.group_idx_);
+  if constexpr (Io::kLoading) {
+    if (self.group_idx_ >= self.cfg_.creds.group_keys.size()) {
+      throw persist::IdentityMismatchError("group index beyond credentials");
     }
-    for (std::uint32_t j = 0, m = r.u32(); j < m; ++j) {
-      std::string k = r.str();
-      svc.attributes.set(k, r.str());
-    }
-    discovered.push_back(std::move(svc));
   }
+  io.u64(self.lru_seq_);
+  io.f64(self.consumed_ms_);
 
-  crypto::HmacDrbg::State rng_state;
-  rng_state.k = r.bytes16();
-  rng_state.v = r.bytes16();
-  r.expect_done();
+  auto& st = self.stats_;
+  io.u64(st.rounds);
+  io.u64(st.res1_l1);
+  io.u64(st.res1);
+  io.u64(st.res2);
+  io.u64(st.drops);
+  io.u64(st.rejects);
+  io.u64(st.retransmissions);
+  io.u64(st.resumption_hits);
+  io.u64(st.resumption_misses);
+  io.u64(st.resumption_dropped);
 
-  rng_.import_state(rng_state);
-  r_s_ = std::move(r_s);
-  que1_wire_ = std::move(que1_wire);
-  group_idx_ = static_cast<std::size_t>(group_idx);
-  lru_seq_ = lru_seq;
-  consumed_ms_ = consumed_ms;
-  stats_ = stats;
-  stats_.resumption_dropped += resume_dropped;
-  sessions_ = std::move(sessions);
-  resume_cache_.clear();
-  completed_ = std::move(completed);
-  discovered_ = std::move(discovered);
+  io.map(self.sessions_, [&](auto& r_o, auto& sess) {
+    io.bytes16(r_o);
+    io.str(sess.object_id);
+    io.bytes16(sess.k2);
+    io.bytes16(sess.k3);
+    io.sha256(sess.transcript);
+    io.bytes32(sess.que2_wire);
+  });
+  io.dropped(self.resume_cache_, st.resumption_dropped,
+             [&](auto& cert_hash, auto& e) {
+               io.bytes16(cert_hash);
+               io.bytes16(e.object_kexm);
+               io.keypair(self.group_, e.eph);
+               io.bytes16(e.pre_k);
+               io.u64(e.born_now);
+             });
+  io.seq(self.completed_, [&](auto& r_o) { io.bytes16(r_o); });
+  io.seq(self.discovered_, [&](auto& svc) {
+    io.str(svc.object_id);
+    io.u32(svc.level);
+    io.str(svc.variant_tag);
+    io.seq(svc.services, [&](auto& s) { io.str(s); });
+    walk_attribute_pairs(io, svc.attributes);
+  });
+  io.drbg(self.rng_);
 }
 
 void SubjectEngine::reset_to_blank() {
@@ -508,34 +224,15 @@ void SubjectEngine::reset_to_blank() {
 }
 
 Bytes SubjectEngine::snapshot() const {
-  ByteWriter w;
-  save_state(w);
-  return persist::seal_snapshot(persist::SnapshotKind::kSubjectEngine,
-                                w.data());
+  return persist::Envelope::seal(*this);
 }
 
 Bytes SubjectEngine::state_digest() const {
-  ByteWriter w;
-  save_state(w);
-  return crypto::Sha256::hash(w.data());
+  return persist::Envelope::digest(*this);
 }
 
 persist::RestoreError SubjectEngine::restore(ByteSpan sealed) {
-  reset_to_blank();
-  const persist::OpenResult open =
-      persist::open_snapshot(sealed, persist::SnapshotKind::kSubjectEngine);
-  if (!open) return open.error;
-  try {
-    ByteReader r(open.payload);
-    load_state(r);
-  } catch (const persist::IdentityMismatchError&) {
-    reset_to_blank();
-    return persist::RestoreError::kIdentityMismatch;
-  } catch (const std::exception&) {
-    reset_to_blank();
-    return persist::RestoreError::kBadPayload;
-  }
-  return persist::RestoreError::kOk;
+  return persist::Envelope::restore(*this, sealed);
 }
 
 }  // namespace argus::core

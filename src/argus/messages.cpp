@@ -128,12 +128,15 @@ std::optional<Message> decode(ByteSpan wire) {
   }
 }
 
-const char* msg_type_name(const Message& msg) {
-  if (std::holds_alternative<Que1>(msg)) return "QUE1";
-  if (std::holds_alternative<Res1Level1>(msg)) return "RES1-L1";
-  if (std::holds_alternative<Res1>(msg)) return "RES1";
-  if (std::holds_alternative<Que2>(msg)) return "QUE2";
-  return "RES2";
+const char* msg_type_name(MsgType type) {
+  switch (type) {
+    case MsgType::kQue1: return "QUE1";
+    case MsgType::kRes1Level1: return "RES1-L1";
+    case MsgType::kRes1: return "RES1";
+    case MsgType::kQue2: return "QUE2";
+    case MsgType::kRes2: return "RES2";
+  }
+  return "?";
 }
 
 }  // namespace argus::core

@@ -77,7 +77,8 @@ Bytes encode(const Message& msg);
 /// Parse; nullopt on malformed input (drop silently, §VII).
 std::optional<Message> decode(ByteSpan wire);
 
-/// Wire size accounting helpers for the §IX-A message-overhead experiment.
-const char* msg_type_name(const Message& msg);
+/// Trace and traffic-tally name of a message type ("QUE1", "RES1-L1",
+/// ...); "?" for a byte that names no type.
+const char* msg_type_name(MsgType type);
 
 }  // namespace argus::core

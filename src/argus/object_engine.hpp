@@ -27,11 +27,6 @@
 #include "obs/metrics.hpp"
 #include "persist/snapshot.hpp"
 
-namespace argus {
-class ByteReader;
-class ByteWriter;
-}  // namespace argus
-
 namespace argus::core {
 
 /// Object-side admission control (overload protection). Disabled by
@@ -150,13 +145,13 @@ class ObjectEngine {
   [[nodiscard]] Bytes snapshot() const;
 
   /// Strict restore: blank-or-exact, never throws. The engine is first
-  /// reset to its post-construction state; only a fully validated
-  /// payload whose identity matches this engine's config is committed.
-  /// Any failure (truncation, corruption, wrong kind/version, identity
-  /// mismatch, unparseable state) returns the error with the engine left
-  /// blank. Security invariant: a successful restore rotates the
-  /// resumption epoch and drops every cached premaster, so a snapshot
-  /// can never revive stale resumption material after a reboot.
+  /// reset to its post-construction state and then parses the payload in
+  /// place. Any failure (truncation, corruption, wrong kind/version,
+  /// identity mismatch, unparseable state) resets it again and returns
+  /// the error, so only a fully valid payload whose identity matches this
+  /// engine's config survives. Security invariant: a successful restore
+  /// rotates the resumption epoch and drops every cached premaster, so a
+  /// snapshot can never revive stale resumption material after a reboot.
   persist::RestoreError restore(ByteSpan sealed);
 
   /// SHA-256 over the serialized state — cheap exact-equality probe for
@@ -278,14 +273,16 @@ class ObjectEngine {
   void note_eviction(std::uint64_t n = 1);
   void bound_state();
 
-  /// Serialize every persisted field (the snapshot payload).
-  void save_state(ByteWriter& w) const;
-  /// Parse a payload and commit it wholesale; throws (SerdeError or
-  /// std::invalid_argument) on any malformed field, in which case the
-  /// caller guarantees the engine was already blank.
-  void load_state(ByteReader& r);
+  /// The snapshot format, listed once: every persisted field in order,
+  /// written by a persist::Saver or read in place by a persist::Loader
+  /// (engine_persist.cpp).
+  template <class Self, class Io>
+  static void walk(Self& self, Io& io);
   /// Back to the post-construction state (fresh DRBG, empty tables).
   void reset_to_blank();
+  static constexpr persist::SnapshotKind kSnapshotKind =
+      persist::SnapshotKind::kObjectEngine;
+  friend class persist::Envelope;
 
   void charge(net::CryptoOp op) {
     const double ms = cfg_.compute.cost(op);

@@ -22,11 +22,6 @@
 #include "obs/metrics.hpp"
 #include "persist/snapshot.hpp"
 
-namespace argus {
-class ByteReader;
-class ByteWriter;
-}  // namespace argus
-
 namespace argus::core {
 
 struct SubjectEngineConfig {
@@ -73,7 +68,6 @@ class SubjectEngine {
   [[nodiscard]] const std::vector<DiscoveredService>& discovered() const {
     return discovered_;
   }
-  void clear_discovered() { discovered_.clear(); }
 
   /// Select which of the subject's group keys the next round uses (§VI-C).
   void set_group_key_index(std::size_t idx);
@@ -146,11 +140,14 @@ class SubjectEngine {
   /// Terminal non-reply: count is_reject statuses (stats + metrics).
   HandleResult fail(HandleStatus status);
 
-  /// Snapshot payload serializer / strict parser / blank reset — see
-  /// ObjectEngine for the contract (engine_persist.cpp).
-  void save_state(ByteWriter& w) const;
-  void load_state(ByteReader& r);
+  /// Snapshot format walk and blank reset — see ObjectEngine
+  /// (engine_persist.cpp).
+  template <class Self, class Io>
+  static void walk(Self& self, Io& io);
   void reset_to_blank();
+  static constexpr persist::SnapshotKind kSnapshotKind =
+      persist::SnapshotKind::kSubjectEngine;
+  friend class persist::Envelope;
 
   void charge(net::CryptoOp op) {
     const double ms = cfg_.compute.cost(op);

@@ -227,11 +227,6 @@ const AttributeMap* Backend::subject_attributes(const std::string& id) const {
   return it == subjects_.end() ? nullptr : &it->second.attributes;
 }
 
-const AttributeMap* Backend::object_attributes(const std::string& id) const {
-  const auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : &it->second.attributes;
-}
-
 std::vector<std::string> Backend::group_members(GroupId id) const {
   const auto it = groups_.find(id);
   if (it == groups_.end()) return {};

@@ -18,11 +18,6 @@
 #include "crypto/ecdh.hpp"
 #include "persist/snapshot.hpp"
 
-namespace argus {
-class ByteReader;
-class ByteWriter;
-}  // namespace argus
-
 namespace argus::backend {
 
 /// Object secrecy level (§IV-A).
@@ -170,11 +165,8 @@ class Backend {
   [[nodiscard]] Bytes state_digest() const;
 
   // --- bookkeeping accessors ----------------------------------------------
-  [[nodiscard]] std::size_t subject_count() const { return subjects_.size(); }
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
   [[nodiscard]] const AttributeMap* subject_attributes(
-      const std::string& id) const;
-  [[nodiscard]] const AttributeMap* object_attributes(
       const std::string& id) const;
   [[nodiscard]] std::vector<std::string> group_members(GroupId id) const;
 
@@ -203,11 +195,14 @@ class Backend {
                         const AttributeMap& attrs,
                         std::vector<std::string> services);
 
-  /// Snapshot payload serializer / strict parser / blank reset
-  /// (registry_persist.cpp); same contract as the engines'.
-  void save_state(ByteWriter& w) const;
-  void load_state(ByteReader& r);
+  /// Snapshot format walk and blank reset (registry_persist.cpp); same
+  /// contract as the engines'.
+  template <class Self, class Io>
+  static void walk(Self& self, Io& io);
   void reset_to_blank();
+  static constexpr persist::SnapshotKind kSnapshotKind =
+      persist::SnapshotKind::kBackend;
+  friend class persist::Envelope;
 
   const crypto::EcGroup& group_;
   std::uint64_t seed_ = 0;

@@ -1,180 +1,92 @@
-// Snapshot/restore for the backend authority — same blank-or-exact
-// contract as the protocol engines (see src/argus/engine_persist.cpp):
-// reset first, parse the whole payload into temporaries, check identity,
-// commit with non-throwing moves only once everything validated.
+// Snapshot/restore for the backend authority — one walk both writes and
+// parses the format (persist/codec.hpp), and persist::Envelope gives it
+// the engines' blank-or-exact contract: reset, parse in place, and reset
+// again if anything in the payload fails to parse or to match.
 //
 // Unlike the engines, the backend has no resumption material, so a
 // successful restore is bit-exact: certificates and group keys issued
 // after a reboot continue the same deterministic sequence the snapshot
 // interrupted.
 
+#include <string>
 #include <utility>
 
 #include "backend/registry.hpp"
-#include "common/serde.hpp"
 #include "persist/codec.hpp"
 
 namespace argus::backend {
 
 namespace {
 
-using persist::get_f64;
-using persist::put_f64;
-
-void put_attributes(ByteWriter& w, const AttributeMap& attrs) {
-  w.bytes16(attrs.serialize());
+/// An attribute map travels as its signed serialization; a malformed one
+/// throws on load.
+template <class Io, class Attrs>
+void walk_attributes(Io& io, Attrs& attrs) {
+  Bytes wire = attrs.serialize();
+  io.bytes16(wire);
+  if constexpr (Io::kLoading) {
+    auto parsed = AttributeMap::parse(wire);
+    if (!parsed) {
+      throw std::invalid_argument("persist: malformed attribute map");
+    }
+    attrs = std::move(*parsed);
+  }
 }
 
-AttributeMap get_attributes(ByteReader& r) {
-  const Bytes wire = r.bytes16();
-  auto attrs = AttributeMap::parse(wire);
-  if (!attrs) {
-    throw std::invalid_argument("persist: malformed attribute map");
-  }
-  return std::move(*attrs);
+/// A predicate travels as its source text; bad syntax throws on load.
+template <class Io, class Pred>
+void walk_predicate(Io& io, Pred& pred) {
+  std::string source = pred.source();
+  io.str(source);
+  if constexpr (Io::kLoading) pred = Predicate::parse(source);
 }
 
 }  // namespace
 
-void Backend::save_state(ByteWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(group_.params().strength));
-  w.u64(seed_);
+template <class Self, class Io>
+void Backend::walk(Self& self, Io& io) {
+  io.identity(self.group_.params().strength, self.seed_);
 
-  persist::put_keypair(w, group_, admin_);
-  w.u64(clock_);
-  w.u64(next_serial_);
-  w.u64(next_group_);
-  w.u64(revocation_seq_);
+  io.keypair(self.group_, self.admin_);
+  io.u64(self.clock_);
+  io.u64(self.next_serial_);
+  io.u64(self.next_group_);
+  io.u64(self.revocation_seq_);
 
-  w.u32(static_cast<std::uint32_t>(subjects_.size()));
-  for (const auto& [id, rec] : subjects_) {
-    w.str(id);
-    put_attributes(w, rec.attributes);
-    w.u32(static_cast<std::uint32_t>(rec.groups.size()));
-    for (const GroupId g : rec.groups) w.u64(g);
-    w.u8(rec.revoked ? 1 : 0);
-  }
-
-  w.u32(static_cast<std::uint32_t>(objects_.size()));
-  for (const auto& [id, rec] : objects_) {
-    w.str(id);
-    put_attributes(w, rec.attributes);
-    w.u8(static_cast<std::uint8_t>(rec.level));
-    w.u32(static_cast<std::uint32_t>(rec.groups.size()));
-    for (const GroupId g : rec.groups) w.u64(g);
-  }
-
-  w.u32(static_cast<std::uint32_t>(groups_.size()));
-  for (const auto& [id, rec] : groups_) {
-    w.u64(id);
-    w.str(rec.sensitive_attribute);
-    w.bytes16(rec.key);
-    w.u32(static_cast<std::uint32_t>(rec.members.size()));
-    for (const std::string& m : rec.members) w.str(m);
-  }
-
-  w.u32(static_cast<std::uint32_t>(group_by_attribute_.size()));
-  for (const auto& [attr, id] : group_by_attribute_) {
-    w.str(attr);
-    w.u64(id);
-  }
-
-  w.u32(static_cast<std::uint32_t>(policies_.size()));
-  for (const Policy& p : policies_) {
-    w.str(p.subject_pred.source());
-    w.str(p.object_pred.source());
-    w.u32(static_cast<std::uint32_t>(p.rights.size()));
-    for (const std::string& right : p.rights) w.str(right);
-  }
-
-  persist::put_drbg(w, rng_);
-}
-
-void Backend::load_state(ByteReader& r) {
-  const std::uint8_t strength = r.u8();
-  const std::uint64_t seed = r.u64();
-  if (strength != static_cast<std::uint8_t>(group_.params().strength) ||
-      seed != seed_) {
-    throw persist::IdentityMismatchError("backend snapshot identity mismatch");
-  }
-
-  crypto::EcKeyPair admin = persist::get_keypair(r, group_);
-  const std::uint64_t clock = r.u64();
-  const std::uint64_t next_serial = r.u64();
-  const std::uint64_t next_group = r.u64();
-  const std::uint64_t revocation_seq = r.u64();
-
-  std::map<std::string, SubjectRecord> subjects;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    std::string id = r.str();
-    SubjectRecord rec;
-    rec.attributes = get_attributes(r);
-    for (std::uint32_t j = 0, m = r.u32(); j < m; ++j) {
-      rec.groups.push_back(r.u64());
-    }
-    rec.revoked = r.u8() != 0;
-    subjects.emplace(std::move(id), std::move(rec));
-  }
-
-  std::map<std::string, ObjectRecord> objects;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    std::string id = r.str();
-    ObjectRecord rec;
-    rec.attributes = get_attributes(r);
-    rec.level = static_cast<Level>(r.u8());
-    for (std::uint32_t j = 0, m = r.u32(); j < m; ++j) {
-      rec.groups.push_back(r.u64());
-    }
-    objects.emplace(std::move(id), std::move(rec));
-  }
-
-  std::map<GroupId, GroupRecord> groups;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    const GroupId id = r.u64();
-    GroupRecord rec;
-    rec.sensitive_attribute = r.str();
-    rec.key = r.bytes16();
-    for (std::uint32_t j = 0, m = r.u32(); j < m; ++j) {
-      rec.members.push_back(r.str());
-    }
-    groups.emplace(id, std::move(rec));
-  }
-
-  std::map<std::string, GroupId> group_by_attribute;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    std::string attr = r.str();
-    const GroupId id = r.u64();
-    group_by_attribute.emplace(std::move(attr), id);
-  }
-
-  std::vector<Policy> policies;
-  for (std::uint32_t i = 0, n = r.u32(); i < n; ++i) {
-    Predicate subject_pred = Predicate::parse(r.str());  // throws on bad source
-    Predicate object_pred = Predicate::parse(r.str());
-    std::vector<std::string> rights;
-    for (std::uint32_t j = 0, m = r.u32(); j < m; ++j) {
-      rights.push_back(r.str());
-    }
-    policies.push_back(Policy{std::move(subject_pred), std::move(object_pred),
-                              std::move(rights)});
-  }
-
-  crypto::HmacDrbg::State rng_state;
-  rng_state.k = r.bytes16();
-  rng_state.v = r.bytes16();
-  r.expect_done();
-
-  rng_.import_state(rng_state);
-  admin_ = std::move(admin);
-  clock_ = clock;
-  next_serial_ = next_serial;
-  next_group_ = next_group;
-  revocation_seq_ = revocation_seq;
-  subjects_ = std::move(subjects);
-  objects_ = std::move(objects);
-  groups_ = std::move(groups);
-  group_by_attribute_ = std::move(group_by_attribute);
-  policies_ = std::move(policies);
+  const auto walk_groups = [&](auto& groups) {
+    io.seq(groups, [&](auto& g) { io.u64(g); });
+  };
+  io.map(self.subjects_, [&](auto& id, auto& rec) {
+    io.str(id);
+    walk_attributes(io, rec.attributes);
+    walk_groups(rec.groups);
+    io.u8(rec.revoked);
+  });
+  io.map(self.objects_, [&](auto& id, auto& rec) {
+    io.str(id);
+    walk_attributes(io, rec.attributes);
+    io.u8(rec.level);
+    walk_groups(rec.groups);
+  });
+  io.map(self.groups_, [&](auto& id, auto& rec) {
+    io.u64(id);
+    io.str(rec.sensitive_attribute);
+    io.bytes16(rec.key);
+    io.seq(rec.members, [&](auto& m) { io.str(m); });
+  });
+  io.map(self.group_by_attribute_, [&](auto& attr, auto& id) {
+    io.str(attr);
+    io.u64(id);
+  });
+  io.seq(
+      self.policies_,
+      [&](auto& p) {
+        walk_predicate(io, p.subject_pred);
+        walk_predicate(io, p.object_pred);
+        io.seq(p.rights, [&](auto& right) { io.str(right); });
+      },
+      Policy{Predicate::always_true(), Predicate::always_true(), {}});
+  io.drbg(self.rng_);
 }
 
 void Backend::reset_to_blank() {
@@ -191,34 +103,12 @@ void Backend::reset_to_blank() {
   policies_.clear();
 }
 
-Bytes Backend::snapshot() const {
-  ByteWriter w;
-  save_state(w);
-  return persist::seal_snapshot(persist::SnapshotKind::kBackend, w.data());
-}
+Bytes Backend::snapshot() const { return persist::Envelope::seal(*this); }
 
-Bytes Backend::state_digest() const {
-  ByteWriter w;
-  save_state(w);
-  return crypto::Sha256::hash(w.data());
-}
+Bytes Backend::state_digest() const { return persist::Envelope::digest(*this); }
 
 persist::RestoreError Backend::restore(ByteSpan sealed) {
-  reset_to_blank();
-  const persist::OpenResult open =
-      persist::open_snapshot(sealed, persist::SnapshotKind::kBackend);
-  if (!open) return open.error;
-  try {
-    ByteReader r(open.payload);
-    load_state(r);
-  } catch (const persist::IdentityMismatchError&) {
-    reset_to_blank();
-    return persist::RestoreError::kIdentityMismatch;
-  } catch (const std::exception&) {
-    reset_to_blank();
-    return persist::RestoreError::kBadPayload;
-  }
-  return persist::RestoreError::kOk;
+  return persist::Envelope::restore(*this, sealed);
 }
 
 }  // namespace argus::backend

@@ -17,16 +17,6 @@ const EcFastPaths& ec_fast_paths() { return g_fast_paths; }
 
 void set_ec_fast_paths(const EcFastPaths& paths) { g_fast_paths = paths; }
 
-const char* strength_name(Strength s) {
-  switch (s) {
-    case Strength::b112: return "112-bit";
-    case Strength::b128: return "128-bit";
-    case Strength::b192: return "192-bit";
-    case Strength::b256: return "256-bit";
-  }
-  return "?";
-}
-
 int strength_bits(Strength s) {
   switch (s) {
     case Strength::b112: return 112;

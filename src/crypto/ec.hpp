@@ -29,7 +29,6 @@ namespace argus::crypto {
 /// Security strength in bits, as the paper sweeps it.
 enum class Strength { b112, b128, b192, b256 };
 
-[[nodiscard]] const char* strength_name(Strength s);
 [[nodiscard]] int strength_bits(Strength s);
 
 struct CurveParams {

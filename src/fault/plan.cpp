@@ -27,22 +27,6 @@ double onset(crypto::HmacDrbg& rng, double horizon_ms) {
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kReboot:
-      return "reboot";
-    case FaultKind::kStraggle:
-      return "straggle";
-    case FaultKind::kZombie:
-      return "zombie";
-    case FaultKind::kByzantine:
-      return "byzantine";
-  }
-  return "?";
-}
-
 const char* byzantine_mode_name(ByzantineMode mode) {
   switch (mode) {
     case ByzantineMode::kNone:
@@ -55,16 +39,6 @@ const char* byzantine_mode_name(ByzantineMode mode) {
       return "replay";
     case ByzantineMode::kMixed:
       return "mixed";
-  }
-  return "?";
-}
-
-const char* reboot_policy_name(RebootPolicy policy) {
-  switch (policy) {
-    case RebootPolicy::kBlank:
-      return "blank";
-    case RebootPolicy::kFromSnapshot:
-      return "from_snapshot";
   }
   return "?";
 }

@@ -176,7 +176,6 @@ class Network {
   /// lost copies. Both controls default to the values that make them
   /// no-ops, so fault-free runs are untouched.
   void set_node_up(NodeId node, bool up);
-  [[nodiscard]] bool node_up(NodeId node) const { return slot(node).up; }
   /// Straggler dial: multiply the node's future compute charges.
   void set_compute_factor(NodeId node, double factor);
 
@@ -202,7 +201,6 @@ class Network {
     std::uint64_t queue_peak = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Attach observability sinks (null detaches). With no sinks the only
   /// added cost is one pointer test per send/compute call. The tracer

@@ -19,20 +19,6 @@ bool kind_known(std::uint8_t k) {
 
 }  // namespace
 
-const char* snapshot_kind_name(SnapshotKind kind) {
-  switch (kind) {
-    case SnapshotKind::kObjectEngine:
-      return "object_engine";
-    case SnapshotKind::kSubjectEngine:
-      return "subject_engine";
-    case SnapshotKind::kBackend:
-      return "backend";
-    case SnapshotKind::kFleet:
-      return "fleet";
-  }
-  return "?";
-}
-
 const char* restore_error_name(RestoreError err) {
   switch (err) {
     case RestoreError::kOk:

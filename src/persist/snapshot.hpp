@@ -12,9 +12,9 @@
 // never partially succeeds — a wrong magic, unknown version, mismatched
 // kind, truncated buffer, trailing garbage, or checksum failure each map
 // to a distinct RestoreError and an empty payload. Consumers (the
-// engines, the backend) then parse the payload themselves and keep the
-// same contract: any parse failure leaves them in the freshly-reset
-// blank state, never half-applied.
+// engines, the backend) then parse the payload through Envelope
+// (codec.hpp) and keep the same contract: any parse failure leaves them
+// in the freshly-reset blank state, never half-applied.
 //
 // A fleet bundle is a snapshot of kind kFleet whose payload is a list of
 // named sections, each itself a complete sealed snapshot — so every
@@ -44,8 +44,6 @@ enum class SnapshotKind : std::uint8_t {
   kFleet = 4,
 };
 
-const char* snapshot_kind_name(SnapshotKind kind);
-
 enum class RestoreError : std::uint8_t {
   kOk = 0,
   kTruncated,         // too short for the envelope, or payload cut off
@@ -59,6 +57,9 @@ enum class RestoreError : std::uint8_t {
 };
 
 const char* restore_error_name(RestoreError err);
+
+/// The shared snapshot()/state_digest()/restore() body (codec.hpp).
+class Envelope;
 
 /// Thrown by state parsers when an intact payload belongs to a different
 /// entity or configuration; restore paths translate it into
@@ -87,6 +88,11 @@ struct OpenResult {
 /// snapshots when produced by the fleet helpers, but this layer treats
 /// them as opaque bytes.
 using BundleEntries = std::vector<std::pair<std::string, Bytes>>;
+
+/// The bundle section that holds object `object_id`'s engine snapshot.
+[[nodiscard]] inline std::string object_section(const std::string& object_id) {
+  return "object:" + object_id;
+}
 
 [[nodiscard]] Bytes seal_bundle(const BundleEntries& entries);
 

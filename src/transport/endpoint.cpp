@@ -120,26 +120,10 @@ void TransportEndpoint::close(const NetAddr& peer, double now_ms) {
   flush(peer, *it->second.value);
 }
 
-void TransportEndpoint::close_all(double now_ms) {
-  for (auto& [peer, e] : conns_) {
-    e.value->close(now_ms);
-    flush(peer, *e.value);
-  }
-  reap(now_ms);
-}
-
 std::size_t TransportEndpoint::established_conns() const {
   std::size_t n = 0;
   for (const auto& [peer, e] : conns_) n += e.value->established() ? 1 : 0;
   return n;
-}
-
-std::vector<NetAddr> TransportEndpoint::established_peers() const {
-  std::vector<NetAddr> peers;
-  for (const auto& [peer, e] : conns_) {
-    if (e.value->established()) peers.push_back(peer);
-  }
-  return peers;
 }
 
 std::vector<NetAddr> TransportEndpoint::live_peers() const {

@@ -65,14 +65,10 @@ class TransportEndpoint {
 
   /// Orderly close of one peer's connection (best-effort FIN).
   void close(const NetAddr& peer, double now_ms);
-  /// Orderly close of every live connection.
-  void close_all(double now_ms);
 
   [[nodiscard]] const NetAddr& local_addr() const { return local_; }
   [[nodiscard]] std::size_t live_conns() const { return conns_.size(); }
   [[nodiscard]] std::size_t established_conns() const;
-  /// Peers with an established connection (broadcast fan-out set).
-  [[nodiscard]] std::vector<NetAddr> established_peers() const;
   /// Every peer with a live (non-defunct) connection, dialing included —
   /// frames sent to a still-handshaking peer queue behind its SYN.
   [[nodiscard]] std::vector<NetAddr> live_peers() const;

@@ -32,7 +32,7 @@ Bytes ObjectHost::fleet_bundle() const {
   persist::BundleEntries entries;
   entries.reserve(engines_.size());
   for (const auto& engine : engines_) {
-    entries.emplace_back(std::string("object:") + engine->credentials().id,
+    entries.emplace_back(persist::object_section(engine->credentials().id),
                          engine->snapshot());
   }
   return persist::seal_bundle(entries);
@@ -65,7 +65,7 @@ persist::RestoreError ObjectHost::restore_from_file() {
   // Blank-or-exact per engine: a missing or refused section leaves that
   // engine blank without disturbing its neighbours' restores.
   for (auto& engine : engines_) {
-    const std::string want = std::string("object:") + engine->credentials().id;
+    const std::string want = persist::object_section(engine->credentials().id);
     for (const auto& [name, sealed] : bundle.entries) {
       if (name != want) continue;
       if (engine->restore(sealed) == persist::RestoreError::kOk) restored_++;

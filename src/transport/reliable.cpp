@@ -7,17 +7,6 @@
 
 namespace argus::transport {
 
-const char* conn_state_name(ConnState s) {
-  switch (s) {
-    case ConnState::kSynSent: return "syn_sent";
-    case ConnState::kSynReceived: return "syn_received";
-    case ConnState::kEstablished: return "established";
-    case ConnState::kClosed: return "closed";
-    case ConnState::kDead: return "dead";
-  }
-  return "?";
-}
-
 const char* dead_reason_name(DeadReason r) {
   switch (r) {
     case DeadReason::kNone: return "none";

@@ -64,8 +64,6 @@ enum class ConnState : std::uint8_t {
   kDead = 4,    // retries/keep-alive exhausted — reap me
 };
 
-const char* conn_state_name(ConnState s);
-
 /// Why a connection reached kDead (for conn.dead.<reason> counters).
 enum class DeadReason : std::uint8_t {
   kNone = 0,

@@ -45,8 +45,6 @@ enum class PacketType : std::uint8_t {
   kFin = 7,     // orderly close (best-effort; loss falls back to keep-alive)
 };
 
-const char* packet_type_name(PacketType t);
-
 struct Packet {
   PacketType type = PacketType::kData;
   std::uint32_t conn = 0;
@@ -65,8 +63,6 @@ enum class WireError : std::uint8_t {
   kLengthMismatch,  // trailing bytes after the declared payload
   kOversized,       // declared payload above kMaxPayload
 };
-
-const char* wire_error_name(WireError e);
 
 [[nodiscard]] Bytes encode_packet(const Packet& p);
 

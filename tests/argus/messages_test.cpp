@@ -168,11 +168,13 @@ TEST(MessagesTest, FuzzRandomNoiseNeverCrashes) {
 }
 
 TEST(MessagesTest, TypeNames) {
-  EXPECT_STREQ(msg_type_name(Message{Que1{}}), "QUE1");
-  EXPECT_STREQ(msg_type_name(Message{Res1Level1{}}), "RES1-L1");
-  EXPECT_STREQ(msg_type_name(Message{Res1{}}), "RES1");
-  EXPECT_STREQ(msg_type_name(Message{Que2{}}), "QUE2");
-  EXPECT_STREQ(msg_type_name(Message{Res2{}}), "RES2");
+  EXPECT_STREQ(msg_type_name(MsgType::kQue1), "QUE1");
+  EXPECT_STREQ(msg_type_name(MsgType::kRes1Level1), "RES1-L1");
+  EXPECT_STREQ(msg_type_name(MsgType::kRes1), "RES1");
+  EXPECT_STREQ(msg_type_name(MsgType::kQue2), "QUE2");
+  EXPECT_STREQ(msg_type_name(MsgType::kRes2), "RES2");
+  EXPECT_STREQ(msg_type_name(MsgType{}), "?");
+  EXPECT_STREQ(msg_type_name(static_cast<MsgType>(0x7f)), "?");
 }
 
 TEST(SessionTest, KeyDerivationSeparatesInputs) {
