@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "crypto/ec_precomp.hpp"
+#include "crypto/ec_typed.hpp"
 #include "obs/prof.hpp"
 
 namespace argus::crypto {
@@ -117,186 +118,118 @@ const CurveParams& curve_for(Strength s) {
   throw std::invalid_argument("curve_for: bad strength");
 }
 
+namespace {
+
+// The frozen pre-pipeline point code behind scalar_mul_reference:
+// Jacobian coordinates as full-capacity UInts over the runtime-width
+// MontCtx, general-a doubling (dbl-2007-bl) and add-2007-bl. It shares no
+// point code with EcGroupT, so the differential tests compare two
+// independent implementations.
+struct RefJac {
+  UInt x, y, z;
+};
+
+RefJac ref_identity(const MontCtx& fp) {
+  return RefJac{fp.one(), fp.one(), UInt::zero()};
+}
+
+RefJac ref_dbl(const MontCtx& fp, const UInt& a_m, const RefJac& p) {
+  if (p.z.is_zero() || p.y.is_zero()) return ref_identity(fp);
+  const UInt xx = fp.sqr(p.x);
+  const UInt yy = fp.sqr(p.y);
+  const UInt yyyy = fp.sqr(yy);
+  const UInt zz = fp.sqr(p.z);
+  UInt s = fp.sqr(fp.add(p.x, yy));
+  s = fp.sub(s, xx);
+  s = fp.sub(s, yyyy);
+  s = fp.add(s, s);
+  UInt m = fp.add(fp.add(xx, xx), xx);
+  m = fp.add(m, fp.mul(a_m, fp.sqr(zz)));
+  UInt t = fp.sqr(m);
+  t = fp.sub(t, s);
+  t = fp.sub(t, s);
+  RefJac r;
+  r.x = t;
+  UInt y8 = fp.add(yyyy, yyyy);
+  y8 = fp.add(y8, y8);
+  y8 = fp.add(y8, y8);
+  r.y = fp.sub(fp.mul(m, fp.sub(s, t)), y8);
+  UInt z3 = fp.sqr(fp.add(p.y, p.z));
+  z3 = fp.sub(z3, yy);
+  r.z = fp.sub(z3, zz);
+  return r;
+}
+
+RefJac ref_add(const MontCtx& fp, const UInt& a_m, const RefJac& p,
+               const RefJac& q) {
+  if (p.z.is_zero()) return q;
+  if (q.z.is_zero()) return p;
+  const UInt z1z1 = fp.sqr(p.z);
+  const UInt z2z2 = fp.sqr(q.z);
+  const UInt u1 = fp.mul(p.x, z2z2);
+  const UInt u2 = fp.mul(q.x, z1z1);
+  const UInt s1 = fp.mul(p.y, fp.mul(q.z, z2z2));
+  const UInt s2 = fp.mul(q.y, fp.mul(p.z, z1z1));
+  if (u1 == u2) {
+    if (s1 == s2) return ref_dbl(fp, a_m, p);
+    return ref_identity(fp);  // P + (-P)
+  }
+  const UInt h = fp.sub(u2, u1);
+  UInt i = fp.add(h, h);
+  i = fp.sqr(i);
+  const UInt j = fp.mul(h, i);
+  UInt r0 = fp.sub(s2, s1);
+  r0 = fp.add(r0, r0);
+  const UInt v = fp.mul(u1, i);
+  RefJac r;
+  r.x = fp.sub(fp.sub(fp.sqr(r0), j), fp.add(v, v));
+  UInt s1j = fp.mul(s1, j);
+  s1j = fp.add(s1j, s1j);
+  r.y = fp.sub(fp.mul(r0, fp.sub(v, r.x)), s1j);
+  UInt z3 = fp.sqr(fp.add(p.z, q.z));
+  z3 = fp.sub(z3, z1z1);
+  z3 = fp.sub(z3, z2z2);
+  r.z = fp.mul(z3, h);
+  return r;
+}
+
+}  // namespace
+
 EcGroup::EcGroup(const CurveParams& params)
     : params_(params), fp_(params.p), fn_(params.n) {
   a_m_ = fp_.to_mont(params_.a);
   b_m_ = fp_.to_mont(params_.b);
-  a_is_minus3_ = params_.a == crypto::sub(params_.p, UInt::from_u64(3));
+  // One typed group per field shape: the two 4-word NIST primes get
+  // their shift-and-add reductions, the others the generic REDC.
+  const std::size_t words = params_.p.word_count();
+  if (words == 4 && fe::from_uint<4>(params_.p) == fe::kP224) {
+    typed_ = std::make_unique<EcGroupT<FieldP224>>(params_);
+  } else if (words == 4 && fe::from_uint<4>(params_.p) == fe::kP256) {
+    typed_ = std::make_unique<EcGroupT<FieldP256>>(params_);
+  } else if (words == 6) {
+    typed_ = std::make_unique<EcGroupT<FieldP384>>(params_);
+  } else if (words == 9) {
+    typed_ = std::make_unique<EcGroupT<FieldP521>>(params_);
+  } else {
+    throw std::invalid_argument("EcGroup: no field kernel for " +
+                                params_.name);
+  }
 }
 
 EcGroup::~EcGroup() = default;
 
-const EcFixedBaseTable& EcGroup::fixed_base_table() const {
-  std::call_once(fixed_base_once_, [this] {
-    fixed_base_ =
-        std::make_unique<EcFixedBaseTable>(build_fixed_base_table(*this));
-  });
-  return *fixed_base_;
-}
-
 bool EcGroup::on_curve(const EcPoint& pt) const {
-  if (pt.infinity) return true;
-  if (cmp(pt.x, params_.p) >= 0 || cmp(pt.y, params_.p) >= 0) return false;
-  const UInt x = fp_.to_mont(pt.x);
-  const UInt y = fp_.to_mont(pt.y);
-  const UInt lhs = fp_.sqr(y);
-  UInt rhs = fp_.mul(fp_.sqr(x), x);
-  rhs = fp_.add(rhs, fp_.mul(a_m_, x));
-  rhs = fp_.add(rhs, b_m_);
-  return lhs == rhs;
-}
-
-EcGroup::Jacobian EcGroup::to_jacobian(const EcPoint& pt) const {
-  if (pt.infinity) return Jacobian{fp_.one(), fp_.one(), UInt::zero()};
-  return Jacobian{fp_.to_mont(pt.x), fp_.to_mont(pt.y), fp_.one()};
-}
-
-EcPoint EcGroup::to_affine(const Jacobian& pt) const {
-  if (pt.z.is_zero()) return EcPoint::identity();
-  const UInt zinv = fp_.inv(pt.z);
-  const UInt zinv2 = fp_.sqr(zinv);
-  const UInt zinv3 = fp_.mul(zinv2, zinv);
-  return EcPoint{fp_.from_mont(fp_.mul(pt.x, zinv2)),
-                 fp_.from_mont(fp_.mul(pt.y, zinv3)), false};
-}
-
-// Doubling dispatch. The a = -3 specialisation (dbl-2001-b) computes the
-// *same Jacobian representative* as the general formula — S = 4XY^2 = 4B,
-// M = 3X^2 + aZ^4 = 3(X - Z^2)(X + Z^2) = alpha, and Z3 is the identical
-// expression — so switching it on cannot perturb any downstream bytes.
-EcGroup::Jacobian EcGroup::jdbl(const Jacobian& p) const {
-  if (!a_is_minus3_ || !g_fast_paths.fast_double) return jdbl_generic(p);
-  if (p.z.is_zero() || p.y.is_zero()) return jac_identity();
-  const UInt delta = fp_.sqr(p.z);
-  const UInt gamma = fp_.sqr(p.y);
-  const UInt beta = fp_.mul(p.x, gamma);
-  // alpha = 3*(X - delta)*(X + delta)
-  UInt alpha = fp_.mul(fp_.sub(p.x, delta), fp_.add(p.x, delta));
-  alpha = fp_.add(fp_.add(alpha, alpha), alpha);
-  const UInt b4 = fp_.add(fp_.add(beta, beta), fp_.add(beta, beta));
-  Jacobian r;
-  // X3 = alpha^2 - 8*beta
-  r.x = fp_.sub(fp_.sqr(alpha), fp_.add(b4, b4));
-  // Z3 = (Y + Z)^2 - gamma - delta
-  UInt z3 = fp_.sqr(fp_.add(p.y, p.z));
-  z3 = fp_.sub(z3, gamma);
-  r.z = fp_.sub(z3, delta);
-  // Y3 = alpha*(4*beta - X3) - 8*gamma^2
-  UInt g8 = fp_.sqr(gamma);
-  g8 = fp_.add(g8, g8);
-  g8 = fp_.add(g8, g8);
-  g8 = fp_.add(g8, g8);
-  r.y = fp_.sub(fp_.mul(alpha, fp_.sub(b4, r.x)), g8);
-  return r;
-}
-
-// dbl-2007-bl (general a), operands in Montgomery form.
-EcGroup::Jacobian EcGroup::jdbl_generic(const Jacobian& p) const {
-  if (p.z.is_zero() || p.y.is_zero()) {
-    return Jacobian{fp_.one(), fp_.one(), UInt::zero()};
-  }
-  const UInt xx = fp_.sqr(p.x);
-  const UInt yy = fp_.sqr(p.y);
-  const UInt yyyy = fp_.sqr(yy);
-  const UInt zz = fp_.sqr(p.z);
-  // S = 2*((X+YY)^2 - XX - YYYY)
-  UInt s = fp_.sqr(fp_.add(p.x, yy));
-  s = fp_.sub(s, xx);
-  s = fp_.sub(s, yyyy);
-  s = fp_.add(s, s);
-  // M = 3*XX + a*ZZ^2
-  UInt m = fp_.add(fp_.add(xx, xx), xx);
-  m = fp_.add(m, fp_.mul(a_m_, fp_.sqr(zz)));
-  // T = M^2 - 2*S
-  UInt t = fp_.sqr(m);
-  t = fp_.sub(t, s);
-  t = fp_.sub(t, s);
-  Jacobian r;
-  r.x = t;
-  // Y3 = M*(S - T) - 8*YYYY
-  UInt y8 = fp_.add(yyyy, yyyy);
-  y8 = fp_.add(y8, y8);
-  y8 = fp_.add(y8, y8);
-  r.y = fp_.sub(fp_.mul(m, fp_.sub(s, t)), y8);
-  // Z3 = (Y+Z)^2 - YY - ZZ
-  UInt z3 = fp_.sqr(fp_.add(p.y, p.z));
-  z3 = fp_.sub(z3, yy);
-  r.z = fp_.sub(z3, zz);
-  return r;
-}
-
-// add-2007-bl, operands in Montgomery form.
-EcGroup::Jacobian EcGroup::jadd(const Jacobian& p, const Jacobian& q) const {
-  if (p.z.is_zero()) return q;
-  if (q.z.is_zero()) return p;
-  const UInt z1z1 = fp_.sqr(p.z);
-  const UInt z2z2 = fp_.sqr(q.z);
-  const UInt u1 = fp_.mul(p.x, z2z2);
-  const UInt u2 = fp_.mul(q.x, z1z1);
-  const UInt s1 = fp_.mul(p.y, fp_.mul(q.z, z2z2));
-  const UInt s2 = fp_.mul(q.y, fp_.mul(p.z, z1z1));
-  if (u1 == u2) {
-    if (s1 == s2) return jdbl(p);
-    return Jacobian{fp_.one(), fp_.one(), UInt::zero()};  // P + (-P)
-  }
-  const UInt h = fp_.sub(u2, u1);
-  UInt i = fp_.add(h, h);
-  i = fp_.sqr(i);
-  const UInt j = fp_.mul(h, i);
-  UInt r0 = fp_.sub(s2, s1);
-  r0 = fp_.add(r0, r0);
-  const UInt v = fp_.mul(u1, i);
-  Jacobian r;
-  // X3 = r^2 - J - 2*V
-  r.x = fp_.sub(fp_.sub(fp_.sqr(r0), j), fp_.add(v, v));
-  // Y3 = r*(V - X3) - 2*S1*J
-  UInt s1j = fp_.mul(s1, j);
-  s1j = fp_.add(s1j, s1j);
-  r.y = fp_.sub(fp_.mul(r0, fp_.sub(v, r.x)), s1j);
-  // Z3 = ((Z1+Z2)^2 - Z1Z1 - Z2Z2) * H
-  UInt z3 = fp_.sqr(fp_.add(p.z, q.z));
-  z3 = fp_.sub(z3, z1z1);
-  z3 = fp_.sub(z3, z2z2);
-  r.z = fp_.mul(z3, h);
-  return r;
-}
-
-// madd (add-2007-bl with Z2 = 1). With Z2 = 1 the general formula's
-// Z3 = ((Z1+Z2)^2 - Z1^2 - 1)*H collapses to 2*Z1*H — the same field
-// element — and every other intermediate is unchanged, so this produces
-// the bit-identical representative jadd would.
-EcGroup::Jacobian EcGroup::jadd_mixed(const Jacobian& p, const AffM& q) const {
-  if (p.z.is_zero()) return Jacobian{q.x, q.y, fp_.one()};
-  const UInt z1z1 = fp_.sqr(p.z);
-  const UInt u2 = fp_.mul(q.x, z1z1);
-  const UInt s2 = fp_.mul(q.y, fp_.mul(p.z, z1z1));
-  if (p.x == u2) {
-    if (p.y == s2) return jdbl(p);
-    return jac_identity();  // P + (-P)
-  }
-  const UInt h = fp_.sub(u2, p.x);
-  UInt i = fp_.add(h, h);
-  i = fp_.sqr(i);
-  const UInt j = fp_.mul(h, i);
-  UInt r0 = fp_.sub(s2, p.y);
-  r0 = fp_.add(r0, r0);
-  const UInt v = fp_.mul(p.x, i);
-  Jacobian r;
-  r.x = fp_.sub(fp_.sub(fp_.sqr(r0), j), fp_.add(v, v));
-  UInt s1j = fp_.mul(p.y, j);
-  s1j = fp_.add(s1j, s1j);
-  r.y = fp_.sub(fp_.mul(r0, fp_.sub(v, r.x)), s1j);
-  UInt z3 = fp_.mul(p.z, h);
-  r.z = fp_.add(z3, z3);
-  return r;
+  return visit([&](const auto& g) { return g.on_curve(pt); });
 }
 
 EcPoint EcGroup::add(const EcPoint& a, const EcPoint& b) const {
-  return to_affine(jadd(to_jacobian(a), to_jacobian(b)));
+  return visit([&](const auto& g) {
+    return g.to_affine(g.jadd(g.to_jac(a), g.to_jac(b)));
+  });
 }
 
 EcPoint EcGroup::dbl(const EcPoint& a) const {
-  return to_affine(jdbl(to_jacobian(a)));
+  return visit([&](const auto& g) { return g.to_affine(g.jdbl(g.to_jac(a))); });
 }
 
 EcPoint EcGroup::negate(const EcPoint& a) const {
@@ -308,67 +241,44 @@ EcPoint EcGroup::scalar_mul(const EcPoint& pt, const UInt& k) const {
   ARGUS_PROF_SCOPE("crypto.ec.scalar_mul");
   const UInt kr = mod(k, params_.n);
   if (kr.is_zero() || pt.infinity) return EcPoint::identity();
-
-  // 4-bit window; jdbl dispatches to the a = -3 doubling when enabled.
-  const Jacobian base = to_jacobian(pt);
-  Jacobian table[16];
-  table[0] = jac_identity();
-  table[1] = base;
-  for (int i = 2; i < 16; ++i) table[i] = jadd(table[i - 1], base);
-
-  Jacobian acc = jac_identity();
-  const std::size_t bits = kr.bit_length();
-  const std::size_t nibbles = (bits + 3) / 4;
-  for (std::size_t i = nibbles; i-- > 0;) {
-    if (i != nibbles - 1) {
-      acc = jdbl(acc);
-      acc = jdbl(acc);
-      acc = jdbl(acc);
-      acc = jdbl(acc);
-    }
-    std::size_t nib = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      const std::size_t idx = i * 4 + b;
-      if (idx < bits && kr.bit(idx)) nib |= 1u << b;
-    }
-    if (nib != 0) acc = jadd(acc, table[nib]);
-  }
-  return to_affine(acc);
+  return visit(
+      [&](const auto& g) { return g.to_affine(g.scalar_mul_ct(pt, kr)); });
 }
 
-// The frozen pre-pipeline algorithm: identical to scalar_mul except every
-// doubling goes through the general-a formula, exactly as before the fast
-// paths existed. Differential tests byte-compare the fast paths against
-// this, and the throughput bench runs it as the "before" configuration.
+// The frozen pre-pipeline algorithm: a 4-bit window over a per-call
+// table, every doubling through the general-a formula. Differential tests
+// byte-compare the fast paths against this.
 EcPoint EcGroup::scalar_mul_reference(const EcPoint& pt, const UInt& k) const {
   ARGUS_PROF_SCOPE("crypto.ec.scalar_mul");
   const UInt kr = mod(k, params_.n);
   if (kr.is_zero() || pt.infinity) return EcPoint::identity();
 
-  const Jacobian base = to_jacobian(pt);
-  Jacobian table[16];
-  table[0] = jac_identity();
+  const RefJac base{fp_.to_mont(pt.x), fp_.to_mont(pt.y), fp_.one()};
+  RefJac table[16];
+  table[0] = ref_identity(fp_);
   table[1] = base;
-  for (int i = 2; i < 16; ++i) table[i] = jadd(table[i - 1], base);
+  for (int i = 2; i < 16; ++i) table[i] = ref_add(fp_, a_m_, table[i - 1], base);
 
-  Jacobian acc = jac_identity();
+  RefJac acc = ref_identity(fp_);
   const std::size_t bits = kr.bit_length();
   const std::size_t nibbles = (bits + 3) / 4;
   for (std::size_t i = nibbles; i-- > 0;) {
     if (i != nibbles - 1) {
-      acc = jdbl_generic(acc);
-      acc = jdbl_generic(acc);
-      acc = jdbl_generic(acc);
-      acc = jdbl_generic(acc);
+      for (int d = 0; d < 4; ++d) acc = ref_dbl(fp_, a_m_, acc);
     }
     std::size_t nib = 0;
     for (std::size_t b = 0; b < 4; ++b) {
       const std::size_t idx = i * 4 + b;
       if (idx < bits && kr.bit(idx)) nib |= 1u << b;
     }
-    if (nib != 0) acc = jadd(acc, table[nib]);
+    if (nib != 0) acc = ref_add(fp_, a_m_, acc, table[nib]);
   }
-  return to_affine(acc);
+  if (acc.z.is_zero()) return EcPoint::identity();
+  const UInt zinv = fp_.inv(acc.z);
+  const UInt zinv2 = fp_.sqr(zinv);
+  const UInt zinv3 = fp_.mul(zinv2, zinv);
+  return EcPoint{fp_.from_mont(fp_.mul(acc.x, zinv2)),
+                 fp_.from_mont(fp_.mul(acc.y, zinv3)), false};
 }
 
 EcPoint EcGroup::scalar_mul_base(const UInt& k) const {

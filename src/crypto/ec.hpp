@@ -2,25 +2,26 @@
 //
 // Supplies the four NIST curves the paper's strength sweep uses
 // (Fig 6(a)): P-224 (112-bit strength), P-256 (128), P-384 (192),
-// P-521 (256). Internally points are Jacobian-projective in Montgomery
-// form; the public API exposes affine points and byte encodings
-// (uncompressed SEC1: 0x04 || X || Y).
+// P-521 (256). The public API exposes affine points and byte encodings
+// (uncompressed SEC1: 0x04 || X || Y). Each call dispatches once to the
+// curve's width-typed group EcGroupT<F> (ec_typed.hpp), whose points are
+// Jacobian/affine-Montgomery over a field element of 4, 6 or 9 words.
 //
 // Two scalar-multiplication paths exist. `scalar_mul_reference` is the
-// frozen pre-pipeline algorithm (general-a doubling, per-call window
-// table) that the differential tests use as the oracle. The production
-// paths — comb tables behind `scalar_mul_base`, per-key window tables and
-// Shamir's trick in ec_precomp.* — are bit-for-bit drop-ins: affine
-// results are unique, and the specialised a = -3 doubling provably yields
-// the identical Jacobian representative, so golden digests cannot move.
+// frozen pre-pipeline algorithm that the differential tests use as the
+// oracle. The production paths — the masked ladder behind `scalar_mul`,
+// comb tables behind `scalar_mul_base`, per-key window tables and
+// Shamir's trick — are bit-for-bit drop-ins: affine results are unique,
+// so golden digests cannot move.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <variant>
 
 #include "crypto/drbg.hpp"
+#include "crypto/field.hpp"
 #include "crypto/mont.hpp"
 #include "crypto/wide.hpp"
 
@@ -71,7 +72,8 @@ struct EcFastPaths {
 [[nodiscard]] const EcFastPaths& ec_fast_paths();
 void set_ec_fast_paths(const EcFastPaths& paths);
 
-struct EcFixedBaseTable;  // ec_precomp.hpp
+template <class F>
+class EcGroupT;  // ec_typed.hpp
 
 class EcGroup {
  public:
@@ -81,7 +83,6 @@ class EcGroup {
   EcGroup& operator=(const EcGroup&) = delete;
 
   [[nodiscard]] const CurveParams& params() const { return params_; }
-  [[nodiscard]] const MontCtx& field() const { return fp_; }
   [[nodiscard]] const MontCtx& order() const { return fn_; }
   [[nodiscard]] EcPoint generator() const {
     return EcPoint{params_.gx, params_.gy, false};
@@ -91,12 +92,16 @@ class EcGroup {
   [[nodiscard]] EcPoint add(const EcPoint& a, const EcPoint& b) const;
   [[nodiscard]] EcPoint dbl(const EcPoint& a) const;
   [[nodiscard]] EcPoint negate(const EcPoint& a) const;
+  /// k * P by the masked signed-digit ladder (ec_typed.hpp): the route
+  /// ECDH's private scalar takes.
   [[nodiscard]] EcPoint scalar_mul(const EcPoint& pt, const UInt& k) const;
+  /// k * G by the generator's comb table (direct-indexed, not masked).
   [[nodiscard]] EcPoint scalar_mul_base(const UInt& k) const;
 
   /// The frozen pre-pipeline algorithm (general-a doubling, per-call
-  /// window table): the differential-test oracle and the toggled-off
-  /// baseline the throughput bench compares against.
+  /// 4-bit window table, runtime-width MontCtx arithmetic): the
+  /// differential-test oracle. It shares no point code with the typed
+  /// paths.
   [[nodiscard]] EcPoint scalar_mul_reference(const EcPoint& pt,
                                              const UInt& k) const;
 
@@ -113,51 +118,25 @@ class EcGroup {
   /// Decode and validate (on-curve check). nullopt on malformed/invalid.
   [[nodiscard]] std::optional<EcPoint> decode_point(ByteSpan data) const;
 
-  // -- Jacobian kernel ------------------------------------------------
-  // Exposed for the precomputation/batch pipeline in ec_precomp.*; the
-  // affine API above is the stable surface. All coordinates are in
-  // Montgomery form; z == 0 marks the identity.
-
-  struct Jacobian {
-    UInt x, y, z;
-  };
-  /// Affine point in Montgomery form — the storage format for precomputed
-  /// tables (mixed addition skips all Z2 work). Never the identity.
-  struct AffM {
-    UInt x, y;
-  };
-
-  [[nodiscard]] Jacobian jac_identity() const {
-    return Jacobian{fp_.one(), fp_.one(), UInt::zero()};
+  /// Run `fn` on this curve's width-typed group (EcGroupT<F>&, defined in
+  /// ec_typed.hpp, which a caller must include): one dispatch per call.
+  template <class Fn>
+  decltype(auto) visit(Fn&& fn) const {
+    return std::visit(
+        [&fn](const auto& g) -> decltype(auto) { return fn(*g); }, typed_);
   }
-  [[nodiscard]] Jacobian to_jacobian(const EcPoint& pt) const;
-  [[nodiscard]] EcPoint to_affine(const Jacobian& pt) const;
-  [[nodiscard]] Jacobian jneg(const Jacobian& p) const {
-    return Jacobian{p.x, fp_.neg(p.y), p.z};
-  }
-  /// Doubling: dispatches to the a = -3 formula when enabled (provably
-  /// the same representative as the general formula, so bit-identical).
-  [[nodiscard]] Jacobian jdbl(const Jacobian& p) const;
-  /// The general-a dbl-2007-bl formula the reference path is frozen on.
-  [[nodiscard]] Jacobian jdbl_generic(const Jacobian& p) const;
-  [[nodiscard]] Jacobian jadd(const Jacobian& p, const Jacobian& q) const;
-  /// Mixed addition P + Q with Q affine (madd, Z2 = 1): same Jacobian
-  /// representative as jadd on the Z2 = 1 operand, ~40% cheaper.
-  [[nodiscard]] Jacobian jadd_mixed(const Jacobian& p, const AffM& q) const;
-
-  /// Lazily built comb table for the generator (thread-safe, built once
-  /// per group on first fixed-base multiplication).
-  [[nodiscard]] const EcFixedBaseTable& fixed_base_table() const;
 
  private:
   CurveParams params_;
   MontCtx fp_;
   MontCtx fn_;
-  UInt a_m_;  // curve a in Montgomery form
+  UInt a_m_;  // curve a in Montgomery form (reference path and lift_x)
   UInt b_m_;
-  bool a_is_minus3_ = false;
-  mutable std::once_flag fixed_base_once_;
-  mutable std::unique_ptr<EcFixedBaseTable> fixed_base_;
+  std::variant<std::unique_ptr<EcGroupT<FieldP224>>,
+               std::unique_ptr<EcGroupT<FieldP256>>,
+               std::unique_ptr<EcGroupT<FieldP384>>,
+               std::unique_ptr<EcGroupT<FieldP521>>>
+      typed_;
 };
 
 /// Shared per-strength group instances (construction is nontrivial).

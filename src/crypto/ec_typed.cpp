@@ -1,0 +1,10 @@
+#include "crypto/ec_typed.hpp"
+
+namespace argus::crypto {
+
+template class EcGroupT<FieldP224>;
+template class EcGroupT<FieldP256>;
+template class EcGroupT<FieldP384>;
+template class EcGroupT<FieldP521>;
+
+}  // namespace argus::crypto

@@ -141,42 +141,44 @@ constexpr std::size_t kSubBatch = 4;
 // pattern eps. a_1 = 1 and the rest are nonzero 64-bit coefficients from
 // `coeff_rng`, so a forged member only survives with probability ~2^-64
 // per pattern. Returns true iff some pattern vanishes.
-bool verify_subbatch(const EcGroup& g, const std::vector<BatchCand>& cands,
-                     std::size_t first, std::size_t count, HmacDrbg& rng) {
-  using Jac = EcGroup::Jacobian;
+template <class G>
+bool verify_subbatch(const G& g, const MontCtx& fn,
+                     const std::vector<BatchCand>& cands, std::size_t first,
+                     std::size_t count, HmacDrbg& rng) {
+  using Jac = typename G::Jac;
   const UInt& n = g.params().n;
-  const MontCtx& fn = g.order();
 
   // Coefficients and per-item C_i = a_i * R_i.
   std::vector<UInt> coeff(count);
   std::vector<Jac> c_pts(count);
   UInt u1_sum{};  // sum a_i * u1_i mod n
-  std::vector<MsmTerm> q_terms;
+  std::vector<typename G::MsmTerm> q_terms;
   q_terms.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const BatchCand& c = cands[first + i];
     if (i == 0) {
       coeff[i] = UInt::one();
-      c_pts[i] = g.to_jacobian(c.r_pt);
+      c_pts[i] = g.to_jac(c.r_pt);
     } else {
       Bytes raw = rng.generate(8);
       raw[7] |= 1;  // nonzero
       coeff[i] = UInt::from_bytes_be(raw);
-      c_pts[i] = scalar_mul_jac(g, c.r_pt, coeff[i]);
+      c_pts[i] = g.scalar_mul_jac(c.r_pt, coeff[i]);
     }
     u1_sum = fn.reduce(
         crypto::add(u1_sum, mod(mul_full(coeff[i], c.u1), n)));
-    q_terms.push_back(MsmTerm{c.qtab, mod(mul_full(coeff[i], c.u2), n)});
+    q_terms.push_back({c.qtab->template table<G::N>(),
+                       mod(mul_full(coeff[i], c.u2), n)});
   }
 
   // T = sum a_i*u1_i * G + sum (a_i*u2_i) * Q_i.
-  Jac t = msm(g, q_terms);
-  fold_fixed_base(g, t, u1_sum);
+  Jac t = g.msm(q_terms);
+  g.fold_comb(t, u1_sum);
 
   // Start at the all-(+1) pattern: E = T - sum C_i.
   Jac e = t;
   for (std::size_t i = 0; i < count; ++i) e = g.jadd(e, g.jneg(c_pts[i]));
-  if (e.z.is_zero()) return true;
+  if (G::is_identity(e)) return true;
 
   // Gray-code walk over the remaining sign patterns; flipping eps_i
   // adds or removes 2*C_i.
@@ -192,7 +194,7 @@ bool verify_subbatch(const EcGroup& g, const std::vector<BatchCand>& cands,
     while (!((step >> bit) & 1u)) ++bit;
     pattern ^= 1u << bit;
     e = g.jadd(e, (pattern & (1u << bit)) ? d_pts[bit] : d_neg[bit]);
-    if (e.z.is_zero()) return true;
+    if (G::is_identity(e)) return true;
   }
   return false;
 }
@@ -267,7 +269,10 @@ std::vector<bool> ecdsa_verify_batch(const EcGroup& group,
   for (std::size_t first = 0; first < cands.size(); first += kSubBatch) {
     const std::size_t count = std::min(kSubBatch, cands.size() - first);
     ++local.batch_rounds;
-    if (verify_subbatch(group, cands, first, count, coeff_rng)) {
+    const bool ok = group.visit([&](const auto& g) {
+      return verify_subbatch(g, fn, cands, first, count, coeff_rng);
+    });
+    if (ok) {
       for (std::size_t i = 0; i < count; ++i) out[cands[first + i].idx] = true;
       local.batched += count;
     } else {

@@ -4,133 +4,47 @@
 #include <stdexcept>
 #include <utility>
 
-namespace argus::crypto {
+#include "crypto/field.hpp"
 
-using u128 = unsigned __int128;
+namespace argus::crypto {
 
 namespace {
 
-// -n^{-1} mod 2^64 via Newton iteration (n odd).
-std::uint64_t neg_inv64(std::uint64_t n) {
-  std::uint64_t x = n;  // correct to 3 bits
-  for (int i = 0; i < 5; ++i) x *= 2 - n * x;
-  return ~x + 1;  // negate: now -n^{-1}
-}
+// MontCtx's rows are thin UInt adapters over the width-N kernels in
+// field.hpp: the generic Comba product and word-wise REDC, the dedicated
+// squaring and the masked add/sub/neg. Words at and above N are never
+// read, and the returned UInt has them zero.
 
-// The width-N kernels. Every loop bound is the template parameter, so the
-// loops unroll and the accumulators stay in registers; each final
-// correction is a masked select rather than a branch. Words at and above
-// N are never read, and the returned UInt has them zero.
-
-// a - b across N words; returns the borrow-out (0 or 1).
 template <std::size_t N>
-std::uint64_t sub_words(std::uint64_t* r, const std::uint64_t* a,
-                        const std::uint64_t* b) {
-  std::uint64_t borrow = 0;
-#pragma GCC unroll 9
-  for (std::size_t j = 0; j < N; ++j) {
-    const u128 d = static_cast<u128>(a[j]) - b[j] - borrow;
-    r[j] = static_cast<std::uint64_t>(d);
-    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
-  }
-  return borrow;
-}
-
-// r = mask ? x : y, word by word (mask is all-ones or zero).
-template <std::size_t N>
-UInt select_words(std::uint64_t mask, const std::uint64_t* x,
-                  const std::uint64_t* y) {
-  UInt r;
-#pragma GCC unroll 9
-  for (std::size_t j = 0; j < N; ++j) r.w[j] = (x[j] & mask) | (y[j] & ~mask);
-  return r;
-}
-
-// CIOS Montgomery product a*b*R^-1 mod n, R = 2^(64N).
-template <std::size_t N>
-UInt mont_mul(const UInt& a, const UInt& b, const UInt& n,
-              std::uint64_t n0inv) {
-  std::uint64_t t[N + 2] = {};
-#pragma GCC unroll 9
-  for (std::size_t i = 0; i < N; ++i) {
-    // t += a[i] * b
-    u128 carry = 0;
-#pragma GCC unroll 9
-    for (std::size_t j = 0; j < N; ++j) {
-      carry += static_cast<u128>(a.w[i]) * b.w[j] + t[j];
-      t[j] = static_cast<std::uint64_t>(carry);
-      carry >>= 64;
-    }
-    carry += t[N];
-    t[N] = static_cast<std::uint64_t>(carry);
-    t[N + 1] = static_cast<std::uint64_t>(carry >> 64);
-
-    // m = t[0] * n0inv mod 2^64; t += m*n; t >>= 64
-    const std::uint64_t m = t[0] * n0inv;
-    carry = (static_cast<u128>(m) * n.w[0] + t[0]) >> 64;
-#pragma GCC unroll 9
-    for (std::size_t j = 1; j < N; ++j) {
-      carry += static_cast<u128>(m) * n.w[j] + t[j];
-      t[j - 1] = static_cast<std::uint64_t>(carry);
-      carry >>= 64;
-    }
-    carry += t[N];
-    t[N - 1] = static_cast<std::uint64_t>(carry);
-    t[N] = t[N + 1] + static_cast<std::uint64_t>(carry >> 64);
-  }
-  // T = t[0..N] < 2n. Subtract n across all N+1 words; T < n exactly when
-  // the top word borrows, and then T itself is the result.
-  std::uint64_t d[N];
-  const std::uint64_t borrow = sub_words<N>(d, t, n.w.data());
-  const std::uint64_t keep_t = static_cast<std::uint64_t>(t[N] < borrow);
-  return select_words<N>(0 - keep_t, t, d);
+UInt row_mul(const UInt& a, const UInt& b, const UInt& n,
+             std::uint64_t n0inv) {
+  std::uint64_t t[2 * N];
+  fe::mul_wide<N>(t, fe::from_uint<N>(a), fe::from_uint<N>(b));
+  return fe::to_uint<N>(fe::redc<N>(t, fe::from_uint<N>(n), n0inv));
 }
 
 template <std::size_t N>
-UInt mod_add(const UInt& a, const UInt& b, const UInt& n) {
-  std::uint64_t s[N];
-  u128 carry = 0;
-#pragma GCC unroll 9
-  for (std::size_t j = 0; j < N; ++j) {
-    carry += static_cast<u128>(a.w[j]) + b.w[j];
-    s[j] = static_cast<std::uint64_t>(carry);
-    carry >>= 64;
-  }
-  // The sum is < n exactly when it did not carry out and s - n borrows.
-  std::uint64_t d[N];
-  const std::uint64_t borrow = sub_words<N>(d, s, n.w.data());
-  const std::uint64_t keep_s = borrow & ~static_cast<std::uint64_t>(carry);
-  return select_words<N>(0 - keep_s, s, d);
+UInt row_sqr(const UInt& a, const UInt& n, std::uint64_t n0inv) {
+  std::uint64_t t[2 * N];
+  fe::sqr_wide<N>(t, fe::from_uint<N>(a));
+  return fe::to_uint<N>(fe::redc<N>(t, fe::from_uint<N>(n), n0inv));
 }
 
 template <std::size_t N>
-UInt mod_sub(const UInt& a, const UInt& b, const UInt& n) {
-  std::uint64_t d[N];
-  const std::uint64_t mask = 0 - sub_words<N>(d, a.w.data(), b.w.data());
-  // On a borrow, a - b + 2^(64N) + n wraps back to a - b + n.
-  UInt r;
-  u128 carry = 0;
-#pragma GCC unroll 9
-  for (std::size_t j = 0; j < N; ++j) {
-    carry += static_cast<u128>(d[j]) + (n.w[j] & mask);
-    r.w[j] = static_cast<std::uint64_t>(carry);
-    carry >>= 64;
-  }
-  return r;
+UInt row_add(const UInt& a, const UInt& b, const UInt& n) {
+  return fe::to_uint<N>(fe::add<N>(fe::from_uint<N>(a), fe::from_uint<N>(b),
+                                   fe::from_uint<N>(n)));
 }
 
 template <std::size_t N>
-UInt mod_neg(const UInt& a, const UInt& n) {
-  std::uint64_t any = 0;
-#pragma GCC unroll 9
-  for (std::size_t j = 0; j < N; ++j) any |= a.w[j];
-  // n - a, forced to zero when a == 0 (the result must stay below n).
-  const std::uint64_t mask = 0 - static_cast<std::uint64_t>(any != 0);
-  UInt r;
-  sub_words<N>(r.w.data(), n.w.data(), a.w.data());
-#pragma GCC unroll 9
-  for (std::size_t j = 0; j < N; ++j) r.w[j] &= mask;
-  return r;
+UInt row_sub(const UInt& a, const UInt& b, const UInt& n) {
+  return fe::to_uint<N>(fe::sub<N>(fe::from_uint<N>(a), fe::from_uint<N>(b),
+                                   fe::from_uint<N>(n)));
+}
+
+template <std::size_t N>
+UInt row_neg(const UInt& a, const UInt& n) {
+  return fe::to_uint<N>(fe::neg<N>(fe::from_uint<N>(a), fe::from_uint<N>(n)));
 }
 
 using detail::MontKernels;
@@ -138,8 +52,8 @@ using detail::MontKernels;
 template <std::size_t... I>
 constexpr std::array<MontKernels, sizeof...(I)> make_kernels(
     std::index_sequence<I...>) {
-  return {{MontKernels{&mont_mul<I + 1>, &mod_add<I + 1>, &mod_sub<I + 1>,
-                       &mod_neg<I + 1>}...}};
+  return {{MontKernels{&row_mul<I + 1>, &row_sqr<I + 1>, &row_add<I + 1>,
+                       &row_sub<I + 1>, &row_neg<I + 1>}...}};
 }
 
 // Row w-1 serves moduli of w words.
@@ -157,7 +71,7 @@ MontCtx::MontCtx(const UInt& modulus) : n_(modulus) {
   }
   nwords_ = modulus.word_count();
   k_ = &kKernels[nwords_ - 1];
-  n0inv_ = neg_inv64(n_.w[0]);
+  n0inv_ = fe::neg_inv64(n_.w[0]);
 
   // R mod n and R^2 mod n by repeated doubling: R = 2^(64*nwords).
   UInt r = mod(UInt::one(), n_);

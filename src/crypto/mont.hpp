@@ -4,13 +4,14 @@
 // pairing field prime). Values passed to mul/pow/inv must be in Montgomery
 // form and < n; use to_mont/from_mont at the boundary.
 //
-// The field kernels (mul, add, sub, neg) are one template per limb count,
-// instantiated for 1..kMaxWords words. The constructor picks the row for
-// the modulus's word count once, so P-224/P-256 run 4-word loops, P-384
-// 6, the pairing field 8 and P-521 9 — every loop bound is a compile-time
-// constant, and smaller fields pay proportionally less per operation, as
-// in the paper's strength sweep (Fig 6(a)). Results are the unique fully
-// reduced values, so the choice of kernel never changes an output bit.
+// MontCtx keeps a runtime width for the callers whose modulus is not an EC
+// field prime: the pairing field, the curve group orders and primes.cpp.
+// (The EC point code runs on the width-typed FieldT of field.hpp.) Its
+// kernel rows (mul, sqr, add, sub, neg) instantiate field.hpp's width-N
+// templates for 1..kMaxWords words — the generic Comba product and REDC —
+// so the arithmetic has one implementation. The constructor picks the row
+// for the modulus's word count once. Results are the unique fully reduced
+// values, so the choice of kernel never changes an output bit.
 #pragma once
 
 #include <optional>
@@ -28,6 +29,7 @@ namespace detail {
 struct MontKernels {
   UInt (*mul)(const UInt& a, const UInt& b, const UInt& n,
               std::uint64_t n0inv);
+  UInt (*sqr)(const UInt& a, const UInt& n, std::uint64_t n0inv);
   UInt (*add)(const UInt& a, const UInt& b, const UInt& n);
   UInt (*sub)(const UInt& a, const UInt& b, const UInt& n);
   UInt (*neg)(const UInt& a, const UInt& n);
@@ -51,7 +53,9 @@ class MontCtx {
   [[nodiscard]] UInt mul(const UInt& a, const UInt& b) const {
     return k_->mul(a, b, n_, n0inv_);
   }
-  [[nodiscard]] UInt sqr(const UInt& a) const { return mul(a, a); }
+  [[nodiscard]] UInt sqr(const UInt& a) const {
+    return k_->sqr(a, n_, n0inv_);
+  }
 
   /// Modular add/sub (domain-agnostic: works for plain or Montgomery form).
   [[nodiscard]] UInt add(const UInt& a, const UInt& b) const {

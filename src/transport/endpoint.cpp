@@ -45,6 +45,7 @@ std::vector<TransportEndpoint::Inbound> TransportEndpoint::pump(
   std::vector<Inbound> out;
 
   // 1. Drain the socket and route packets to their connections.
+  std::vector<NetAddr> touched;
   NetAddr from;
   Bytes datagram;
   for (std::size_t i = 0;
@@ -96,7 +97,18 @@ std::vector<TransportEndpoint::Inbound> TransportEndpoint::pump(
     for (Bytes& frame : c.take_delivered()) {
       out.push_back(Inbound{from, std::move(frame)});
     }
-    flush(from, c);
+    if (std::find(touched.begin(), touched.end(), from) == touched.end()) {
+      touched.push_back(from);
+    }
+  }
+  // Each connection the socket drain touched is flushed once, so a burst
+  // of DATA drained together costs one ACK (ReliableConn::take_outgoing).
+  // The ACK leaves now, not on the application's replies: holding it
+  // across the caller's compute would inflate the peer's RTT samples.
+  for (const NetAddr& peer : touched) {
+    if (const auto it = conns_.find(peer); it != conns_.end()) {
+      flush(peer, *it->second.value);
+    }
   }
 
   // 2. Timers: retransmits, keep-alives, death clocks.

@@ -193,6 +193,7 @@ double ReliableConn::next_deadline_ms() const {
 }
 
 std::vector<Bytes> ReliableConn::take_outgoing() {
+  if (ack_pending_) emit_ack();
   return std::exchange(outgoing_, {});
 }
 
@@ -202,6 +203,9 @@ std::vector<Bytes> ReliableConn::take_delivered() {
 
 void ReliableConn::emit(Packet p) {
   p.conn = conn_id_;
+  // Every packet but a SYN carries the current ack/sack, so it settles
+  // any ACK owed.
+  if (p.type != PacketType::kSyn) ack_pending_ = false;
   outgoing_.push_back(encode_packet(p));
   stats_.packets_sent++;
 }
@@ -339,6 +343,10 @@ double ReliableConn::probe_timeout_ms() const {
   return std::max(2 * srtt_ms_, kClockGranularityMs);
 }
 
+// ACK policy (RFC 5681 section 4.2): in-order DATA that fills no gap
+// only marks an ACK as owed, so a burst drained together is acked once
+// (take_outgoing). A duplicate, an out-of-order arrival or one that fills
+// a gap is acked at once: those are the ACKs loss recovery waits on.
 void ReliableConn::on_data(const Packet& p, double now_ms) {
   (void)now_ms;
   const std::uint32_t seq = p.seq;
@@ -356,7 +364,12 @@ void ReliableConn::on_data(const Packet& p, double now_ms) {
     emit_ack();
     return;
   }
-  if (seq != cum_recv_ + 1) stats_.out_of_order_rx++;
+  if (seq != cum_recv_ + 1) {
+    stats_.out_of_order_rx++;
+    emit_ack();
+    return;
+  }
+  const bool fills_gap = recv_buf_.size() > 1;
   // Advance the cumulative frontier through any newly contiguous run.
   auto it = recv_buf_.find(cum_recv_ + 1);
   while (it != recv_buf_.end()) {
@@ -368,7 +381,11 @@ void ReliableConn::on_data(const Packet& p, double now_ms) {
       it = recv_buf_.find(cum_recv_ + 1);
     }
   }
-  emit_ack();
+  if (fills_gap) {
+    emit_ack();
+  } else {
+    ack_pending_ = true;
+  }
 }
 
 std::uint32_t ReliableConn::sack_bits() const {

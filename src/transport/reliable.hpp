@@ -5,7 +5,13 @@
 //
 //   * every DATA frame carries a 1-based sequence number; the receiver
 //     acks cumulatively (every seq <= ack arrived) plus a 32-bit
-//     selective-ack bitmap for out-of-order arrivals;
+//     selective-ack bitmap for out-of-order arrivals. In-order DATA that
+//     fills no gap only marks an ACK as owed; any packet sent before the
+//     next drain carries the ack/sack and settles it, and take_outgoing()
+//     emits one pure ACK if it is still owed — so a clean burst drained
+//     together is acked once. Duplicates, out-of-order arrivals and gap
+//     fills are acked at once (RFC 5681 section 4.2): loss recovery waits
+//     on those;
 //   * unacked frames sit in a bounded in-flight window. A lost frame is
 //     found in about one round trip: RACK (RFC 8985) marks a frame lost
 //     once a frame sent after it is acked and a reordering window has
@@ -102,8 +108,9 @@ class ReliableConn {
   /// lost FIN degrades to the peer's keep-alive timeout.
   void close(double now_ms);
 
-  /// Raw datagram payloads to transmit, in order. Drained by the owner
-  /// after send/on_packet/tick.
+  /// Raw datagram payloads to transmit, in order, ending with one pure
+  /// ACK if DATA arrived since the last drain and nothing sent since has
+  /// carried the ack. Drained by the owner after send/on_packet/tick.
   std::vector<Bytes> take_outgoing();
 
   /// Application frames delivered in order, exactly once.
@@ -221,6 +228,7 @@ class ReliableConn {
   unsigned syn_attempts_ = 0;
 
   std::vector<Bytes> outgoing_;
+  bool ack_pending_ = false;  // in-order DATA arrived; not yet acked
   Stats stats_;
 };
 

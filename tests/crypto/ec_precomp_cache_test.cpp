@@ -1,10 +1,13 @@
 // Differential test of EcPrecompCache's recency-list eviction against a
 // frozen copy of the tick-scan LRU it replaced: the same seeded key
 // sequences must produce the same hit/miss verdict at every step, the
-// same hits/misses/evictions counters, and the same resident set.
+// same hits/misses/evictions counters, and the same resident set. Plus
+// the concurrency cases the tsan lane runs: shared lookups, and a cold
+// start of every curve's lazy tables from four threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -14,6 +17,7 @@
 
 #include "crypto/ec.hpp"
 #include "crypto/ec_precomp.hpp"
+#include "crypto/ecdsa.hpp"
 
 namespace argus::crypto {
 namespace {
@@ -153,6 +157,56 @@ TEST(EcPrecompCacheTest, ConcurrentLookupsKeepTablesAndCounts) {
   EXPECT_LE(cache.size(), 4u);
   // Every miss inserts one table; every insert into a full cache evicts.
   EXPECT_EQ(st.evictions, st.misses - cache.size());
+}
+
+// Cold start: four threads race through the first group_for, the first
+// scalar_mul_base (the typed group's lazy comb build), the first sign and
+// two verifies (EcPrecompCache misses, then hits) on every curve, each
+// thread in its own curve order. Run alone in its process (as ctest and
+// the tsan lane do), every lazy structure is built under contention.
+TEST(EcColdStartTest, FourThreadsFirstUseOfEveryCurve) {
+  constexpr std::size_t kThreads = 4;
+  const Strength strengths[] = {Strength::b112, Strength::b128,
+                                Strength::b192, Strength::b256};
+  const Bytes msg = str_bytes("cold-start");
+  struct Result {
+    EcPoint pub;
+    bool verified = false;
+  };
+  std::vector<std::vector<Result>> results(kThreads, std::vector<Result>(4));
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::size_t i = 0; i < 4; ++i) {
+        const std::size_t c = (i + t) % 4;
+        const EcGroup& g = group_for(strengths[c]);
+        const UInt priv = UInt::from_u64(1000 * (t + 1) + c);
+        Result& r = results[t][c];
+        r.pub = g.scalar_mul_base(priv);
+        const EcdsaSignature sig = ecdsa_sign(g, priv, msg);
+        r.verified = ecdsa_verify(g, r.pub, msg, sig) &&
+                     ecdsa_verify(g, r.pub, msg, sig);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      const EcGroup& g = group_for(strengths[c]);
+      const UInt priv = UInt::from_u64(1000 * (t + 1) + c);
+      EXPECT_EQ(results[t][c].pub,
+                g.scalar_mul_reference(g.generator(), priv))
+          << "thread " << t << " curve " << c;
+      EXPECT_TRUE(results[t][c].verified) << "thread " << t << " curve " << c;
+    }
+  }
+  // 16 distinct keys, each verified twice: at least a miss and a hit each.
+  const EcPrecompCache::Stats st = EcPrecompCache::global().stats();
+  EXPECT_GE(st.misses, kThreads * 4);
+  EXPECT_GE(st.hits, kThreads * 4);
 }
 
 }  // namespace

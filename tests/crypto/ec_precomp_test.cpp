@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "crypto/drbg.hpp"
 #include "crypto/ec.hpp"
+#include "crypto/ec_typed.hpp"
 #include "crypto/mont.hpp"
 
 namespace argus::crypto {
@@ -82,19 +86,33 @@ TEST_P(EcPrecompTest, PerKeyTableMatchesReference) {
 }
 
 TEST_P(EcPrecompTest, ConstantTimeSelectMatchesDirectLookup) {
-  // entry_ct is the hardened lookup behind mul()/mul_jac(): a masked
-  // sweep of the whole table must hand back exactly the slot the direct
-  // (secret-indexed) lookup would have.
+  // ct_select is the masked lookup behind window_mul and the ECDH
+  // ladder: a sweep of the whole table must hand back exactly the slot
+  // the direct (index-dependent) lookup would have — for the per-key
+  // affine table and for a Jacobian table like the ladder's.
   HmacDrbg rng(str_bytes("ct-select-pt"));
   const EcPoint p = g().scalar_mul_reference(g().generator(),
                                              g().random_scalar(rng));
   const EcPrecomp tab(g(), p);
-  for (std::size_t v = 1; v <= EcPrecomp::kTableSize; ++v) {
-    const EcGroup::AffM direct = tab.entry(v);
-    const EcGroup::AffM swept = tab.entry_ct(v);
-    EXPECT_EQ(swept.x, direct.x) << "v=" << v;
-    EXPECT_EQ(swept.y, direct.y) << "v=" << v;
-  }
+  g().visit([&](const auto& tg) {
+    constexpr std::size_t N = std::decay_t<decltype(tg)>::N;
+    const std::span<const AffMT<N>> entries = tab.table<N>();
+    ASSERT_EQ(entries.size(), EcPrecomp::kTableSize);
+    std::vector<JacT<N>> jac;
+    for (std::size_t v = 1; v <= EcPrecomp::kTableSize; ++v) {
+      const AffMT<N> swept = ct_select(entries, v - 1);
+      EXPECT_EQ(swept.x, entries[v - 1].x) << "v=" << v;
+      EXPECT_EQ(swept.y, entries[v - 1].y) << "v=" << v;
+      jac.push_back(tg.jdbl(tg.to_jac(g().scalar_mul_reference(
+          p, UInt::from_u64(v)))));
+    }
+    for (std::size_t i = 0; i < jac.size(); ++i) {
+      const JacT<N> swept = ct_select(std::span<const JacT<N>>(jac), i);
+      EXPECT_EQ(swept.x, jac[i].x) << "i=" << i;
+      EXPECT_EQ(swept.y, jac[i].y) << "i=" << i;
+      EXPECT_EQ(swept.z, jac[i].z) << "i=" << i;
+    }
+  });
 }
 
 TEST_P(EcPrecompTest, ConstantTimeMulHitsEveryWindowValue) {
@@ -187,14 +205,18 @@ TEST_P(EcPrecompTest, MsmMatchesReferenceSum) {
     ks.push_back(mod(g().random_scalar(rng), n));
     tabs.emplace_back(g(), pts.back());
   }
-  std::vector<MsmTerm> terms;
   EcPoint want = EcPoint::identity();
   for (int i = 0; i < 4; ++i) {
-    terms.push_back({&tabs[i], ks[i]});
     want = g().add(want, g().scalar_mul_reference(pts[i], ks[i]));
   }
-  const EcGroup::Jacobian acc = msm(g(), terms);
-  EXPECT_EQ(g().to_affine(acc), want);
+  g().visit([&](const auto& tg) {
+    using G = std::decay_t<decltype(tg)>;
+    std::vector<typename G::MsmTerm> terms;
+    for (int i = 0; i < 4; ++i) {
+      terms.push_back({tabs[i].template table<G::N>(), ks[i]});
+    }
+    EXPECT_EQ(tg.to_affine(tg.msm(terms)), want);
+  });
 }
 
 TEST_P(EcPrecompTest, ScalarMulJacMatchesReference) {
@@ -203,8 +225,10 @@ TEST_P(EcPrecompTest, ScalarMulJacMatchesReference) {
                                              g().random_scalar(rng));
   for (int i = 0; i < 8; ++i) {
     const UInt k = mod(g().random_scalar(rng), g().params().n);
-    EXPECT_EQ(g().to_affine(scalar_mul_jac(g(), p, k)),
-              g().scalar_mul_reference(p, k));
+    g().visit([&](const auto& tg) {
+      EXPECT_EQ(tg.to_affine(tg.scalar_mul_jac(p, k)),
+                g().scalar_mul_reference(p, k));
+    });
   }
 }
 
@@ -236,19 +260,24 @@ TEST_P(EcPrecompTest, LiftXRecoversCurvePoints) {
 }
 
 TEST_P(EcPrecompTest, FixedBaseTableShape) {
-  const EcFixedBaseTable& tab = g().fixed_base_table();
-  const std::size_t bits = g().params().n.bit_length();
-  EXPECT_EQ(tab.windows, (bits + 7) / 8);
-  EXPECT_EQ(tab.entries.size(),
-            tab.windows * EcFixedBaseTable::kEntriesPerWindow);
-  // Spot-check one entry: (window 1, v 3) is 3 * 2^8 * G in
-  // affine-Montgomery form — exactly to_jacobian(want)'s x and y, since
-  // to_jacobian of an affine point uses z = 1.
-  const EcGroup::AffM& e = tab.entry(1, 3);
-  const EcGroup::Jacobian want = g().to_jacobian(
-      g().scalar_mul_reference(g().generator(), UInt::from_u64(3 * 256)));
-  EXPECT_EQ(e.x, want.x);
-  EXPECT_EQ(e.y, want.y);
+  g().visit([&](const auto& tg) {
+    constexpr std::size_t N = std::decay_t<decltype(tg)>::N;
+    const CombTable<N>& tab = tg.comb();
+    const std::size_t bits = g().params().n.bit_length();
+    EXPECT_EQ(tab.windows, (bits + 7) / 8);
+    EXPECT_EQ(tab.entries.size(),
+              tab.windows * CombTable<N>::kEntriesPerWindow);
+    // Entries are stored at field width: N words per coordinate.
+    EXPECT_EQ(tab.bytes(), tab.entries.size() * 2 * N * sizeof(std::uint64_t));
+    // Spot-check one entry: (window 1, v 3) is 3 * 2^8 * G in
+    // affine-Montgomery form — exactly to_jac(want)'s x and y, since
+    // to_jac of an affine point uses z = 1.
+    const AffMT<N>& e = tab.entry(1, 3);
+    const JacT<N> want = tg.to_jac(
+        g().scalar_mul_reference(g().generator(), UInt::from_u64(3 * 256)));
+    EXPECT_EQ(e.x, want.x);
+    EXPECT_EQ(e.y, want.y);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrengths, EcPrecompTest,

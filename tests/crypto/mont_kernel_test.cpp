@@ -1,18 +1,25 @@
-// Differential test of the width-templated Montgomery kernels against a
-// frozen copy of the runtime-width code they replaced: the CIOS loop over
-// the modulus's word count with a full-capacity final subtraction, and
-// the full-capacity addmod/submod/sub from wide.cpp. Every width 1..9 is
+// Differential test of the width-templated field kernels against a frozen
+// copy of the runtime-width code they replaced: the CIOS loop over the
+// modulus's word count with a full-capacity final subtraction, and the
+// full-capacity addmod/submod/sub from wide.cpp. Every width 1..9 is
 // covered with seeded random moduli (including one at the 575-bit cap)
 // and every real modulus in the repository, on edge values plus 10^4
-// random operands per modulus.
+// random operands per modulus — once through MontCtx's runtime-width rows
+// and once through the Fe<N> kernels of field.hpp directly, including
+// the shift-and-add reductions of the P-256 and P-224 fields.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <string>
 #include <vector>
 
 #include "crypto/ec.hpp"
+#include "crypto/field.hpp"
 #include "crypto/mont.hpp"
 #include "crypto/wide.hpp"
 #include "pairing/params.hpp"
@@ -241,6 +248,143 @@ TEST(MontKernelTest, RealModuliPickTheirOwnWidth) {
   EXPECT_EQ(MontCtx(curve_p521().p).nwords(), 9u);
   EXPECT_EQ(MontCtx(pairing::default_params().p).nwords(), 8u);
   EXPECT_EQ(MontCtx(pairing::default_params().r).nwords(), 3u);
+}
+
+// ---- Fe<N> kernels ---------------------------------------------------------
+
+// Operands that drive every carry path: the usual edges plus values whose
+// words are all-ones or zero in every pattern (reduced below n), and
+// 2^(64j) - 1 and n - 2^(64j) for each word j.
+std::vector<UInt> edge_operands(const UInt& n) {
+  const std::size_t nw = n.word_count();
+  UProd r_full;
+  r_full.w[nw] = 1;
+  const UInt r1 = mod(r_full, n);
+  std::vector<UInt> out = {UInt::zero(), mod(UInt::one(), n),
+                           oracle_sub(n, UInt::one()), r1,
+                           mod(mul_full(r1, r1), n)};
+  const std::size_t patterns = std::size_t{1} << std::min<std::size_t>(nw, 6);
+  for (std::size_t bits = 1; bits < patterns; ++bits) {
+    UInt v;
+    for (std::size_t j = 0; j < nw; ++j) {
+      v.w[j] = ((bits >> (j % 6)) & 1) ? ~std::uint64_t{0} : 0;
+    }
+    out.push_back(mod(v, n));
+  }
+  for (std::size_t j = 0; j < nw; ++j) {
+    UInt pow2;
+    pow2.w[j] = 1;
+    out.push_back(mod(oracle_sub(pow2, UInt::one()), n));
+    if (oracle_cmp(pow2, n) < 0) out.push_back(oracle_sub(n, pow2));
+  }
+  return out;
+}
+
+// One operand pair through a typed field F (mul and sqr through F's own
+// reduction, add/sub/neg through the shared carry chains).
+template <class F>
+void check_field_pair(const F& f, const UInt& n, const UInt& a,
+                      const UInt& b) {
+  constexpr std::size_t N = F::kWords;
+  const Fe<N> x = fe::from_uint<N>(a);
+  const Fe<N> y = fe::from_uint<N>(b);
+  ASSERT_EQ(fe::to_uint<N>(f.mul(x, y)), oracle_mul(a, b, n))
+      << "mul " << a.to_hex() << " " << b.to_hex();
+  ASSERT_EQ(fe::to_uint<N>(f.sqr(x)), oracle_mul(a, a, n))
+      << "sqr " << a.to_hex();
+  ASSERT_EQ(fe::to_uint<N>(f.add(x, y)), oracle_addmod(a, b, n))
+      << "add " << a.to_hex() << " " << b.to_hex();
+  ASSERT_EQ(fe::to_uint<N>(f.sub(x, y)), oracle_submod(a, b, n))
+      << "sub " << a.to_hex() << " " << b.to_hex();
+  ASSERT_EQ(fe::to_uint<N>(f.neg(x)), oracle_neg(a, n)) << "neg "
+                                                        << a.to_hex();
+}
+
+template <class F>
+void check_field(const UInt& n, std::mt19937_64& rng, int randoms) {
+  const F f(n);
+  const std::vector<UInt> edges = edge_operands(n);
+  for (const UInt& a : edges) {
+    for (const UInt& b : edges) {
+      check_field_pair(f, n, a, b);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  for (int i = 0; i < randoms; ++i) {
+    const UInt a = random_below(rng, n);
+    const UInt b = (i % 8 == 0) ? a : random_below(rng, n);
+    check_field_pair(f, n, a, b);
+    check_field_pair(f, n, a, edges[static_cast<std::size_t>(i) % edges.size()]);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+template <std::size_t... I>
+void check_generic_width(std::size_t nw, const UInt& n, std::mt19937_64& rng,
+                         int randoms, std::index_sequence<I...>) {
+  // Runtime width -> the FieldT<N> instantiation for it.
+  ((nw == I + 1 ? check_field<FieldT<I + 1>>(n, rng, randoms) : void()), ...);
+}
+
+TEST(FieldKernelTest, GenericKernelsMatchFrozenOracleEveryWidth) {
+  constexpr int kRandomPerModulus = 10000;
+  std::mt19937_64 rng(0x6665);  // "fe"
+  std::size_t widths_seen = 0;
+  for (const Modulus& mod_case : all_moduli()) {
+    SCOPED_TRACE(mod_case.name);
+    const std::size_t nw = mod_case.n.word_count();
+    widths_seen |= std::size_t{1} << nw;
+    check_generic_width(nw, mod_case.n, rng, kRandomPerModulus,
+                        std::make_index_sequence<kMaxWords>{});
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(widths_seen, ((std::size_t{1} << (kMaxWords + 1)) - 2));
+}
+
+TEST(FieldKernelTest, ShapedReductionsMatchFrozenOracle) {
+  constexpr int kRandom = 100000;
+  std::mt19937_64 rng(0x7368);  // "sh"
+  {
+    SCOPED_TRACE("P-256");
+    check_field<FieldP256>(curve_p256().p, rng, kRandom);
+  }
+  {
+    SCOPED_TRACE("P-224");
+    check_field<FieldP224>(curve_p224().p, rng, kRandom);
+  }
+}
+
+TEST(FieldKernelTest, ShapedFieldsRejectOtherModuli) {
+  EXPECT_THROW(FieldP256(curve_p224().p), std::invalid_argument);
+  EXPECT_THROW(FieldP224(curve_p256().p), std::invalid_argument);
+  EXPECT_THROW(FieldP256(curve_p256().n), std::invalid_argument);
+  EXPECT_THROW(FieldP384(curve_p256().p), std::invalid_argument);
+}
+
+TEST(FieldKernelTest, MontgomeryRoundTripAndInverse) {
+  // to_mont/from_mont/inv on every curve field, against MontCtx.
+  for (const CurveParams* cp : {&curve_p224(), &curve_p256(), &curve_p384(),
+                                &curve_p521()}) {
+    SCOPED_TRACE(cp->name);
+    const MontCtx ctx(cp->p);
+    std::mt19937_64 rng(0x696e76);  // "inv"
+    const auto run = [&](const auto& f) {
+      constexpr std::size_t N = std::decay_t<decltype(f)>::kWords;
+      for (int i = 0; i < 64; ++i) {
+        UInt a = random_below(rng, cp->p);
+        if (a.is_zero()) a = UInt::one();
+        const Fe<N> am = f.to_mont(a);
+        ASSERT_EQ(fe::to_uint<N>(am), ctx.to_mont(a));
+        ASSERT_EQ(f.from_mont(am), a);
+        ASSERT_EQ(fe::to_uint<N>(f.inv(am)), ctx.inv(ctx.to_mont(a)));
+        ASSERT_EQ(f.mul(f.inv(am), am), f.one());
+      }
+    };
+    if (cp == &curve_p224()) run(FieldP224(cp->p));
+    if (cp == &curve_p256()) run(FieldP256(cp->p));
+    if (cp == &curve_p384()) run(FieldP384(cp->p));
+    if (cp == &curve_p521()) run(FieldP521(cp->p));
+  }
 }
 
 }  // namespace

@@ -64,6 +64,29 @@ TEST(Endpoint, EstablishAndExchangeBothWays) {
   EXPECT_EQ(t.b.established_conns(), 1u);
 }
 
+TEST(Endpoint, OnePumpDrainingSixteenFramesSendsOneAck) {
+  TwoEndpoints t;
+  const NetAddr to_b = t.sb->local_addr();
+  const NetAddr to_a = t.sa->local_addr();
+  ASSERT_EQ(t.a.send(to_b, Bytes{0}, t.now), SendStatus::kQueued);
+  for (int i = 0; i < 50 && t.b.established_conns() == 0; ++i) t.step(5);
+  for (int i = 0; i < 5; ++i) t.step(5);  // settle the first frame's ack
+  ASSERT_NE(t.b.conn(to_a), nullptr);
+  const std::uint64_t acks0 = t.b.conn(to_a)->stats().acks_sent;
+  const std::uint64_t tx0 = t.b.stats().tx_packets;
+
+  for (std::uint8_t i = 1; i <= 16; ++i) {
+    ASSERT_EQ(t.a.send(to_b, Bytes{i}, t.now), SendStatus::kQueued);
+  }
+  const auto at_b = t.b.pump(t.now);
+  EXPECT_EQ(at_b.size(), 16u);
+  EXPECT_EQ(t.b.conn(to_a)->stats().acks_sent - acks0, 1u);
+  EXPECT_EQ(t.b.stats().tx_packets - tx0, 1u);
+  // The one ACK covers all 16: the sender's window drains.
+  t.a.pump(t.now);
+  EXPECT_EQ(t.a.conn(to_b)->in_flight(), 0u);
+}
+
 TEST(Endpoint, LruBoundHoldsUnderDialFlood) {
   PipeHub hub;
   auto server_sock = hub.open(0);

@@ -458,8 +458,12 @@ TEST(Reliable, DuplicateDataDeliversOnce) {
   ConnPair pair(ReliableParams{}, {});
   pair.run_until_established();
   const Packet data{PacketType::kData, 7, 1, 0, 0, frame_bytes(0)};
+  // Each arrival is drained before the next, as a pump would: ACKs are
+  // owed per drain, not per packet.
   pair.b.on_packet(data, pair.now);
+  (void)pair.b.take_outgoing();
   pair.b.on_packet(data, pair.now);  // retransmit of an acked frame
+  (void)pair.b.take_outgoing();
   EXPECT_EQ(pair.b.take_delivered().size(), 1u);
   EXPECT_GT(pair.b.stats().dup_rx, 0u);
   // The dup still re-acked so the sender's retries stop.
