@@ -1,6 +1,7 @@
 #include "argus/discovery.hpp"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -17,25 +18,35 @@ MsgType wire_type(ByteSpan wire) {
   return wire.empty() ? MsgType{} : static_cast<MsgType>(wire[0]);
 }
 
+/// One message type's traffic. Offered counts every send attempt;
+/// delivered counts only copies the radio let through, so a lossy run's
+/// report never claims traffic the peer never saw. On a clean channel
+/// the two are equal.
+struct Traffic {
+  std::uint64_t offered_count = 0;
+  std::uint64_t offered_bytes = 0;
+  std::uint64_t count = 0;  // delivered
+  std::uint64_t bytes = 0;  // delivered
+};
+
 // Per-run observability context. `metrics` always points at the run-local
-// registry (the single source for the report's traffic accounting);
-// `tracer` is the user's, if any.
+// registry; `tracer` is the user's, if any. `traffic` is the single source
+// for the report's traffic accounting and the net.msg.* counters, keyed by
+// the static type name (msg_type_name, or "FLOOD").
 struct Shared {
   DiscoveryReport* report = nullptr;
   std::uint64_t epoch = 0;
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
+  std::map<std::string_view, Traffic> traffic;
 
-  // Offered counts every send attempt; the delivered counters (the ones
-  // the report's messages/bytes derive from) only count copies the radio
-  // let through, so a lossy run's report never claims traffic the peer
-  // never saw. On a clean channel the two families are equal.
-  void tally(const char* type, std::size_t size, bool delivered) {
-    metrics->counter(std::string("net.msg.offered.count.") + type).inc();
-    metrics->counter(std::string("net.msg.offered.bytes.") + type).inc(size);
+  void tally(std::string_view type, std::size_t size, bool delivered) {
+    Traffic& t = traffic[type];
+    ++t.offered_count;
+    t.offered_bytes += size;
     if (delivered) {
-      metrics->counter(std::string("net.msg.count.") + type).inc();
-      metrics->counter(std::string("net.msg.bytes.") + type).inc(size);
+      ++t.count;
+      t.bytes += size;
     }
   }
 };
@@ -347,9 +358,9 @@ struct DiscoveryTestbed::Impl {
   net::Simulator sim;
   net::Network net;
   DiscoveryReport report;
-  // Message tallies always land in a run-local registry (the report is
-  // derived from it in finalize); a user-supplied registry receives a
-  // copy at the end so cross-run accumulation never skews this report.
+  // Run-local counters (fault.*, and net.msg.* written from the traffic
+  // ledger in finalize); a user-supplied registry receives a copy at the
+  // end so cross-run accumulation never skews this report.
   obs::MetricsRegistry local_metrics;
   Shared shared;
   std::optional<SubjectNode> subject;  // optional: nodes must never move
@@ -368,7 +379,7 @@ struct DiscoveryTestbed::Impl {
   explicit Impl(const DiscoveryScenario& s)
       : scenario(s),
         net(sim, scenario.radio, scenario.seed),
-        shared{&report, scenario.epoch, scenario.tracer, &local_metrics} {
+        shared{&report, scenario.epoch, scenario.tracer, &local_metrics, {}} {
     sim.set_tracer(scenario.tracer);
     net.set_tracer(scenario.tracer);
     net.set_metrics(scenario.metrics);
@@ -561,27 +572,25 @@ struct DiscoveryTestbed::Impl {
 
 DiscoveryReport DiscoveryTestbed::Impl::finalize() {
   report.services = subject->engine().discovered();
-  // Traffic accounting: totals and the per-type split both derive from
-  // the same counters, so they cannot disagree (hop_bytes and channel
-  // occupancy remain radio-model quantities).
+  // Traffic accounting: totals, the per-type split and the net.msg.*
+  // counters all derive from the one ledger, so they cannot disagree
+  // (hop_bytes and channel occupancy remain radio-model quantities). A
+  // delivered counter exists only if a copy of that type was delivered.
   report.net_stats = net.stats();
   report.net_stats.messages = 0;
   report.net_stats.bytes = 0;
-  constexpr std::string_view kCountPrefix = "net.msg.count.";
-  constexpr std::string_view kBytesPrefix = "net.msg.bytes.";
-  constexpr std::string_view kOfferedCountPrefix = "net.msg.offered.count.";
-  constexpr std::string_view kOfferedBytesPrefix = "net.msg.offered.bytes.";
-  for (const auto& [name, counter] : local_metrics.counters()) {
-    if (name.starts_with(kOfferedBytesPrefix)) {
-      report.offered_bytes += counter.value();
-    } else if (name.starts_with(kOfferedCountPrefix)) {
-      report.offered_messages += counter.value();
-    } else if (name.starts_with(kBytesPrefix)) {
-      report.bytes_by_msg[name.substr(kBytesPrefix.size())] = counter.value();
-      report.net_stats.bytes += counter.value();
-    } else if (name.starts_with(kCountPrefix)) {
-      report.net_stats.messages += counter.value();
-    }
+  for (const auto& [type, t] : shared.traffic) {
+    const std::string name(type);
+    report.offered_messages += t.offered_count;
+    report.offered_bytes += t.offered_bytes;
+    local_metrics.counter("net.msg.offered.count." + name).inc(t.offered_count);
+    local_metrics.counter("net.msg.offered.bytes." + name).inc(t.offered_bytes);
+    if (t.count == 0) continue;
+    report.net_stats.messages += t.count;
+    report.net_stats.bytes += t.bytes;
+    report.bytes_by_msg[name] = t.bytes;
+    local_metrics.counter("net.msg.count." + name).inc(t.count);
+    local_metrics.counter("net.msg.bytes." + name).inc(t.bytes);
   }
   if (scenario.metrics != nullptr) {
     for (const auto& [name, counter] : local_metrics.counters()) {

@@ -171,10 +171,10 @@ struct DiscoveryReport {
   std::vector<DiscoveredService> services;
   std::vector<DiscoveryEvent> timeline;
   /// Traffic accounting. `messages`/`bytes` and `bytes_by_msg` are both
-  /// derived from the run's metrics registry (counters
-  /// net.msg.{count,bytes}.<TYPE>), so the totals and the per-type split
-  /// can never disagree; `hop_bytes`/`channel_busy_ms` come from the
-  /// radio model, which nodes cannot observe.
+  /// derived from the run's per-type traffic ledger (which also writes
+  /// the counters net.msg.{count,bytes}.<TYPE>), so the totals and the
+  /// per-type split can never disagree; `hop_bytes`/`channel_busy_ms`
+  /// come from the radio model, which nodes cannot observe.
   net::Network::Stats net_stats;
   double subject_compute_ms = 0;
   double object_compute_ms = 0;
@@ -182,7 +182,7 @@ struct DiscoveryReport {
 
   /// Loss accounting. `messages`/`bytes` above count protocol traffic that
   /// was actually delivered; `offered_*` count every send attempt
-  /// (derived from the net.msg.offered.* counters), so under loss
+  /// (the same ledger; counters net.msg.offered.*), so under loss
   /// offered >= delivered. delivery_ratio is receiver-side:
   /// deliveries / (deliveries + dropped), 1.0 on a clean channel.
   std::uint64_t offered_messages = 0;

@@ -28,7 +28,7 @@
 //     attach/re-ring, instead of an all-nodes scan per broadcast;
 //   * one payload buffer is shared (refcounted frame) by every scheduled
 //     copy of a send — broadcast to 10k receivers allocates one frame,
-//     not 10k — and retired frame allocations are pooled for reuse.
+//     not 10k — and the last copy frees it.
 // Delivery iteration is ring-major, attach order within a ring. Fleets
 // that attach nodes in ring-monotone order (every builtin grid and
 // scenario factory does) therefore keep the exact pre-index delivery and
@@ -219,7 +219,7 @@ class Network {
  private:
   /// Refcounted in-flight payload: every scheduled copy of one send
   /// (per-receiver broadcast copies, loss-model duplicates) shares a
-  /// single buffer.
+  /// single buffer, freed with the last copy.
   using Frame = std::shared_ptr<const Bytes>;
 
   struct NodeSlot {
@@ -271,11 +271,6 @@ class Network {
   void fault_drop(NodeId from, NodeId to, std::size_t bytes);
   /// Account one copy addressed to an unknown/departed node.
   void no_dest_drop(NodeId from, NodeId to, std::size_t bytes);
-  /// Wrap a payload as a shared in-flight frame, reusing a pooled
-  /// allocation when one is free.
-  Frame acquire_frame(Bytes payload);
-  /// Return a frame's allocation to the pool if this was the last copy.
-  void retire_frame(Frame frame);
   /// Drop `id` from its ring's member list and refresh the max-hops
   /// watermark (used by remove_node / set_node_hops).
   void unindex_ring(NodeId id, unsigned hops);
@@ -298,8 +293,6 @@ class Network {
   unsigned max_hops_ = 0;
   NodeId next_id_ = 1;
   std::vector<SimTime> ring_free_;  // per-hop-ring contention domains
-  /// Retired frame allocations, reused by the next send (bounded).
-  std::vector<std::shared_ptr<Bytes>> frame_pool_;
   Stats stats_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -1,5 +1,6 @@
 #include "net/sim.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/prof.hpp"
@@ -14,7 +15,7 @@ void Simulator::schedule(SimTime delay, std::function<void()> fn) {
 
 void Simulator::schedule_at(SimTime when, std::function<void()> fn) {
   if (when < now_) throw std::invalid_argument("Simulator: time in the past");
-  queue_.push(Event{when, next_seq_++, std::move(fn), 0});
+  push(Event{{when, next_seq_++}, std::move(fn), 0});
 }
 
 TimerId Simulator::schedule_timer_at(SimTime when, std::function<void()> fn) {
@@ -27,19 +28,30 @@ TimerId Simulator::schedule_timer_at(EventKey key, std::function<void()> fn) {
   }
   const TimerId id = next_timer_++;
   live_timers_.insert(id);
-  queue_.push(Event{key.time, key.seq, std::move(fn), id});
+  push(Event{key, std::move(fn), id});
   return id;
+}
+
+void Simulator::push(Event ev) {
+  heap_.push_back(std::move(ev));
+  std::push_heap(heap_.begin(), heap_.end(), later);
+}
+
+Simulator::Event Simulator::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  Event out = std::move(heap_.back());
+  heap_.pop_back();
+  return out;
 }
 
 EventKey Simulator::next_key() {
   prune();
-  const Event* top = queue_.peek();
-  return top ? EventKey{top->time, top->seq} : EventKey::never();
+  return heap_.empty() ? EventKey::never() : heap_.front().key;
 }
 
 bool Simulator::cancel_timer(TimerId id) {
   if (live_timers_.erase(id) == 0) return false;
-  // The event is still in the queue (its live entry is erased on pop),
+  // The event is still in the heap (its live entry is erased on pop),
   // so this cancel created exactly one tombstone.
   ++dead_;
   maybe_compact();
@@ -47,17 +59,19 @@ bool Simulator::cancel_timer(TimerId id) {
 }
 
 void Simulator::maybe_compact() {
-  if (dead_ * 2 <= queue_.size()) return;
-  queue_.erase_if([this](const Event& ev) {
+  if (dead_ * 2 <= heap_.size()) return;
+  std::erase_if(heap_, [this](const Event& ev) {
     return ev.timer != 0 && !live_timers_.contains(ev.timer);
   });
+  std::make_heap(heap_.begin(), heap_.end(), later);
   dead_ = 0;
 }
 
 void Simulator::prune() {
-  while (const Event* top = queue_.peek()) {
-    if (top->timer == 0 || live_timers_.contains(top->timer)) return;
-    queue_.pop_min();  // cancelled: drop without firing or advancing time
+  while (!heap_.empty()) {
+    const TimerId timer = heap_.front().timer;
+    if (timer == 0 || live_timers_.contains(timer)) return;
+    pop();  // cancelled: drop without firing or advancing time
     --dead_;
   }
 }
@@ -65,10 +79,11 @@ void Simulator::prune() {
 SimTime Simulator::dispatch(SimTime deadline, bool advance_clock) {
   if (tracer_) tracer_->begin(now_, 0, "sim.run", "sim", pending());
   const std::uint64_t before = executed_;
-  for (prune(); !queue_.empty() && queue_.peek()->time <= deadline; prune()) {
-    Event ev = queue_.pop_min();
+  for (prune(); !heap_.empty() && heap_.front().key.time <= deadline;
+       prune()) {
+    Event ev = pop();
     if (ev.timer != 0) live_timers_.erase(ev.timer);
-    now_ = ev.time;
+    now_ = ev.key.time;
     ++executed_;
     {
       ARGUS_PROF_SCOPE("sim.dispatch");

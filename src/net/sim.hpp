@@ -6,15 +6,16 @@
 // timelines and for the indistinguishability analyses, where timing IS the
 // observable.
 //
-// The event store is a calendar queue (net/event_queue.hpp): amortized
-// O(1) push/pop against the binary heap's O(log n), which matters once a
-// campus-scale broadcast parks tens of thousands of deliveries in flight.
-// Extraction order is identical to the heap by construction.
+// The event store is one binary min-heap on exact (time, seq). Busy
+// nodes park their frames in ingress queues behind one wake event each
+// (net/network.hpp), so the heap holds the in-flight deliveries and one
+// wake per busy node, not one timer per parked frame.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <unordered_set>
+#include <vector>
 
 #include "net/event_queue.hpp"
 
@@ -75,7 +76,7 @@ class Simulator {
 
   /// Live (uncancelled) events still queued. Exact: cancelled timers
   /// awaiting lazy discard are not counted.
-  [[nodiscard]] std::size_t pending() const { return queue_.size() - dead_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size() - dead_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Attach an event tracer (null detaches). With no tracer the only
@@ -84,20 +85,30 @@ class Simulator {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
-  using Event = CalendarQueue::Event;
+  struct Event {
+    EventKey key;
+    std::function<void()> fn;
+    TimerId timer = 0;  // 0: plain event; else cancellable
+  };
   static constexpr SimTime kForever = EventKey::never().time;
 
+  /// Heap comparator: `a` fires after `b`, so heap_.front() is the
+  /// smallest key.
+  static bool later(const Event& a, const Event& b) { return b.key < a.key; }
+
+  void push(Event ev);
+  Event pop();
   /// The one event loop: fire every live event due at or before
   /// `deadline`, in (time, seq) order, inside one "sim.run" trace span.
   SimTime dispatch(SimTime deadline, bool advance_clock);
-  /// Discard cancelled timers sitting at the head of the queue, so the
-  /// next peek() is live. Skipped slots do not advance the clock or count
-  /// as executed.
+  /// Discard cancelled timers sitting at the head of the heap, so its
+  /// front is live. Skipped slots do not advance the clock or count as
+  /// executed.
   void prune();
   /// One-pass removal of all tombstones once they exceed the live count.
   void maybe_compact();
 
-  CalendarQueue queue_;
+  std::vector<Event> heap_;  // binary min-heap on Event::key
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string_view>
 
 #include "argus/discovery.hpp"
 #include "harness/digest.hpp"
@@ -232,6 +234,37 @@ TEST(DiscoveryTest, LossyDiscoveryCompletesWithRetries) {
   EXPECT_GE(report.offered_bytes, report.net_stats.bytes);
   // The round deadline bounds the run even in the worst case.
   EXPECT_LE(report.total_ms, sc.retry.round_deadline_ms);
+
+  // The same lossy run with a flooder armed: the report's traffic fields
+  // and the scenario registry's net.msg.* counters tell one story, and
+  // flood traffic is booked under its own type.
+  obs::MetricsRegistry registry;
+  sc.metrics = &registry;
+  sc.flood.rate_per_s = 100;
+  sc.flood.kind = FloodSpec::Kind::kGarbageQue2;
+  const auto flooded = run_discovery(sc);
+  const auto sum = [&](std::string_view prefix) {
+    std::uint64_t total = 0;
+    for (const auto& [name, counter] : registry.counters()) {
+      if (name.starts_with(prefix)) total += counter.value();
+    }
+    return total;
+  };
+  EXPECT_EQ(sum("net.msg.offered.count."), flooded.offered_messages);
+  EXPECT_EQ(sum("net.msg.offered.bytes."), flooded.offered_bytes);
+  EXPECT_EQ(sum("net.msg.count."), flooded.net_stats.messages);
+  EXPECT_EQ(sum("net.msg.bytes."), flooded.net_stats.bytes);
+  std::map<std::string, std::uint64_t> delivered_bytes;
+  constexpr std::string_view kBytes = "net.msg.bytes.";
+  for (const auto& [name, counter] : registry.counters()) {
+    if (name.starts_with(kBytes)) {
+      delivered_bytes[name.substr(kBytes.size())] = counter.value();
+    }
+  }
+  EXPECT_EQ(flooded.bytes_by_msg, delivered_bytes);
+  EXPECT_TRUE(flooded.bytes_by_msg.contains("FLOOD"));
+  EXPECT_NE(registry.find_counter("net.msg.offered.count.FLOOD"), nullptr);
+  EXPECT_GT(flooded.offered_messages, flooded.net_stats.messages);
 }
 
 TEST(DiscoveryTest, LossyDiscoveryIsDeterministic) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace argus::net {
 namespace {
 
@@ -199,6 +202,53 @@ TEST(SimulatorTest, CalendarQueueStressKeepsExactOrder) {
     EXPECT_EQ(fired[i].first, expect[i].first) << "index " << i;
     EXPECT_EQ(fired[i].second, expect[i].second) << "index " << i;
   }
+}
+
+TEST(SimulatorTest, ReservedKeysFireInExactOrder) {
+  // Network::arm's wake pattern: a busy node reserves the seqs its parked
+  // frames' wakes would take, arms one cancellable event at the smallest
+  // reserved key, moves it when an earlier key appears, and inside the
+  // wake asks next_key() whether a foreign event is due first.
+  Simulator sim;
+  std::vector<std::string> fired;
+  const auto log = [&fired](const char* tag) {
+    return [&fired, tag] { fired.emplace_back(tag); };
+  };
+  sim.schedule_at(5, log("a"));                    // (5, 0)
+  const std::uint64_t first = sim.reserve_seqs(3);  // 1, 2, 3
+  EXPECT_EQ(first, 1u);
+  sim.schedule_at(5, log("b"));                    // (5, 4)
+  sim.schedule_at(3, log("early"));                // (3, 5)
+  const TimerId late = sim.schedule_timer_at(EventKey{5, first + 2},
+                                             log("wake3"));
+  EXPECT_EQ(sim.pending(), 4u);
+  EXPECT_EQ(sim.next_key(), (EventKey{3, 5}));
+
+  // An earlier reserved key appears: move the one wake event there. The
+  // old slot stays behind as a tombstone.
+  EXPECT_TRUE(sim.cancel_timer(late));
+  EXPECT_EQ(sim.pending(), 3u);
+  EventKey seen_in_wake;
+  std::size_t pending_in_wake = 0;
+  sim.schedule_timer_at(EventKey{5, first}, [&] {
+    fired.emplace_back("wake1");
+    // The cancelled (5, 3) now heads the queue; next_key() skips it.
+    seen_in_wake = sim.next_key();
+    pending_in_wake = sim.pending();
+    // Re-arm at the one reserved seq still ahead of "b".
+    sim.schedule_timer_at(EventKey{5, first + 1}, log("wake2"));
+  });
+  EXPECT_EQ(sim.pending(), 4u);
+
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<std::string>{"early", "a", "wake1", "wake2",
+                                             "b"}));
+  EXPECT_EQ(seen_in_wake, (EventKey{5, 4}));
+  EXPECT_EQ(pending_in_wake, 1u);
+  EXPECT_EQ(sim.executed(), 5u);  // the tombstone never fires
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.next_key(), EventKey::never());
+  EXPECT_EQ(sim.now(), 5.0);
 }
 
 TEST(SimulatorTest, StressWithInterleavedCancellation) {
