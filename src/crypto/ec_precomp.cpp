@@ -16,8 +16,10 @@ EcPoint fixed_base_mul(const EcGroup& g, const UInt& k) {
   });
 }
 
-EcPrecomp::EcPrecomp(const EcGroup& g, const EcPoint& p) : g_(&g), p_(p) {
-  g.visit([&](const auto& tg) { tab_ = tg.window_table(p_); });
+EcPrecomp::EcPrecomp(const EcGroup& g, const EcPoint& p, std::size_t blocks)
+    : g_(&g), p_(p), blocks_(blocks) {
+  ARGUS_PROF_SCOPE("crypto.ec.precomp_build");
+  g.visit([&](const auto& tg) { tab_ = tg.key_table(p_, blocks_); });
 }
 
 EcPoint EcPrecomp::mul(const UInt& k) const {
@@ -26,7 +28,7 @@ EcPoint EcPrecomp::mul(const UInt& k) const {
   if (kr.is_zero() || p_.infinity) return EcPoint::identity();
   return g_->visit([&](const auto& tg) {
     constexpr std::size_t N = std::decay_t<decltype(tg)>::N;
-    return tg.to_affine(tg.window_mul(table<N>(), kr));
+    return tg.to_affine(tg.key_mul(comb<N>(), kr));
   });
 }
 
@@ -43,17 +45,23 @@ std::shared_ptr<const EcPrecomp> EcPrecompCache::get(const EcGroup& g,
   const Key key{&g, cx, cy};
 
   std::lock_guard<std::mutex> lk(mu_);
+  // Tables are built under the lock, so two threads never build one key
+  // twice: a miss is ~15 additions plus one inversion, and a promotion
+  // (100-150 us at P-256) happens at most once per key per residency.
   if (const auto it = map_.find(key); it != map_.end()) {
     map_.touch(it, clock_++);
     ++stats_.hits;
-    return it->second.value;
+    Slot& slot = it->second.value;
+    if (slot.hits < kPromoteOnHit && ++slot.hits == kPromoteOnHit) {
+      slot.tab = std::make_shared<const EcPrecomp>(g, p, kPromotedBlocks);
+      ++stats_.promotions;
+    }
+    return slot.tab;
   }
   ++stats_.misses;
-  // Built under the lock: a table is ~15 additions plus one inversion,
-  // cheap enough that avoiding duplicate concurrent builds wins.
   auto tab = std::make_shared<const EcPrecomp>(g, p);
   stats_.evictions += map_.trim(capacity_ - 1);
-  map_.put(key, tab, clock_++);
+  map_.put(key, Slot{tab, 0}, clock_++);
   return tab;
 }
 
@@ -84,7 +92,7 @@ bool shamir_verify_x(const EcGroup& g, const EcPrecomp& qtab, const UInt& u1,
   const UInt& n = g.params().n;
   return g.visit([&](const auto& tg) {
     constexpr std::size_t N = std::decay_t<decltype(tg)>::N;
-    return tg.shamir_verify_x(qtab.table<N>(), mod(u1, n), mod(u2, n), r);
+    return tg.shamir_verify_x(qtab.comb<N>(), mod(u1, n), mod(u2, n), r);
   });
 }
 

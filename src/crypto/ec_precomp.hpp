@@ -1,11 +1,14 @@
 // Per-key precomputed tables for the verification hot path.
 //
-//   - EcPrecomp: a per-point 4-bit window table (1P..15P) in
+//   - EcPrecomp: a per-point comb table of 4-bit windows in
 //     affine-Montgomery form at the curve's field width, for public keys
 //     that are verified against repeatedly (the admin key on every
-//     cert/profile, an object's static key on every handshake).
+//     cert/profile, an object's static key on every handshake). One block
+//     (1P..15P) is the plain window table; kPromotedBlocks blocks cut the
+//     doubling chain of a multiply by that factor.
 //   - EcPrecompCache: a process-wide LRU of EcPrecomp tables keyed by
-//     (group, point), so ecdsa_verify hits it with zero call-site churn.
+//     (group, point), so ecdsa_verify hits it with zero call-site churn. A
+//     first-seen key gets one block; a key that comes back is promoted.
 //   - shamir_verify_x: fused u1*G + u2*Q with one shared doubling chain
 //     (the comb covers u1*G) and the ECDSA x-coordinate check done
 //     projectively (no field inversion).
@@ -13,11 +16,12 @@
 // The arithmetic lives in EcGroupT (ec_typed.hpp); everything here is a
 // bit-for-bit drop-in for the reference algorithms in ec.cpp (affine
 // results are unique, so any correct algorithm yields identical bytes).
-// Which routes mask their table reads is listed in ec_typed.hpp: window
+// Which routes mask their table reads is listed in ec_typed.hpp: per-key
 // tables read through the masked ct_select, although the scalars that
 // reach them (verification's u2) are public.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -36,24 +40,38 @@ namespace argus::crypto {
 /// k * G via the comb table; bit-identical to scalar_mul(G, k).
 [[nodiscard]] EcPoint fixed_base_mul(const EcGroup& g, const UInt& k);
 
-/// Per-point window table: multiples 1P..15P in affine-Montgomery form,
-/// stored at the curve's field width. Precondition: p is on the curve (or
-/// the identity, which yields an empty table and identity results).
+/// Comb blocks in a promoted per-key table. At P-256 four blocks take a
+/// verify's u2 * Q from 252 doublings to 60, which about halves
+/// shamir_verify_x (108-156 -> 60-82 us on a shared 2.0 GHz Xeon VM) for
+/// 60 entries, 3840 bytes per key; eight blocks would save 32 more
+/// doublings (4-21 us) for twice the bytes and ~1.5x the build.
+inline constexpr std::size_t kPromotedBlocks = 4;
+
+/// Per-point comb table: blocks() blocks of 15 multiples each, in
+/// affine-Montgomery form, stored at the curve's field width.
+/// Precondition: p is on the curve (or the identity, which yields empty
+/// tables and identity results).
 class EcPrecomp {
  public:
   static constexpr std::size_t kTableSize = kWindowTableSize;
 
-  EcPrecomp(const EcGroup& g, const EcPoint& p);
+  EcPrecomp(const EcGroup& g, const EcPoint& p, std::size_t blocks = 1);
 
   [[nodiscard]] const EcGroup& group() const { return *g_; }
   [[nodiscard]] const EcPoint& point() const { return p_; }
   [[nodiscard]] bool is_identity_point() const { return p_.infinity; }
+  [[nodiscard]] std::size_t blocks() const { return blocks_; }
 
-  /// The table at width N (the group's field width); empty for the
-  /// identity. Entry v - 1 holds vP. EcGroupT::window_mul reads it
-  /// through the masked ct_select.
+  /// Block 0 at width N (the group's field width): entry v - 1 holds vP;
+  /// empty for the identity. msm reads it directly.
   template <std::size_t N>
   [[nodiscard]] std::span<const AffMT<N>> table() const {
+    return comb<N>().first(std::min(comb<N>().size(), kTableSize));
+  }
+  /// Every block (EcGroupT::key_table's layout), as EcGroupT::key_mul
+  /// reads it through the masked ct_select.
+  template <std::size_t N>
+  [[nodiscard]] std::span<const AffMT<N>> comb() const {
     return std::get<std::vector<AffMT<N>>>(tab_);
   }
 
@@ -63,22 +81,34 @@ class EcPrecomp {
  private:
   const EcGroup* g_;
   EcPoint p_;
+  std::size_t blocks_;
   std::variant<std::vector<AffMT<4>>, std::vector<AffMT<6>>,
                std::vector<AffMT<9>>>
       tab_;
 };
 
 /// Process-wide LRU cache of per-point tables, keyed by (group, x, y).
-/// Thread-safe; entries are shared_ptr so an eviction never invalidates a
-/// table another thread is still multiplying against.
+/// A miss inserts a one-block table; the kPromoteOnHit-th hit on an entry
+/// swaps in a kPromotedBlocks table. Promotion never changes a hit, miss
+/// or eviction. Thread-safe; entries are shared_ptr so an eviction or a
+/// promotion never invalidates a table another thread is still
+/// multiplying against.
 class EcPrecompCache {
  public:
+  /// A promotion costs about two promoted verifies' savings at P-256
+  /// (build 100-150 us, saving 50-75 us per verify), so it waits for a
+  /// key's second hit: a key seen three times is a repeat signer, and a
+  /// key that a scan over more keys than the cache holds evicts between
+  /// uses never pays for a build it cannot earn back.
+  static constexpr std::uint32_t kPromoteOnHit = 2;
+
   explicit EcPrecompCache(std::size_t capacity = 256);
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+    std::uint64_t promotions = 0;
   };
 
   [[nodiscard]] std::shared_ptr<const EcPrecomp> get(const EcGroup& g,
@@ -95,10 +125,15 @@ class EcPrecompCache {
   using Coord = std::array<std::uint64_t, kMaxWords>;
   using Key = std::tuple<const EcGroup*, Coord, Coord>;
 
+  struct Slot {
+    std::shared_ptr<const EcPrecomp> tab;
+    std::uint32_t hits = 0;  // counted up to kPromoteOnHit
+  };
+
   mutable std::mutex mu_;
   std::size_t capacity_;
   Stats stats_;
-  LruMap<Key, std::shared_ptr<const EcPrecomp>> map_;
+  LruMap<Key, Slot> map_;
   std::uint64_t clock_ = 0;  // recency stamps
 };
 

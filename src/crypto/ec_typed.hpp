@@ -14,9 +14,9 @@
 //     signed odd-digit 5-bit window. Every digit is nonzero, so the
 //     add/double sequence depends only on the curve, and each table read
 //     is a masked sweep of all 16 entries (ct_select).
-//   - window_mul (per-key tables, EcPrecomp): masked table reads, but a
-//     zero nibble skips its addition. It serves verification, whose
-//     scalars are public.
+//   - key_mul (per-key comb tables, EcPrecomp): masked table reads, but
+//     a zero nibble skips its addition. It serves verification, whose
+//     scalars (u2 = r/s mod n) are public.
 //   - the comb (fixed-base, signing nonces and keygen through
 //     EcGroup::scalar_mul_base): direct-indexed entry(j, v) reads and a
 //     skip on zero bytes. It is not masked.
@@ -50,7 +50,9 @@ struct AffMT {
   Fe<N> x, y;
 };
 
-/// Per-key window tables hold 1P..15P (4-bit windows).
+/// A per-key table is `blocks` comb blocks of 4-bit windows: block j
+/// holds v * 2^(s*j) * P for v in [1, 15], where s is the block span
+/// (EcGroupT::key_block_nibbles). One block is the plain window table.
 inline constexpr std::size_t kWindowTableSize = 15;
 
 /// Comb table for the generator: entry (j, v) holds v * 2^(8j) * G in
@@ -154,10 +156,17 @@ class EcGroupT {
   /// acc += kr * G by pure comb mixed additions; kr reduced below n.
   void fold_comb(Jac& acc, const UInt& kr) const;
 
-  /// 1P..15P for a per-key table; empty for the identity.
-  [[nodiscard]] std::vector<Aff> window_table(const EcPoint& p) const;
-  /// kr * P from P's window table; kr reduced below n.
-  [[nodiscard]] Jac window_mul(std::span<const Aff> tab, const UInt& kr) const;
+  /// Nibbles each of `blocks` per-key comb blocks spans:
+  /// ceil(bits(n) / (4 * blocks)), so the blocks cover every scalar below n.
+  [[nodiscard]] std::size_t key_block_nibbles(std::size_t blocks) const {
+    return (cp_.n.bit_length() + 4 * blocks - 1) / (4 * blocks);
+  }
+  /// P's per-key table of `blocks` comb blocks, block-major, entry
+  /// j * 15 + (v - 1) holding v * 2^(s*j) * P; empty for the identity.
+  [[nodiscard]] std::vector<Aff> key_table(const EcPoint& p,
+                                           std::size_t blocks) const;
+  /// kr * P from P's per-key table (any block count); kr reduced below n.
+  [[nodiscard]] Jac key_mul(std::span<const Aff> tab, const UInt& kr) const;
 
   /// Shamir's trick + projective x-check: does x(u1*G + u2*Q) reduce to r
   /// mod n? Both candidates {r, r+n} are tried, the identity is rejected,
@@ -451,34 +460,56 @@ void EcGroupT<F>::fold_comb(Jac& acc, const UInt& kr) const {
   }
 }
 
-// 1P..15P: all distinct and non-identity (the group order is prime and
-// far above 15), so the Jacobian chain never degenerates.
+// Block 0 is 1P..15P; block j repeats it on B_j = 2^(s*j) * P, s more
+// doublings of B_{j-1}. P has prime order n, far above 15 and 2^s, so
+// every entry is a distinct non-identity point and no chain degenerates.
+// One normalize (one inversion) covers every block.
 template <class F>
-auto EcGroupT<F>::window_table(
-    const EcPoint& p) const -> std::vector<Aff> {
+auto EcGroupT<F>::key_table(const EcPoint& p,
+                            std::size_t blocks) const -> std::vector<Aff> {
   if (p.infinity) return {};
+  const std::size_t span_bits = 4 * key_block_nibbles(blocks);
   std::vector<Jac> jac;
-  jac.reserve(kWindowTableSize);
-  const Jac base = to_jac(p);
-  jac.push_back(base);
-  for (std::size_t v = 2; v <= kWindowTableSize; ++v) {
-    jac.push_back(jadd(jac.back(), base));
+  jac.reserve(blocks * kWindowTableSize);
+  Jac base = to_jac(p);
+  for (std::size_t j = 0; j < blocks; ++j) {
+    if (j != 0) {
+      for (std::size_t d = 0; d < span_bits; ++d) base = jdbl(base);
+    }
+    jac.push_back(base);
+    for (std::size_t v = 2; v <= kWindowTableSize; ++v) {
+      jac.push_back(jadd(jac.back(), base));
+    }
   }
   return normalize(jac);
 }
 
+// The comb splits kr into `blocks` chunks of w nibbles, chunk j weighted
+// 2^(4wj), and walks all chunks' nibbles top down in one shared doubling
+// chain: 4 doublings per step, then one masked read and mixed addition
+// per block for that step's nibble of each chunk. The walk starts at the
+// highest step any chunk uses, so one block is the plain 4-bit window
+// method and a full-size scalar costs 4(w - 1) doublings.
 template <class F>
-auto EcGroupT<F>::window_mul(std::span<const Aff> tab,
-                                        const UInt& kr) const -> Jac {
+auto EcGroupT<F>::key_mul(std::span<const Aff> tab,
+                          const UInt& kr) const -> Jac {
   Jac acc = identity();
   if (kr.is_zero() || tab.empty()) return acc;
-  const std::size_t nibbles = (kr.bit_length() + 3) / 4;
-  for (std::size_t i = nibbles; i-- > 0;) {
-    if (i != nibbles - 1) {
+  const std::size_t blocks = tab.size() / kWindowTableSize;
+  const std::size_t w = key_block_nibbles(blocks);
+  const std::size_t steps = std::min(w, (kr.bit_length() + 3) / 4);
+  for (std::size_t i = steps; i-- > 0;) {
+    if (i != steps - 1) {
       for (int d = 0; d < 4; ++d) acc = jdbl(acc);
     }
-    const std::size_t nib = ec_detail::scalar_nibble(kr, i);
-    if (nib != 0) acc = jadd_mixed(acc, ct_select(tab, nib - 1));
+    for (std::size_t j = 0; j < blocks; ++j) {
+      const std::size_t nib = ec_detail::scalar_nibble(kr, j * w + i);
+      if (nib != 0) {
+        acc = jadd_mixed(acc, ct_select(tab.subspan(j * kWindowTableSize,
+                                                    kWindowTableSize),
+                                        nib - 1));
+      }
+    }
   }
   return acc;
 }
@@ -488,7 +519,7 @@ bool EcGroupT<F>::shamir_verify_x(std::span<const Aff> qtab, const UInt& u1,
                                   const UInt& u2, const UInt& r) const {
   // u2*Q carries the (only) doubling chain; u1*G folds in as comb
   // additions with no doublings of its own.
-  Jac acc = window_mul(qtab, u2);
+  Jac acc = key_mul(qtab, u2);
   fold_comb(acc, u1);
   if (is_identity(acc)) return false;
   // x(acc) = X/Z^2; check candidates x in {r, r+n} (r+2n >= 2n > p by

@@ -2,8 +2,9 @@
 // frozen copy of the tick-scan LRU it replaced: the same seeded key
 // sequences must produce the same hit/miss verdict at every step, the
 // same hits/misses/evictions counters, and the same resident set. Plus
-// the concurrency cases the tsan lane runs: shared lookups, and a cold
-// start of every curve's lazy tables from four threads.
+// the concurrency cases the tsan lane runs: shared lookups, promotions
+// raced against holders of the tables they replace, and a cold start of
+// every curve's lazy tables from four threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -157,6 +158,59 @@ TEST(EcPrecompCacheTest, ConcurrentLookupsKeepTablesAndCounts) {
   EXPECT_LE(cache.size(), 4u);
   // Every miss inserts one table; every insert into a full cache evicts.
   EXPECT_EQ(st.evictions, st.misses - cache.size());
+}
+
+// Four threads multiply through the cache while every key crosses the
+// promotion threshold, and two more keep multiplying against the
+// one-block tables handed out before any promotion: the swap must leave
+// the old tables intact, promote each key exactly once, and change no
+// hit or miss count.
+TEST(EcPrecompCacheTest, ConcurrentPromotionKeepsTablesValid) {
+  const EcGroup& g = group_for(Strength::b112);
+  constexpr std::size_t kKeys = 6;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kHolders = 2;
+  constexpr int kRounds = 3;
+  std::vector<EcPoint> pool;
+  std::vector<UInt> ks;
+  std::vector<EcPoint> want;
+  for (std::uint64_t i = 1; i <= kKeys; ++i) {
+    pool.push_back(g.scalar_mul_base(UInt::from_u64(1000 + i)));
+    ks.push_back(sub(g.params().n, UInt::from_u64(7 * i)));
+    want.push_back(g.scalar_mul_reference(pool.back(), ks.back()));
+  }
+  EcPrecompCache cache(kKeys);
+  std::vector<std::shared_ptr<const EcPrecomp>> before;
+  for (const EcPoint& p : pool) before.push_back(cache.get(g, p));
+
+  std::atomic<std::size_t> ready{0};
+  std::vector<int> wrong(kThreads + kHolders, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads + kHolders; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads + kHolders) std::this_thread::yield();
+      for (int r = 0; r < kRounds; ++r) {
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          const std::size_t k = (i + t) % kKeys;
+          const auto tab = t < kThreads ? cache.get(g, pool[k]) : before[k];
+          if (!(tab->mul(ks[k]) == want[k])) ++wrong[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int w : wrong) EXPECT_EQ(w, 0);
+  const EcPrecompCache::Stats st = cache.stats();
+  EXPECT_EQ(st.misses, kKeys);
+  EXPECT_EQ(st.hits, kThreads * kRounds * kKeys);
+  EXPECT_EQ(st.evictions, 0u);
+  EXPECT_EQ(st.promotions, kKeys);
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(before[k]->blocks(), 1u);
+    EXPECT_EQ(before[k]->mul(ks[k]), want[k]);
+    EXPECT_EQ(cache.get(g, pool[k])->blocks(), kPromotedBlocks);
+  }
 }
 
 // Cold start: four threads race through the first group_for, the first

@@ -1,8 +1,9 @@
 // Differential tests for the precomputed-table hot paths: every fast
-// scalar-multiplication route (comb fixed-base, per-key window tables,
-// Shamir's trick, a = -3 doubling) is byte-compared against the frozen
-// reference implementation across seeded random scalars and the classic
-// edge cases (0, 1, n-1, n, k >= n).
+// scalar-multiplication route (comb fixed-base, one- and four-block
+// per-key tables, Shamir's trick, a = -3 doubling) is byte-compared
+// against the frozen reference implementation across seeded random
+// scalars and the classic edge cases (0, 1, n-1, n, k >= n), and
+// ecdsa_verify must reach the same verdict through every table route.
 #include "crypto/ec_precomp.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "crypto/drbg.hpp"
 #include "crypto/ec.hpp"
 #include "crypto/ec_typed.hpp"
+#include "crypto/ecdsa.hpp"
 #include "crypto/mont.hpp"
 
 namespace argus::crypto {
@@ -86,7 +88,7 @@ TEST_P(EcPrecompTest, PerKeyTableMatchesReference) {
 }
 
 TEST_P(EcPrecompTest, ConstantTimeSelectMatchesDirectLookup) {
-  // ct_select is the masked lookup behind window_mul and the ECDH
+  // ct_select is the masked lookup behind key_mul and the ECDH
   // ladder: a sweep of the whole table must hand back exactly the slot
   // the direct (index-dependent) lookup would have — for the per-key
   // affine table and for a Jacobian table like the ladder's.
@@ -132,10 +134,163 @@ TEST_P(EcPrecompTest, ConstantTimeMulHitsEveryWindowValue) {
   }
 }
 
+// Bits [lo, hi) of k set to `ones`.
+UInt with_bits(UInt k, std::size_t lo, std::size_t hi, bool ones) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    const std::uint64_t m = std::uint64_t{1} << (i % 64);
+    k.w[i / 64] = ones ? (k.w[i / 64] | m) : (k.w[i / 64] & ~m);
+  }
+  return k;
+}
+
+// The bit span of each promoted block, s = 4 * ceil(bits(n) / 16).
+std::size_t promoted_span_bits(const EcGroup& g) {
+  return 4 * ((g.params().n.bit_length() + 15) / 16);
+}
+
+TEST_P(EcPrecompTest, PromotedTableShape) {
+  static_assert(kPromotedBlocks == 4);
+  const std::size_t s = promoted_span_bits(g());
+  const std::size_t want_s[] = {56, 64, 96, 132};
+  EXPECT_EQ(s, want_s[static_cast<std::size_t>(GetParam())]);
+  HmacDrbg rng(str_bytes("promoted-shape-pt"));
+  const EcPoint p = g().scalar_mul_reference(g().generator(),
+                                             g().random_scalar(rng));
+  const EcPrecomp plain(g(), p);
+  const EcPrecomp promoted(g(), p, kPromotedBlocks);
+  EXPECT_EQ(plain.blocks(), 1u);
+  EXPECT_EQ(promoted.blocks(), kPromotedBlocks);
+  g().visit([&](const auto& tg) {
+    constexpr std::size_t N = std::decay_t<decltype(tg)>::N;
+    EXPECT_EQ(tg.key_block_nibbles(kPromotedBlocks) * 4, s);
+    const std::span<const AffMT<N>> all = promoted.comb<N>();
+    ASSERT_EQ(all.size(), kPromotedBlocks * EcPrecomp::kTableSize);
+    ASSERT_EQ(plain.comb<N>().size(), EcPrecomp::kTableSize);
+    // Block 0 is the plain table, and it is what table<N>() hands msm.
+    ASSERT_EQ(promoted.table<N>().size(), EcPrecomp::kTableSize);
+    for (std::size_t i = 0; i < EcPrecomp::kTableSize; ++i) {
+      EXPECT_EQ(promoted.table<N>()[i].x, plain.table<N>()[i].x);
+      EXPECT_EQ(promoted.table<N>()[i].y, plain.table<N>()[i].y);
+    }
+    // Entry (j, v) is v * 2^(s*j) * P.
+    for (std::size_t j = 0; j < kPromotedBlocks; ++j) {
+      for (std::uint64_t v : {1, 7, 15}) {
+        UInt shifted = UInt::from_u64(v);
+        for (std::size_t b = 0; b < s * j; ++b) shifted = shl1(shifted);
+        const JacT<N> want = tg.to_jac(g().scalar_mul_reference(
+            p, mod(shifted, g().params().n)));
+        const AffMT<N>& e = all[j * EcPrecomp::kTableSize + (v - 1)];
+        EXPECT_EQ(e.x, want.x) << "block " << j << " v " << v;
+        EXPECT_EQ(e.y, want.y) << "block " << j << " v " << v;
+      }
+    }
+  });
+}
+
+TEST_P(EcPrecompTest, PromotedTableMatchesReference) {
+  const UInt& n = g().params().n;
+  const std::size_t s = promoted_span_bits(g());
+  const std::size_t bits = n.bit_length();
+  const std::size_t top = (kPromotedBlocks - 1) * s;
+  HmacDrbg rng(str_bytes("promoted-pt"));
+  const EcPoint p = g().scalar_mul_reference(g().generator(),
+                                             g().random_scalar(rng));
+  const EcPrecomp tab(g(), p, kPromotedBlocks);
+
+  std::vector<UInt> ks = fuzz_scalars(g(), "promoted-fuzz", 8);
+  // u2 < 2^s: only block 0 carries nonzero nibbles.
+  ks.push_back(with_bits(g().random_scalar(rng), s, bits, false));
+  // One all-zero block, each block in turn.
+  for (std::size_t j = 0; j < kPromotedBlocks; ++j) {
+    ks.push_back(with_bits(g().random_scalar(rng), j * s, (j + 1) * s, false));
+  }
+  // Only the top block (partial at P-521: bits(n) - 3s = 125 of its 132).
+  ks.push_back(with_bits(mod(g().random_scalar(rng), n), 0, top, false));
+  // The top block as full as n allows and every lower nibble 0xF:
+  // ((n >> 3s) << 3s) - 1.
+  ks.push_back(sub(with_bits(n, 0, top, false), UInt::from_u64(1)));
+  // Every bit below bits(n) set, reduced by mul: 2^bits(n) - 1 - n.
+  ks.push_back(with_bits(UInt{}, 0, bits, true));
+  // Every window value in every block.
+  for (std::uint64_t nib = 1; nib <= 15; ++nib) {
+    UInt k;
+    for (std::size_t w = 0; w < kMaxWords; ++w) {
+      k.w[w] = nib * 0x1111111111111111ull;
+    }
+    ks.push_back(with_bits(k, bits - 1, kMaxWords * 64, false));
+  }
+  for (const UInt& k : ks) {
+    EXPECT_EQ(tab.mul(k), g().scalar_mul_reference(p, k)) << k.to_hex();
+  }
+}
+
+TEST_P(EcPrecompTest, EcdsaVerifyAgreesOnEveryRoute) {
+  // Each case gets its own fresh key, so in the global cache its first
+  // two verifies use the one-block entry (a miss, then the first hit)
+  // and its third promotes the entry and uses the promoted table. The
+  // cache-off route builds a one-block table per call; the Shamir-off
+  // route is the reference equation u1*G + u2*Q.
+  EcPrecompCache& cache = EcPrecompCache::global();
+  cache.clear();
+  HmacDrbg rng(str_bytes("verify-routes"));
+  const UInt& n = g().params().n;
+  struct Case {
+    const char* name;
+    EcPoint pub;
+    Bytes msg;
+    EcdsaSignature sig;
+    bool want;
+  };
+  std::vector<Case> cases;
+  for (int i = 0; i < 3; ++i) {
+    const EcKeyPair kp = ec_generate(g(), rng);
+    const Bytes msg = rng.generate(24);
+    const EcdsaSignature sig = ecdsa_sign(g(), kp.priv, msg);
+    const EcKeyPair other = ec_generate(g(), rng);
+    cases.push_back({"valid", kp.pub, msg, sig, true});
+    const EcKeyPair k2 = ec_generate(g(), rng);
+    const EcdsaSignature sig2 = ecdsa_sign(g(), k2.priv, msg);
+    cases.push_back({"r+1", k2.pub, msg,
+                     {addmod(sig2.r, UInt::from_u64(1), n), sig2.s}, false});
+    const EcKeyPair k3 = ec_generate(g(), rng);
+    const EcdsaSignature sig3 = ecdsa_sign(g(), k3.priv, msg);
+    cases.push_back({"s+1", k3.pub, msg,
+                     {sig3.r, addmod(sig3.s, UInt::from_u64(1), n)}, false});
+    const EcKeyPair k4 = ec_generate(g(), rng);
+    Bytes msg4 = msg;
+    msg4[static_cast<std::size_t>(i)] ^= 0x01;
+    cases.push_back({"message", k4.pub, msg4, ecdsa_sign(g(), k4.priv, msg),
+                     false});
+    cases.push_back({"key", other.pub, msg, sig, false});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const EcPrecompCache::Stats before = cache.stats();
+    EXPECT_EQ(ecdsa_verify(g(), c.pub, c.msg, c.sig), c.want) << "miss";
+    EXPECT_EQ(ecdsa_verify(g(), c.pub, c.msg, c.sig), c.want) << "plain hit";
+    EXPECT_EQ(cache.stats().promotions, before.promotions);
+    EXPECT_EQ(ecdsa_verify(g(), c.pub, c.msg, c.sig), c.want) << "promoting";
+    EXPECT_EQ(ecdsa_verify(g(), c.pub, c.msg, c.sig), c.want) << "promoted";
+    EXPECT_EQ(cache.stats().misses, before.misses + 1);
+    EXPECT_EQ(cache.stats().hits, before.hits + 3);
+    EXPECT_EQ(cache.stats().promotions, before.promotions + 1);
+    {
+      FastPathGuard guard(EcFastPaths{true, true, true, false});
+      EXPECT_EQ(ecdsa_verify(g(), c.pub, c.msg, c.sig), c.want) << "no cache";
+    }
+    {
+      FastPathGuard guard(EcFastPaths{true, true, false, true});
+      EXPECT_EQ(ecdsa_verify(g(), c.pub, c.msg, c.sig), c.want) << "no shamir";
+    }
+  }
+}
+
 TEST_P(EcPrecompTest, PrecompOfIdentityIsIdentity) {
-  const EcPrecomp tab(g(), EcPoint::identity());
-  EXPECT_TRUE(tab.is_identity_point());
-  EXPECT_TRUE(tab.mul(UInt::from_u64(7)).infinity);
+  for (std::size_t blocks : {std::size_t{1}, kPromotedBlocks}) {
+    const EcPrecomp tab(g(), EcPoint::identity(), blocks);
+    EXPECT_TRUE(tab.is_identity_point());
+    EXPECT_TRUE(tab.mul(UInt::from_u64(7)).infinity);
+  }
 }
 
 TEST_P(EcPrecompTest, CacheReturnsWorkingTables) {
