@@ -136,6 +136,7 @@ VirtualCell run_virtual(const Grid& grid, double loss) {
     while (!client.round_done() && now < deadline) {
       now += 5;
       host.pump(now);
+      host.settle();
       client.step(now);
     }
     const transport::ClientReport report = client.finish_round(now);

@@ -1,5 +1,6 @@
 #include "crypto/ec_precomp.hpp"
 
+#include <optional>
 #include <type_traits>
 
 #include "obs/prof.hpp"
@@ -44,24 +45,64 @@ std::shared_ptr<const EcPrecomp> EcPrecompCache::get(const EcGroup& g,
   }
   const Key key{&g, cx, cy};
 
-  std::lock_guard<std::mutex> lk(mu_);
-  // Tables are built under the lock, so two threads never build one key
-  // twice: a miss is ~15 additions plus one inversion, and a promotion
-  // (100-150 us at P-256) happens at most once per key per residency.
-  if (const auto it = map_.find(key); it != map_.end()) {
-    map_.touch(it, clock_++);
-    ++stats_.hits;
-    Slot& slot = it->second.value;
-    if (slot.hits < kPromoteOnHit && ++slot.hits == kPromoteOnHit) {
-      slot.tab = std::make_shared<const EcPrecomp>(g, p, kPromotedBlocks);
-      ++stats_.promotions;
+  // The hit/miss/eviction decision and the slot claim happen under the
+  // lock; every table is built after it is released.
+  std::shared_future<Table> first;              // another thread's build
+  std::optional<std::promise<Table>> building;  // this thread's first build
+  bool promote = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (const auto it = map_.find(key); it != map_.end()) {
+      map_.touch(it, clock_++);
+      ++stats_.hits;
+      Slot& slot = it->second.value;
+      if (slot.hits < kPromoteOnHit && ++slot.hits == kPromoteOnHit) {
+        ++stats_.promotions;
+        promote = true;
+      } else if (slot.tab) {
+        return slot.tab;
+      } else {
+        first = slot.first;
+      }
+    } else {
+      ++stats_.misses;
+      stats_.evictions += map_.trim(capacity_ - 1);
+      building.emplace();
+      map_.put(key, Slot{nullptr, building->get_future().share(), 0},
+               clock_++);
     }
-    return slot.tab;
   }
-  ++stats_.misses;
-  auto tab = std::make_shared<const EcPrecomp>(g, p);
-  stats_.evictions += map_.trim(capacity_ - 1);
-  map_.put(key, Slot{tab, 0}, clock_++);
+  if (first.valid()) return first.get();
+
+  Table tab;
+  try {
+    tab = std::make_shared<const EcPrecomp>(g, p,
+                                            promote ? kPromotedBlocks : 1);
+  } catch (...) {
+    if (building) {
+      // Drop the claim so the next lookup misses and builds afresh.
+      std::lock_guard<std::mutex> lk(mu_);
+      if (const auto it = map_.find(key);
+          it != map_.end() && !it->second.value.tab) {
+        map_.erase(it);
+      }
+      building->set_exception(std::current_exception());
+    }
+    throw;
+  }
+  {
+    // A promoted table lands only in the residency that promoted it (an
+    // evicted and re-inserted key counts its hits afresh); a first table
+    // only where no table has landed yet. Once a slot holds a table its
+    // future goes, so it keeps no replaced table alive.
+    std::lock_guard<std::mutex> lk(mu_);
+    if (const auto it = map_.find(key); it != map_.end()) {
+      Slot& slot = it->second.value;
+      if (promote ? slot.hits == kPromoteOnHit : !slot.tab) slot.tab = tab;
+      if (slot.tab) slot.first = {};
+    }
+  }
+  if (building) building->set_value(tab);
   return tab;
 }
 

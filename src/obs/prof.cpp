@@ -69,6 +69,7 @@ ThreadBuffer& Profiler::buffer_for(std::uint64_t lane) {
   }
   lanes_.push_back(std::make_unique<ThreadBuffer>());
   ThreadBuffer& buf = *lanes_.back();
+  buf.profiler_ = this;
   buf.lane_ = lane;
   buf.max_events_ = opts_.max_events_per_lane;
   return buf;

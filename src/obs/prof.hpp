@@ -60,6 +60,8 @@ struct PathStat {
   std::uint64_t self_ns = 0;
 };
 
+class Profiler;
+
 /// Per-lane recording buffer. Only its owning thread writes it (enter /
 /// exit); the profiler reads it after the run. Aggregates are updated on
 /// every scope exit, so they stay exact even once the event list hits
@@ -70,6 +72,9 @@ class ThreadBuffer {
   void exit();
 
   [[nodiscard]] std::uint64_t lane() const { return lane_; }
+  /// The profiler that owns this buffer: a thread that hands work to
+  /// another can attach it to the same profiler on a lane of its own.
+  [[nodiscard]] Profiler* profiler() const { return profiler_; }
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
   [[nodiscard]] bool truncated() const { return truncated_; }
   /// Full ";"-joined path for a path-table index.
@@ -91,6 +96,7 @@ class ThreadBuffer {
 
   std::uint32_t intern(std::uint32_t parent, const char* label);
 
+  Profiler* profiler_ = nullptr;
   std::uint64_t lane_ = 0;
   std::size_t max_events_ = 0;
   std::vector<PathNode> paths_{PathNode{}};  // [0] is the root sentinel

@@ -10,6 +10,20 @@
 // PeerId (a packed socket address on the real path), so per-peer
 // admission buckets track real remote endpoints.
 //
+// Shards: engine i belongs to shard i % W, W = max(1, min(cores - 1,
+// engines)), and each shard is one worker thread with one FIFO. An
+// engine therefore handles its frames in arrival order and is only ever
+// touched by its shard's thread; the endpoint, the reliable layer and
+// the socket stay on the thread that calls pump(). The workers start on
+// the first frame handed to an engine, so building a host starts none.
+// pump() never waits for engine work: it sends the replies that have
+// finished — the finished prefix, in dispatch order, so no reply
+// overtakes an earlier one — drains the transport into the shards, and
+// queues each engine's clock advance behind that pump's frames.
+// settle() waits for every queued task and sends its reply, so a
+// lockstep driver that calls `pump(); settle();` issues exactly the
+// send() sequence of a host that handled every frame inline.
+//
 // Persistence (ISSUE-10 satellite): with a snapshot path set, the host
 // writes a sealed fleet bundle via the persist layer's atomic file
 // helpers on demand, on an interval, and on shutdown, and restores
@@ -17,8 +31,13 @@
 // missing or damaged starts blank while its neighbours restore.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,20 +61,40 @@ struct HostConfig {
   obs::Tracer* tracer = nullptr;
 };
 
+/// The transport must outlive the host: the destructor settles, which
+/// sends the last replies. A profiler attached to the pumping thread when
+/// a frame is dispatched records that frame's engine work on lane
+/// (pump lane + 1 + shard), so it must outlive the frame's task too.
+///
+/// Metrics: an engine config's registry is swapped for a registry owned
+/// by the engine's shard, which every settle point merges into the
+/// configured one (and clears), so no registry is written by two threads.
 class ObjectHost {
  public:
   ObjectHost(HostConfig cfg, SockTransport& transport);
+  ~ObjectHost();
+  ObjectHost(const ObjectHost&) = delete;
+  ObjectHost& operator=(const ObjectHost&) = delete;
 
   /// Drive the transport and the host's clocks (engine TTLs, interval
-  /// snapshots). Inbound frames are handled inside this call.
+  /// snapshots) without waiting for engine work: finished replies leave
+  /// in dispatch order, inbound frames become tasks on the engines'
+  /// shards.
   void pump(double now_ms);
+
+  /// Wait for every queued task, send every reply in dispatch order and
+  /// merge the shards' metrics. Rethrows an exception an engine raised.
+  void settle();
+
+  /// Frames handed to the engines whose replies have not left yet.
+  [[nodiscard]] std::size_t in_flight() const;
 
   /// A control-plane shutdown frame arrived; the tool's main loop exits.
   [[nodiscard]] bool shutdown_requested() const { return shutdown_; }
 
-  // --- persistence --------------------------------------------------------
+  // --- persistence (each settles first) -----------------------------------
   /// Sealed fleet bundle of every engine ("object:<id>" sections).
-  [[nodiscard]] Bytes fleet_bundle() const;
+  [[nodiscard]] Bytes fleet_bundle();
   /// Atomic write to cfg.snapshot_path; false on IO failure or no path.
   bool write_snapshot();
   /// Blank-or-exact restore per engine from cfg.snapshot_path. Returns
@@ -65,9 +104,9 @@ class ObjectHost {
   [[nodiscard]] std::size_t restored_engines() const { return restored_; }
 
   [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
-  [[nodiscard]] core::ObjectEngine& engine(std::size_t i) {
-    return *engines_[i];
-  }
+  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
+  /// Settles first; the reference is safe to use until the next pump().
+  [[nodiscard]] core::ObjectEngine& engine(std::size_t i);
 
   struct Stats {
     std::uint64_t frames_rx = 0;
@@ -81,8 +120,24 @@ class ObjectHost {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  struct Shard;
+  struct Task;
+  /// One dispatched frame's reply slot, in dispatch order.
+  struct Reply {
+    PeerId to = 0;
+    bool done = false;
+    std::optional<Bytes> frame;  // muxed reply; empty = the engine kept quiet
+  };
+
   void on_frame(PeerId from, const Bytes& frame);
-  void handle_engine(std::size_t idx, PeerId from, ByteSpan payload);
+  void dispatch(std::size_t idx, PeerId from,
+                const std::shared_ptr<const Bytes>& payload);
+  void queue_clock(double now_ms);
+  void run_shard(Shard& shard);
+  void run_task(Shard& shard, Task& task);
+  void send_finished();
+  /// Wait until no task is queued or running; no rethrow, no sends.
+  void wait_idle();
   void handle_ctl(ByteSpan payload);
 
   HostConfig cfg_;
@@ -91,8 +146,18 @@ class ObjectHost {
   double now_ms_ = 0;
   double last_snapshot_ms_ = 0;
   bool shutdown_ = false;
+  bool started_ = false;  // shard threads running
   std::size_t restored_ = 0;
   Stats stats_;
+
+  mutable std::mutex done_mu_;  // guards outbox_, outbox_base_, pending_, error_
+  std::condition_variable idle_cv_;  // pending_ reached 0
+  std::deque<Reply> outbox_;
+  std::uint64_t outbox_base_ = 0;  // dispatch number of outbox_.front()
+  std::size_t pending_ = 0;        // tasks queued or running
+  std::exception_ptr error_;       // first exception an engine task raised
+
+  std::vector<std::unique_ptr<Shard>> shards_;  // last: joined first
 };
 
 }  // namespace argus::transport

@@ -3,8 +3,9 @@
 // sequences must produce the same hit/miss verdict at every step, the
 // same hits/misses/evictions counters, and the same resident set. Plus
 // the concurrency cases the tsan lane runs: shared lookups, promotions
-// raced against holders of the tables they replace, and a cold start of
-// every curve's lazy tables from four threads.
+// raced against holders of the tables they replace, builds that run
+// outside the lock, and a cold start of every curve's lazy tables from
+// four threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "crypto/ec.hpp"
 #include "crypto/ec_precomp.hpp"
 #include "crypto/ecdsa.hpp"
+#include "obs/prof.hpp"
 
 namespace argus::crypto {
 namespace {
@@ -210,6 +212,89 @@ TEST(EcPrecompCacheTest, ConcurrentPromotionKeepsTablesValid) {
     EXPECT_EQ(before[k]->blocks(), 1u);
     EXPECT_EQ(before[k]->mul(ks[k]), want[k]);
     EXPECT_EQ(cache.get(g, pool[k])->blocks(), kPromotedBlocks);
+  }
+}
+
+// Tables are built outside the cache's lock. Four threads race on each
+// fresh P-521 key, so a hit on a slot whose first table is still being
+// built waits for that build and a promotion (a four-block P-521 build,
+// 0.7-1.6 ms in Release) runs while others use the one-block table; two
+// more threads keep verifying through resident P-256 keys meanwhile.
+// Every table must multiply correctly, and every key must miss and be
+// promoted exactly once: nothing is built twice.
+TEST(EcPrecompCacheTest, BuildsOutsideTheLockNeverTwice) {
+  const EcGroup& big = group_for(Strength::b256);
+  const EcGroup& small = group_for(Strength::b128);
+  constexpr std::size_t kBigKeys = 3;
+  constexpr std::size_t kSmallKeys = 4;
+  constexpr std::size_t kRacers = 4;
+  constexpr std::size_t kVerifiers = 2;
+  struct Key {
+    EcPoint pub;
+    UInt k;
+    EcPoint want;
+  };
+  const auto make_keys = [](const EcGroup& g, std::size_t n,
+                            std::uint64_t base) {
+    std::vector<Key> keys;
+    for (std::uint64_t i = 1; i <= n; ++i) {
+      Key key;
+      key.pub = g.scalar_mul_base(UInt::from_u64(base + i));
+      key.k = sub(g.params().n, UInt::from_u64(11 * i));
+      key.want = g.scalar_mul_reference(key.pub, key.k);
+      keys.push_back(key);
+    }
+    return keys;
+  };
+  const std::vector<Key> bigs = make_keys(big, kBigKeys, 5000);
+  const std::vector<Key> smalls = make_keys(small, kSmallKeys, 7000);
+
+  EcPrecompCache cache(64);
+  for (const Key& key : smalls) {
+    for (std::uint32_t i = 0; i <= EcPrecompCache::kPromoteOnHit; ++i) {
+      (void)cache.get(small, key.pub);
+    }
+  }
+  const EcPrecompCache::Stats warm = cache.stats();
+  ASSERT_EQ(warm.promotions, kSmallKeys);
+
+  // Every build is a crypto.ec.precomp_build span; each thread records
+  // on its own lane.
+  obs::prof::Profiler prof;
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::size_t> racing{kRacers};
+  std::vector<int> wrong(kRacers + kVerifiers, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kRacers + kVerifiers; ++t) {
+    threads.emplace_back([&, t] {
+      obs::prof::Profiler::Attach attach(prof, t);
+      ready.fetch_add(1);
+      while (ready.load() < kRacers + kVerifiers) std::this_thread::yield();
+      if (t < kRacers) {
+        for (const Key& key : bigs) {
+          if (!(cache.get(big, key.pub)->mul(key.k) == key.want)) ++wrong[t];
+        }
+        racing.fetch_sub(1);
+        return;
+      }
+      do {
+        for (const Key& key : smalls) {
+          if (!(cache.get(small, key.pub)->mul(key.k) == key.want)) ++wrong[t];
+        }
+      } while (racing.load() > 0);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int w : wrong) EXPECT_EQ(w, 0);
+  const EcPrecompCache::Stats st = cache.stats();
+  EXPECT_EQ(st.misses - warm.misses, kBigKeys);
+  EXPECT_EQ(st.promotions - warm.promotions, kBigKeys);
+  EXPECT_EQ(st.evictions, 0u);
+  // One first build and one promotion per P-521 key, none for the
+  // resident P-256 keys.
+  EXPECT_EQ(prof.by_label()["crypto.ec.precomp_build"].count, 2 * kBigKeys);
+  for (const Key& key : bigs) {
+    EXPECT_EQ(cache.get(big, key.pub)->blocks(), kPromotedBlocks);
   }
 }
 

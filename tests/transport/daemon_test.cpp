@@ -3,11 +3,14 @@
 // loss and over real UDP loopback. The
 // lossy pipe run must produce the same engine-level result set as the
 // authoritative simulator (core::run_discovery), which is the same
-// parity the CI loopback smoke asserts across two processes.
+// parity the CI loopback smoke asserts across two processes. The pipe
+// drivers run lockstep (settle() after every pump()); the sharded cases
+// drive the non-blocking pump and compare against a lockstep run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -17,6 +20,7 @@
 #include "fault/netem.hpp"
 #include "harness/sweep.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "transport/client.hpp"
 #include "transport/host.hpp"
 #include "transport/pipe.hpp"
@@ -132,6 +136,7 @@ struct PipeDeployment {
     while (!client.round_done() && now < deadline) {
       now += step_ms;
       host.pump(now);
+      host.settle();
       client.step(now);
     }
     return client.finish_round(now);
@@ -196,6 +201,7 @@ TEST(Daemon, ControlShutdownFlagsTheHost) {
   for (int i = 0; i < 100 && !d.host.shutdown_requested(); ++i) {
     d.now += 5;
     d.host.pump(d.now);
+    d.host.settle();
     d.client.step(d.now);
   }
   EXPECT_TRUE(d.host.shutdown_requested());
@@ -237,6 +243,166 @@ TEST(Daemon, SecondRoundDedupesDiscovered) {
   const std::size_t after_first = d.client.engine().discovered().size();
   ASSERT_TRUE(d.run_round(0).complete());
   EXPECT_EQ(d.client.engine().discovered().size(), after_first);
+}
+
+// Four clients against one 16-engine host over real UDP, on the
+// non-blocking path: the loop never settles, so replies leave whenever
+// their shard finishes. Each client must end with the lockstep run's
+// result set, the engines' shared registry must count exactly what the
+// engines did once the host settles, and every connection must reap.
+TEST(Daemon, ShardedHostFourClientsUdp) {
+  constexpr std::size_t kObjects = 16;
+  constexpr std::size_t kClients = 4;
+  PipeDeployment lockstep(kObjects, /*loss=*/0.0);
+  ASSERT_TRUE(lockstep.run_round(0).complete());
+  const auto want = result_set(lockstep.client.engine().discovered());
+
+  const core::DiscoveryScenario scenario = scenario_for(kObjects);
+  auto dsock = UdpSocket::bind_loopback(0);
+  ASSERT_TRUE(dsock);
+  obs::MetricsRegistry metrics;
+  TransportEndpoint dend(*dsock, PipeDeployment::daemon_params(), &metrics);
+  SockTransport dtrans(dend);
+  HostConfig hcfg = host_config(scenario, &metrics);
+  // Resumption on: every QUE2 makes a cache lookup the engine counts in
+  // its stats and in the shared registry.
+  for (auto& ocfg : hcfg.objects) ocfg.resumption.enabled = true;
+  ObjectHost host(std::move(hcfg), dtrans);
+
+  struct Client {
+    std::unique_ptr<UdpSocket> sock;
+    std::optional<TransportEndpoint> end;
+    std::optional<SockTransport> trans;
+    std::optional<SubjectClient> client;
+  };
+  std::vector<std::unique_ptr<Client>> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    auto cl = std::make_unique<Client>();
+    cl->sock = UdpSocket::bind_loopback(0);
+    ASSERT_TRUE(cl->sock);
+    EndpointParams ep = PipeDeployment::client_params_ep();
+    ep.conn_id_base += static_cast<std::uint32_t>(100 * c);
+    cl->end.emplace(*cl->sock, ep);
+    cl->trans.emplace(*cl->end);
+    core::SubjectEngineConfig scfg = subject_config(scenario);
+    scfg.seed += c;  // distinct nonces, so no client replays another
+    scfg.resumption.enabled = true;
+    cl->client.emplace(std::move(scfg), client_params(scenario), *cl->trans);
+    clients.push_back(std::move(cl));
+  }
+
+  const double start = steady_now_ms();
+  const auto now = [&] { return steady_now_ms() - start; };
+  for (int round = 0; round < 2; ++round) {
+    for (auto& cl : clients) {
+      cl->end->connect(dsock->local_addr(), now());
+      cl->client->begin_round(0, now());
+    }
+    bool running = true;
+    while (running && now() < 60000) {
+      host.pump(now());
+      running = false;
+      for (auto& cl : clients) {
+        if (cl->client->round_done()) continue;
+        cl->client->step(now());
+        running = running || !cl->client->round_done();
+      }
+    }
+    for (std::size_t c = 0; c < kClients; ++c) {
+      const ClientReport report = clients[c]->client->finish_round(now());
+      EXPECT_TRUE(report.complete())
+          << "round " << round << " client " << c << ": " << report.resolved
+          << "/" << report.expected;
+    }
+  }
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(result_set(clients[c]->client->engine().discovered()), want)
+        << "client " << c;
+  }
+
+  host.settle();
+  EXPECT_EQ(host.in_flight(), 0u);
+  std::uint64_t hits = 0, misses = 0, evictions = 0;
+  for (std::size_t i = 0; i < host.engine_count(); ++i) {
+    const core::ObjectEngine::Stats& st = host.engine(i).stats();
+    hits += st.resumption_hits;
+    misses += st.resumption_misses;
+    evictions += st.evictions;
+  }
+  const auto counter = [&](const char* name) -> std::uint64_t {
+    const obs::Counter* c = metrics.find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  EXPECT_GT(hits + misses, 0u);
+  EXPECT_EQ(counter("object.resumption.hit"), hits);
+  EXPECT_EQ(counter("object.resumption.miss"), misses);
+  EXPECT_EQ(counter("object.evict"), evictions);
+
+  // Orderly close from every client; the host reaps each connection.
+  for (auto& cl : clients) cl->end->close(dsock->local_addr(), now());
+  const double reap_until = now() + 10000;
+  while (dend.live_conns() > 0 && now() < reap_until) {
+    host.pump(now());
+    for (auto& cl : clients) cl->trans->pump(now());
+  }
+  EXPECT_EQ(dend.live_conns(), 0u);
+}
+
+// A driver that never calls settle() — it only holds its virtual clock
+// while replies are in flight — leaves every engine in exactly the state
+// the lockstep driver leaves it in. Its round can end a step earlier
+// (a reply that leaves at t is answered within t), so both hosts take
+// one last pump at a common time before their engines are compared.
+TEST(Daemon, NonBlockingPumpEndsInLockstepEngineState) {
+  constexpr std::size_t kObjects = 10;
+  constexpr double kEnd = 1000;
+  PipeDeployment lockstep(kObjects, /*loss=*/0.0);
+  ASSERT_TRUE(lockstep.run_round(0).complete());
+  lockstep.host.pump(kEnd);
+  lockstep.host.settle();
+
+  PipeDeployment d(kObjects, /*loss=*/0.0);
+  d.cend.connect(d.dsock->local_addr(), d.now);
+  d.client.begin_round(0, d.now);
+  while (!d.client.round_done() && d.now < 60000) {
+    if (d.host.in_flight() == 0) d.now += 5;
+    d.host.pump(d.now);
+    d.client.step(d.now);
+  }
+  ASSERT_TRUE(d.client.finish_round(d.now).complete());
+  ASSERT_LT(d.now, kEnd);
+  d.host.pump(kEnd);
+  d.host.settle();
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    EXPECT_EQ(d.host.engine(i).state_digest(),
+              lockstep.host.engine(i).state_digest())
+        << "engine " << i;
+  }
+}
+
+// With a profiler attached to the pumping thread, each shard's engine
+// work lands on lane (pump lane + 1 + shard): the engines' spans are all
+// there, none on the pump's lane.
+TEST(Daemon, ShardWorkersRecordOnProfilerLanes) {
+  constexpr std::size_t kObjects = 6;
+  constexpr std::uint64_t kPumpLane = 3;
+  PipeDeployment d(kObjects, /*loss=*/0.0);
+  obs::prof::Profiler prof;
+  {
+    obs::prof::Profiler::Attach attach(prof, kPumpLane);
+    ASSERT_TRUE(d.run_round(0).complete());
+  }
+  std::set<std::uint64_t> lanes;
+  std::size_t que1 = 0;
+  for (const auto& ev : prof.merged_events()) {
+    if (ev.path.find("object.handle_que") == std::string::npos) continue;
+    lanes.insert(ev.lane);
+    if (ev.path == "object.handle_que1") ++que1;
+  }
+  EXPECT_EQ(que1, kObjects);
+  ASSERT_FALSE(lanes.empty());
+  EXPECT_GE(*lanes.begin(), kPumpLane + 1);
+  EXPECT_LE(*lanes.rbegin(), kPumpLane + d.host.shard_count());
 }
 
 }  // namespace

@@ -178,6 +178,30 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (opt.shutdown) {
+    // Tell the daemon to exit. Pump until the reliable layer has the
+    // frame acked — the daemon handles it in the same pump that acks it,
+    // so a lossy shim can't strand the order — then leave WITHOUT a FIN:
+    // the daemon's keep-alive reaper must retire our connection on its
+    // own (the smoke test asserts conns_live == 0 afterwards). This runs
+    // before --compare-sim: the simulation does not pump the socket, and
+    // under a sanitizer it outlasts a short keep-alive timeout, so the
+    // daemon would reap the connection before the frame went out.
+    client.send_control(daemon.pack(), transport::CtlOp::kShutdown,
+                        wall_now());
+    const double until = wall_now() + 10000;
+    while (wall_now() < until) {
+      sock.pump(wall_now());
+      shimmed.flush();
+      const auto* conn = endpoint.conn(daemon);
+      if (conn == nullptr || conn->defunct() ||
+          (conn->in_flight() == 0 && conn->queued() == 0)) {
+        break;
+      }
+      sleep_until_due(until);
+    }
+  }
+
   // Engine-level parity with the authoritative simulator: run the
   // identical scenario in-process and compare discovered (object, level,
   // variant) sets.
@@ -191,27 +215,6 @@ int main(int argc, char** argv) {
                    "argusctl: sim mismatch (daemon %zu vs sim %zu services)\n",
                    client.engine().discovered().size(),
                    sim_report.services.size());
-    }
-  }
-
-  if (opt.shutdown) {
-    // Tell the daemon to exit. Pump until the reliable layer has the
-    // frame acked — the daemon handles it in the same pump that acks it,
-    // so a lossy shim can't strand the order — then leave WITHOUT a FIN:
-    // the daemon's keep-alive reaper must retire our connection on its
-    // own (the smoke test asserts conns_live == 0 afterwards).
-    client.send_control(daemon.pack(), transport::CtlOp::kShutdown,
-                        wall_now());
-    const double until = wall_now() + 10000;
-    while (wall_now() < until) {
-      sock.pump(wall_now());
-      shimmed.flush();
-      const auto* conn = endpoint.conn(daemon);
-      if (conn == nullptr || conn->defunct() ||
-          (conn->in_flight() == 0 && conn->queued() == 0)) {
-        break;
-      }
-      sleep_until_due(until);
     }
   }
 

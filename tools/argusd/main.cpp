@@ -7,6 +7,9 @@
 // Backend and the two processes can complete real handshakes with no
 // key-distribution side channel.
 //
+// The host runs the engines on its shard threads (transport/host.hpp);
+// this loop only pumps the socket and sends replies as they finish.
+//
 // Prints "LISTENING <port>" once bound (port 0 = ephemeral), serves until
 // SIGTERM/SIGINT, a control-plane shutdown frame, or --run-ms expires,
 // then drains until every connection is reaped and prints one JSON stats
@@ -171,12 +174,16 @@ int main(int argc, char** argv) {
 
   // Sleep on the socket until a datagram arrives or a timer is due: the
   // reliable layer's next deadline, capped by `until` (a signal also
-  // ends the wait).
+  // ends the wait). While the engine shards still owe replies the sleep
+  // is capped at kReplyPollMs, so a finished reply leaves within about
+  // that; an idle host sleeps until its next deadline.
+  constexpr double kReplyPollMs = 1;
   const auto sleep_until_due = [&](double now_ms, double until_ms) {
     double due = std::min(endpoint.next_deadline_ms(), until_ms);
     if (opt.snapshot_interval_ms > 0) {
       due = std::min(due, now_ms + opt.snapshot_interval_ms);
     }
+    if (host.in_flight() > 0) due = std::min(due, now_ms + kReplyPollMs);
     socket->wait_readable(due - now_ms);
   };
   const double start = transport::steady_now_ms();
