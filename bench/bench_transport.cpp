@@ -6,9 +6,11 @@
 //             and resend counters, delivery ratio. These are the
 //             benchdiff-gated numbers: any delta is a real change in the
 //             reliable layer or the retry driver, not machine noise.
-//   wall      the same engine rooms over real UDP loopback sockets —
-//             handshakes/s and p99 round latency. Informational on
-//             shared runners.
+//   wall      the same engine rooms over real UDP loopback sockets, one
+//             host and four clients for one second per loss point and
+//             per --repeat — handshakes/s and p99 round latency.
+//             Informational on shared runners; the header line and the
+//             trajectory entry record the core count and --repeat.
 //
 // One "handshake" is a resolved channel: the full QUE1/RES1/QUE2/RES2
 // exchange for one hosted object, carried over the reliable connection.
@@ -27,6 +29,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "bench_args.hpp"
@@ -35,6 +39,7 @@
 #include "obs/metrics.hpp"
 #include "transport/client.hpp"
 #include "transport/host.hpp"
+#include "transport/lanes.hpp"
 #include "transport/pipe.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
@@ -45,8 +50,9 @@ namespace {
 
 struct Grid {
   std::size_t objects = 16;
-  std::size_t rounds = 8;       // virtual rounds per loss point
-  std::size_t wall_rounds = 12; // loopback rounds per loss point
+  std::size_t rounds = 8;         // virtual rounds per loss point
+  double wall_s = 1.0;            // loopback seconds per loss point, per repeat
+  std::size_t wall_clients = 4;   // loopback clients sharing the host
 };
 
 constexpr double kLossPoints[] = {0.0, 0.10, 0.30};
@@ -138,6 +144,7 @@ VirtualCell run_virtual(const Grid& grid, double loss) {
       host.pump(now);
       host.settle();
       client.step(now);
+      client.settle();
     }
     const transport::ClientReport report = client.finish_round(now);
     cell.ok = cell.ok && report.complete();
@@ -153,8 +160,11 @@ VirtualCell run_virtual(const Grid& grid, double loss) {
   return cell;
 }
 
-/// One wall-clock loss point: the same rooms over real UDP loopback,
-/// with the netem shim between the endpoints and the wire.
+/// One wall-clock loss point: the same rooms over real UDP loopback, one
+/// host and `wall_clients` clients, each socket behind its own netem
+/// shim, running closed-loop rounds for `wall_s` seconds per repeat
+/// (rounds in flight at the end run to completion). Nobody settles: host
+/// and clients pump without waiting for their engine lanes.
 struct WallCell {
   bool ok = true;
   double handshakes_per_s = 0;
@@ -163,43 +173,95 @@ struct WallCell {
 
 WallCell run_wall(const Grid& grid, double loss, std::uint64_t repeat) {
   const core::DiscoveryScenario scenario = scenario_for(grid.objects);
-  auto dsock = transport::UdpSocket::bind_loopback(0);
-  auto csock = transport::UdpSocket::bind_loopback(0);
   WallCell cell;
-  if (!dsock || !csock) {
+  auto dsock = transport::UdpSocket::bind_loopback(0);
+  if (!dsock) {
     std::fprintf(stderr, "loopback bind failed\n");
     cell.ok = false;
     return cell;
   }
   fault::NetemSocket dshim(*dsock, shim_params(loss, 21));
-  fault::NetemSocket cshim(*csock, shim_params(loss, 22));
   obs::MetricsRegistry metrics;
   transport::TransportEndpoint dend(dshim, endpoint_params(7000), &metrics);
-  transport::TransportEndpoint cend(cshim, endpoint_params(9000), &metrics);
-  transport::SockTransport dtrans(dend), ctrans(cend);
+  transport::SockTransport dtrans(dend);
   transport::ObjectHost host(host_config(scenario, &metrics), dtrans);
-  transport::SubjectClient client(subject_config(scenario, &metrics),
-                                  client_params(scenario), ctrans);
 
   const double start = transport::steady_now_ms();
   const auto now = [&] { return transport::steady_now_ms() - start; };
-  cend.connect(dsock->local_addr(), now());
 
+  struct Client {
+    std::unique_ptr<transport::UdpSocket> sock;
+    std::optional<fault::NetemSocket> shim;
+    std::optional<transport::TransportEndpoint> end;
+    std::optional<transport::SockTransport> trans;
+    std::optional<transport::SubjectClient> client;
+    bool active = false;
+  };
+  std::vector<std::unique_ptr<Client>> clients;
+  for (std::size_t c = 0; c < grid.wall_clients; ++c) {
+    auto cl = std::make_unique<Client>();
+    cl->sock = transport::UdpSocket::bind_loopback(0);
+    if (!cl->sock) {
+      std::fprintf(stderr, "loopback bind failed\n");
+      cell.ok = false;
+      return cell;
+    }
+    cl->shim.emplace(*cl->sock, shim_params(loss, 22 + c));
+    const auto base = static_cast<std::uint32_t>(9000 + 100 * c);
+    cl->end.emplace(*cl->shim, endpoint_params(base));
+    cl->trans.emplace(*cl->end);
+    core::SubjectEngineConfig scfg = subject_config(scenario, &metrics);
+    scfg.seed += c;  // distinct nonces: no client replays another's
+    cl->client.emplace(std::move(scfg), client_params(scenario), *cl->trans);
+    cl->end->connect(dsock->local_addr(), now());
+    clients.push_back(std::move(cl));
+  }
+
+  // Closed-loop rounds on every client until `until` (each client runs at
+  // least one); false if a round failed or outlived `give_up`.
   std::vector<double> round_ms;
   std::size_t handshakes = 0;
-  const std::size_t rounds = grid.wall_rounds * repeat;
-  const double wall0 = now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    client.begin_round(0, now());
-    while (!client.round_done() && now() < wall0 + 120000) {
-      host.pump(now());
-      client.step(now());
+  const auto run = [&](double until) {
+    const double give_up = until + 120000;
+    bool ok = true;
+    bool any = true;
+    for (auto& cl : clients) {
+      cl->active = true;
+      cl->client->begin_round(0, now());
     }
-    const transport::ClientReport report = client.finish_round(now());
-    cell.ok = cell.ok && report.complete();
-    round_ms.push_back(report.round_ms);
-    handshakes += report.resolved;
-  }
+    while (any && now() < give_up) {
+      host.pump(now());
+      any = false;
+      for (auto& cl : clients) {
+        if (!cl->active) {
+          // Keep an idle client's connection alive: a client silent past
+          // the keep-alive timeout is reaped by the host, and its next
+          // round would go into a connection only it still knows.
+          cl->trans->pump(now());
+          continue;
+        }
+        cl->client->step(now());
+        if (cl->client->round_done()) {
+          const transport::ClientReport r = cl->client->finish_round(now());
+          ok = ok && r.complete();
+          round_ms.push_back(r.round_ms);
+          handshakes += r.resolved;
+          cl->active = now() < until;
+          if (cl->active) cl->client->begin_round(0, now());
+        }
+        any = any || cl->active;
+      }
+    }
+    return ok && !any;
+  };
+  // One untimed round per client first: connection set-up and the first,
+  // cold discoveries would otherwise be most of a one-second cell's p99.
+  cell.ok = run(0);
+  round_ms.clear();
+  handshakes = 0;
+  const double wall0 = now();
+  cell.ok = run(wall0 + grid.wall_s * 1000.0 * static_cast<double>(repeat)) &&
+            cell.ok;
   const double wall_s = (now() - wall0) / 1000.0;
   cell.handshakes_per_s =
       wall_s > 0 ? static_cast<double>(handshakes) / wall_s : 0;
@@ -218,7 +280,7 @@ const char* loss_tag(double loss) {
 }
 
 int smoke(const bench::Args& args) {
-  const Grid grid{6, 2, 2};
+  const Grid grid{6, 2, 0.2, 4};
   // Clean pipe: complete, and quiet — zero retry-driver retransmits and
   // zero reliable-layer resends.
   const VirtualCell clean = run_virtual(grid, 0.0);
@@ -272,7 +334,7 @@ int smoke(const bench::Args& args) {
       wall.p99_round_ms);
 
   obs::bench::BenchReporter reporter("transport");
-  reporter.set_threads(1);
+  reporter.set_threads(transport::LaneSet::max_workers());
   reporter.set_repeat(args.repeat);
   reporter.metric("virtual.round_ms_total.loss0", clean.total_round_ms, "ms",
                   "virtual");
@@ -297,9 +359,13 @@ int main(int argc, char** argv) {
   if (args.smoke) return smoke(args);
 
   const Grid grid;
-  std::printf("Transport — %zu objects, %zu virtual + %zu loopback rounds "
-              "per loss point\n\n",
-              grid.objects, grid.rounds, grid.wall_rounds);
+  std::printf("Transport — %zu objects; per loss point %zu virtual rounds "
+              "and %.0f s x %llu of %zu loopback clients on %u cores "
+              "(%zu engine-lane workers)\n\n",
+              grid.objects, grid.rounds, grid.wall_s,
+              static_cast<unsigned long long>(args.repeat), grid.wall_clients,
+              std::thread::hardware_concurrency(),
+              transport::LaneSet::max_workers());
   std::printf("%6s | %10s %6s %8s %6s %6s %6s | %10s %8s\n", "loss",
               "virt ms/rd", "rtx", "resends", "rto", "fast", "tlp", "hs/s",
               "p99 ms");
@@ -307,7 +373,7 @@ int main(int argc, char** argv) {
               "+--------------------\n");
 
   obs::bench::BenchReporter reporter("transport");
-  reporter.set_threads(1);
+  reporter.set_threads(transport::LaneSet::max_workers());
   reporter.set_repeat(args.repeat);
   for (const double loss : kLossPoints) {
     const VirtualCell v = run_virtual(grid, loss);
@@ -328,7 +394,7 @@ int main(int argc, char** argv) {
                 w.handshakes_per_s, w.p99_round_ms);
     const std::string tag = loss_tag(loss);
     // Virtual numbers are --repeat invariant (one deterministic pass);
-    // wall numbers average over repeats inside run_wall.
+    // a wall cell runs --repeat times as long.
     reporter.metric("virtual.round_ms_total." + tag, v.total_round_ms, "ms",
                     "virtual");
     reporter.metric("virtual.retransmits." + tag,

@@ -10,16 +10,15 @@
 // PeerId (a packed socket address on the real path), so per-peer
 // admission buckets track real remote endpoints.
 //
-// Shards: engine i belongs to shard i % W, W = max(1, min(cores - 1,
-// engines)), and each shard is one worker thread with one FIFO. An
-// engine therefore handles its frames in arrival order and is only ever
-// touched by its shard's thread; the endpoint, the reliable layer and
-// the socket stay on the thread that calls pump(). The workers start on
-// the first frame handed to an engine, so building a host starts none.
-// pump() never waits for engine work: it sends the replies that have
-// finished — the finished prefix, in dispatch order, so no reply
-// overtakes an earlier one — drains the transport into the shards, and
-// queues each engine's clock advance behind that pump's frames.
+// Engine lanes (lanes.hpp): each engine has a lane of its own, so it
+// handles its frames in arrival order and is only ever touched by one
+// thread at a time; the endpoint, the reliable layer and the socket stay
+// on the thread that calls pump(). pump() never waits for engine work: it
+// sends the replies that have finished — the finished prefix, in dispatch
+// order, so no reply overtakes an earlier one — and drains the transport
+// into the lanes. Clock advances are lazy: a frame's task first advances
+// its engine to the time of the pump before it, and settle() brings every
+// engine up to the last pump, so no pump posts a task of its own.
 // settle() waits for every queued task and sends its reply, so a
 // lockstep driver that calls `pump(); settle();` issues exactly the
 // send() sequence of a host that handled every frame inline.
@@ -31,12 +30,8 @@
 // missing or damaged starts blank while its neighbours restore.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,6 +40,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "persist/snapshot.hpp"
+#include "transport/lanes.hpp"
 #include "transport/transport.hpp"
 
 namespace argus::transport {
@@ -64,11 +60,11 @@ struct HostConfig {
 /// The transport must outlive the host: the destructor settles, which
 /// sends the last replies. A profiler attached to the pumping thread when
 /// a frame is dispatched records that frame's engine work on lane
-/// (pump lane + 1 + shard), so it must outlive the frame's task too.
+/// (pump lane + 1 + the engine lane's id), so it must outlive the frame's
+/// task too.
 ///
-/// Metrics: an engine config's registry is swapped for a registry owned
-/// by the engine's shard, which every settle point merges into the
-/// configured one (and clears), so no registry is written by two threads.
+/// Metrics: an engine config's registry is swapped for its lane's
+/// LaneRegistry stand-in, which every settle point merges.
 class ObjectHost {
  public:
   ObjectHost(HostConfig cfg, SockTransport& transport);
@@ -79,11 +75,12 @@ class ObjectHost {
   /// Drive the transport and the host's clocks (engine TTLs, interval
   /// snapshots) without waiting for engine work: finished replies leave
   /// in dispatch order, inbound frames become tasks on the engines'
-  /// shards.
+  /// lanes.
   void pump(double now_ms);
 
-  /// Wait for every queued task, send every reply in dispatch order and
-  /// merge the shards' metrics. Rethrows an exception an engine raised.
+  /// Wait for every queued task, advance every engine to the last pump's
+  /// time, send every reply in dispatch order and merge the lanes'
+  /// metrics. Rethrows an exception an engine raised.
   void settle();
 
   /// Frames handed to the engines whose replies have not left yet.
@@ -104,7 +101,6 @@ class ObjectHost {
   [[nodiscard]] std::size_t restored_engines() const { return restored_; }
 
   [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Settles first; the reference is safe to use until the next pump().
   [[nodiscard]] core::ObjectEngine& engine(std::size_t i);
 
@@ -120,44 +116,29 @@ class ObjectHost {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct Shard;
-  struct Task;
-  /// One dispatched frame's reply slot, in dispatch order.
+  /// One dispatched frame's reply.
   struct Reply {
     PeerId to = 0;
-    bool done = false;
     std::optional<Bytes> frame;  // muxed reply; empty = the engine kept quiet
   };
 
   void on_frame(PeerId from, const Bytes& frame);
   void dispatch(std::size_t idx, PeerId from,
                 const std::shared_ptr<const Bytes>& payload);
-  void queue_clock(double now_ms);
-  void run_shard(Shard& shard);
-  void run_task(Shard& shard, Task& task);
   void send_finished();
-  /// Wait until no task is queued or running; no rethrow, no sends.
-  void wait_idle();
   void handle_ctl(ByteSpan payload);
 
   HostConfig cfg_;
   SockTransport& transport_;
   std::vector<std::unique_ptr<core::ObjectEngine>> engines_;
-  double now_ms_ = 0;
+  std::vector<LaneRegistry> metrics_;  // per engine
+  double now_ms_ = 0;    // the current pump's time: replies leave at it
+  double clock_ms_ = 0;  // the last finished pump's time: engines' clock
   double last_snapshot_ms_ = 0;
   bool shutdown_ = false;
-  bool started_ = false;  // shard threads running
   std::size_t restored_ = 0;
   Stats stats_;
-
-  mutable std::mutex done_mu_;  // guards outbox_, outbox_base_, pending_, error_
-  std::condition_variable idle_cv_;  // pending_ reached 0
-  std::deque<Reply> outbox_;
-  std::uint64_t outbox_base_ = 0;  // dispatch number of outbox_.front()
-  std::size_t pending_ = 0;        // tasks queued or running
-  std::exception_ptr error_;       // first exception an engine task raised
-
-  std::vector<std::unique_ptr<Shard>> shards_;  // last: joined first
+  EngineLanes<Reply> lanes_;  // last: waits for the tasks before all else
 };
 
 }  // namespace argus::transport

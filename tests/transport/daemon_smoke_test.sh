@@ -1,11 +1,13 @@
 #!/bin/sh
-# Two-process loopback smoke: argusd serves a 100-object fleet, argusctl
-# runs one discovery round against it under a 10% send-side loss shim,
-# then orders a shutdown and leaves WITHOUT closing its connection. The
-# test passes only if
-#   * the round resolves every object (delivery_ratio == 1.0),
-#   * the engine-level result set matches an in-process simulator run
-#     (--compare-sim), and
+# Two-process loopback smoke: argusd serves a 100-object fleet, and
+# argusctl runs one discovery round against it under a 10% send-side
+# loss shim, twice: the second run orders a shutdown and leaves WITHOUT
+# closing its connection. The test passes only if
+#   * each run's round resolves every object (delivery_ratio == 1.0) —
+#     the second run must not replay the first run's nonces into the
+#     daemon's replay windows,
+#   * each run's engine-level result set matches an in-process simulator
+#     run (--compare-sim), and
 #   * the daemon's keep-alive reaper retires the abandoned connection so
 #     it exits with zero live conns (exit code 0, "conns_live":0).
 #
@@ -46,13 +48,20 @@ if [ -z "$PORT" ]; then
   exit 1
 fi
 
-if ! "$ARGUSCTL" --connect "127.0.0.1:$PORT" --objects "$OBJECTS" \
-    --seed "$SEED" --loss "$LOSS" --compare-sim --shutdown \
-    > "$WORK/ctl.out" 2> "$WORK/ctl.err"; then
-  echo "FAIL: argusctl reported an incomplete or mismatched round" >&2
-  cat "$WORK/ctl.out" "$WORK/ctl.err" >&2
-  exit 1
-fi
+# run_ctl NAME [extra argusctl flags...]
+run_ctl() {
+  name="$1"
+  shift
+  if ! "$ARGUSCTL" --connect "127.0.0.1:$PORT" --objects "$OBJECTS" \
+      --seed "$SEED" --loss "$LOSS" --compare-sim "$@" \
+      > "$WORK/$name.out" 2> "$WORK/$name.err"; then
+    echo "FAIL: argusctl ($name) reported an incomplete or mismatched round" >&2
+    cat "$WORK/$name.out" "$WORK/$name.err" >&2
+    exit 1
+  fi
+}
+run_ctl ctl1
+run_ctl ctl2 --shutdown
 
 # The daemon must exit 0 on its own: shutdown frame seen, every
 # connection reaped (the FIN-less client ages out on keep-alive).
@@ -65,19 +74,21 @@ if [ "$DSTATUS" -ne 0 ]; then
   exit 1
 fi
 
-CTL_LINE="$(cat "$WORK/ctl.out")"
 DAEMON_LINE="$(tail -n 1 "$WORK/daemon.out")"
-echo "ctl:    $CTL_LINE"
+for name in ctl1 ctl2; do
+  CTL_LINE="$(cat "$WORK/$name.out")"
+  echo "$name:   $CTL_LINE"
+  case "$CTL_LINE" in
+    *'"delivery_ratio":1.0000'*) ;;
+    *) echo "FAIL: $name delivery_ratio != 1.0" >&2; exit 1 ;;
+  esac
+  case "$CTL_LINE" in
+    *'"sim_match":true'*) ;;
+    *) echo "FAIL: $name result set does not match the simulator" >&2; exit 1 ;;
+  esac
+done
 echo "daemon: $DAEMON_LINE"
 
-case "$CTL_LINE" in
-  *'"delivery_ratio":1.0000'*) ;;
-  *) echo "FAIL: delivery_ratio != 1.0" >&2; exit 1 ;;
-esac
-case "$CTL_LINE" in
-  *'"sim_match":true'*) ;;
-  *) echo "FAIL: result set does not match the simulator" >&2; exit 1 ;;
-esac
 case "$DAEMON_LINE" in
   *'"conns_live":0'*) ;;
   *) echo "FAIL: daemon leaked connections" >&2; exit 1 ;;
@@ -87,4 +98,4 @@ if [ ! -s "$WORK/fleet.snap" ]; then
   exit 1
 fi
 
-echo "PASS: $OBJECTS objects at ${LOSS} loss, zero leaked conns"
+echo "PASS: $OBJECTS objects at ${LOSS} loss, two runs, zero leaked conns"

@@ -4,15 +4,24 @@
 // lossy pipe run must produce the same engine-level result set as the
 // authoritative simulator (core::run_discovery), which is the same
 // parity the CI loopback smoke asserts across two processes. The pipe
-// drivers run lockstep (settle() after every pump()); the sharded cases
-// drive the non-blocking pump and compare against a lockstep run.
+// drivers run lockstep (settle() after every pump() and step()); the
+// multi-client and non-blocking cases drive pump() and step() without
+// settling and compare against a lockstep run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <latch>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "argus/discovery.hpp"
@@ -23,6 +32,7 @@
 #include "obs/prof.hpp"
 #include "transport/client.hpp"
 #include "transport/host.hpp"
+#include "transport/lanes.hpp"
 #include "transport/pipe.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
@@ -138,6 +148,7 @@ struct PipeDeployment {
       host.pump(now);
       host.settle();
       client.step(now);
+      client.settle();
     }
     return client.finish_round(now);
   }
@@ -203,6 +214,7 @@ TEST(Daemon, ControlShutdownFlagsTheHost) {
     d.host.pump(d.now);
     d.host.settle();
     d.client.step(d.now);
+    d.client.settle();
   }
   EXPECT_TRUE(d.host.shutdown_requested());
 }
@@ -246,8 +258,8 @@ TEST(Daemon, SecondRoundDedupesDiscovered) {
 }
 
 // Four clients against one 16-engine host over real UDP, on the
-// non-blocking path: the loop never settles, so replies leave whenever
-// their shard finishes. Each client must end with the lockstep run's
+// non-blocking path: the loop never settles, so replies and effects
+// leave whenever their lanes finish. Each client must end with the lockstep run's
 // result set, the engines' shared registry must count exactly what the
 // engines did once the host settles, and every connection must reap.
 TEST(Daemon, ShardedHostFourClientsUdp) {
@@ -349,10 +361,11 @@ TEST(Daemon, ShardedHostFourClientsUdp) {
 }
 
 // A driver that never calls settle() — it only holds its virtual clock
-// while replies are in flight — leaves every engine in exactly the state
-// the lockstep driver leaves it in. Its round can end a step earlier
-// (a reply that leaves at t is answered within t), so both hosts take
-// one last pump at a common time before their engines are compared.
+// while host replies or client frames are in flight — leaves every
+// engine in exactly the state the lockstep driver leaves it in. Its
+// round can end a step earlier (a reply that leaves at t is answered
+// within t), so both hosts take one last pump at a common time before
+// their engines are compared.
 TEST(Daemon, NonBlockingPumpEndsInLockstepEngineState) {
   constexpr std::size_t kObjects = 10;
   constexpr double kEnd = 1000;
@@ -365,7 +378,7 @@ TEST(Daemon, NonBlockingPumpEndsInLockstepEngineState) {
   d.cend.connect(d.dsock->local_addr(), d.now);
   d.client.begin_round(0, d.now);
   while (!d.client.round_done() && d.now < 60000) {
-    if (d.host.in_flight() == 0) d.now += 5;
+    if (d.host.in_flight() == 0 && d.client.in_flight() == 0) d.now += 5;
     d.host.pump(d.now);
     d.client.step(d.now);
   }
@@ -380,10 +393,11 @@ TEST(Daemon, NonBlockingPumpEndsInLockstepEngineState) {
   }
 }
 
-// With a profiler attached to the pumping thread, each shard's engine
-// work lands on lane (pump lane + 1 + shard): the engines' spans are all
-// there, none on the pump's lane.
-TEST(Daemon, ShardWorkersRecordOnProfilerLanes) {
+// With a profiler attached to the pumping thread, each engine's work
+// lands on its lane's profiler lane (pump lane + 1 + lane id), the
+// subject's on the client lane's: one lane per engine, none of them the
+// pump's lane, and the client's apart from every engine's.
+TEST(Daemon, EngineLanesRecordOnProfilerLanes) {
   constexpr std::size_t kObjects = 6;
   constexpr std::uint64_t kPumpLane = 3;
   PipeDeployment d(kObjects, /*loss=*/0.0);
@@ -392,17 +406,236 @@ TEST(Daemon, ShardWorkersRecordOnProfilerLanes) {
     obs::prof::Profiler::Attach attach(prof, kPumpLane);
     ASSERT_TRUE(d.run_round(0).complete());
   }
-  std::set<std::uint64_t> lanes;
+  std::set<std::uint64_t> object_lanes, subject_lanes;
   std::size_t que1 = 0;
   for (const auto& ev : prof.merged_events()) {
-    if (ev.path.find("object.handle_que") == std::string::npos) continue;
-    lanes.insert(ev.lane);
-    if (ev.path == "object.handle_que1") ++que1;
+    if (ev.path.find("object.handle_que") != std::string::npos) {
+      object_lanes.insert(ev.lane);
+      if (ev.path == "object.handle_que1") ++que1;
+    }
+    if (ev.path.find("subject.handle_res") != std::string::npos) {
+      subject_lanes.insert(ev.lane);
+    }
   }
   EXPECT_EQ(que1, kObjects);
-  ASSERT_FALSE(lanes.empty());
-  EXPECT_GE(*lanes.begin(), kPumpLane + 1);
-  EXPECT_LE(*lanes.rbegin(), kPumpLane + d.host.shard_count());
+  EXPECT_EQ(object_lanes.size(), kObjects);
+  ASSERT_EQ(subject_lanes.size(), 1u);
+  EXPECT_EQ(object_lanes.count(*subject_lanes.begin()), 0u);
+  EXPECT_GE(*object_lanes.begin(), kPumpLane + 1);
+  EXPECT_GE(*subject_lanes.begin(), kPumpLane + 1);
+}
+
+// A client driven by step() alone — its virtual clock held while the
+// host or the client has frames in flight — ends with the lockstep
+// client's services and the same report counts, retransmits included.
+TEST(Daemon, NonBlockingClientEndsInLockstepState) {
+  constexpr std::size_t kObjects = 12;
+  PipeDeployment lockstep(kObjects, /*loss=*/0.10);
+  const ClientReport want = lockstep.run_round(0);
+  ASSERT_TRUE(want.complete());
+
+  PipeDeployment d(kObjects, /*loss=*/0.10);
+  d.cend.connect(d.dsock->local_addr(), d.now);
+  d.client.begin_round(0, d.now);
+  while (!d.client.round_done() && d.now < 60000) {
+    if (d.host.in_flight() == 0 && d.client.in_flight() == 0) d.now += 5;
+    d.host.pump(d.now);
+    d.host.settle();
+    d.client.step(d.now);
+  }
+  const ClientReport got = d.client.finish_round(d.now);
+  EXPECT_EQ(got.expected, want.expected);
+  EXPECT_EQ(got.resolved, want.resolved);
+  EXPECT_EQ(got.timed_out, want.timed_out);
+  EXPECT_EQ(got.que1_retransmits, want.que1_retransmits);
+  EXPECT_EQ(got.que2_retransmits, want.que2_retransmits);
+  EXPECT_EQ(got.rejects, want.rejects);
+  EXPECT_EQ(result_set(got.services), result_set(want.services));
+  EXPECT_EQ(result_set(d.client.engine().discovered()),
+            result_set(lockstep.client.engine().discovered()));
+  EXPECT_EQ(d.client.in_flight(), 0u);
+}
+
+// One host and 64 clients in one process: 68 engine lanes, and still at
+// most max(1, cores - 1) workers. A probe of 64 more lanes, each task
+// noting its thread, sees no more distinct threads than that either.
+TEST(Daemon, EngineLanesBoundThreads) {
+  constexpr std::size_t kObjects = 4;
+  constexpr std::size_t kClients = 64;
+  const core::DiscoveryScenario scenario = scenario_for(kObjects);
+  PipeHub hub;
+  auto dsock = hub.open(0);
+  EndpointParams dparams = PipeDeployment::daemon_params();
+  dparams.max_conns = 2 * kClients;
+  TransportEndpoint dend(*dsock, dparams);
+  SockTransport dtrans(dend);
+  ObjectHost host(host_config(scenario), dtrans);
+
+  struct Client {
+    std::unique_ptr<PipeSocket> sock;
+    std::optional<TransportEndpoint> end;
+    std::optional<SockTransport> trans;
+    std::optional<SubjectClient> client;
+  };
+  std::vector<std::unique_ptr<Client>> clients;
+  double now = 0;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    auto cl = std::make_unique<Client>();
+    cl->sock = hub.open(0);
+    EndpointParams ep = PipeDeployment::client_params_ep();
+    ep.conn_id_base += static_cast<std::uint32_t>(100 * c);
+    cl->end.emplace(*cl->sock, ep);
+    cl->trans.emplace(*cl->end);
+    core::SubjectEngineConfig scfg = subject_config(scenario);
+    scfg.seed += c;
+    cl->client.emplace(std::move(scfg), client_params(scenario), *cl->trans);
+    cl->end->connect(dsock->local_addr(), now);
+    cl->client->begin_round(0, now);
+    clients.push_back(std::move(cl));
+  }
+  const auto in_flight = [&] {
+    std::size_t n = host.in_flight();
+    for (const auto& cl : clients) n += cl->client->in_flight();
+    return n;
+  };
+  const auto done = [&] {
+    return std::all_of(clients.begin(), clients.end(), [](const auto& cl) {
+      return cl->client->round_done();
+    });
+  };
+  while (!done() && now < 60000) {
+    if (in_flight() == 0) now += 5;
+    host.pump(now);
+    for (auto& cl : clients) cl->client->step(now);
+  }
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(clients[c]->client->finish_round(now).complete())
+        << "client " << c;
+  }
+
+  const std::size_t bound = std::max<std::size_t>(
+      1, std::max<unsigned>(1, std::thread::hardware_concurrency()) - 1);
+  EXPECT_EQ(LaneSet::max_workers(), bound);
+  EXPECT_GE(LaneSet::workers(), 1u);
+  EXPECT_LE(LaneSet::workers(), bound);
+
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  {
+    LaneSet probe(kClients);
+    for (std::size_t l = 0; l < probe.size(); ++l) {
+      probe.post(l, [&] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        const std::lock_guard<std::mutex> lk(mu);
+        threads.insert(std::this_thread::get_id());
+      });
+    }
+    probe.wait_idle();
+  }
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(), bound);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+}
+
+/// Holds lane tasks until opened; opens on destruction, so a failed
+/// assertion never leaves a worker parked.
+class Gate {
+ public:
+  ~Gate() { open(); }
+  void open() {
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// The outbox hands results over in dispatch order, not finishing order:
+// a result that finished early waits behind a slower lane's earlier
+// one. A task that throws leaves its slot empty and the exception for
+// rethrow().
+TEST(EngineLanes, DrainKeepsDispatchOrderAndRethrows) {
+  EngineLanes<int> lanes(2);
+  Gate gate;  // after `lanes`: opens before lanes waits for its tasks
+  std::atomic<int> finished{0};
+  std::vector<int> got;
+  const auto sink = [&](int v) { got.push_back(v); };
+  lanes.post(0, [&] {
+    gate.wait();
+    return 1;
+  });
+  lanes.post(1, [&] { return ++finished, 2; });
+  lanes.post(1, [&]() -> int {
+    ++finished;
+    throw std::runtime_error("engine failed");
+  });
+  lanes.post(1, [&] { return ++finished, 4; });
+  while (finished.load() < 3) std::this_thread::yield();
+  lanes.drain(sink);
+  EXPECT_TRUE(got.empty());  // all wait behind slot 0
+  EXPECT_EQ(lanes.in_flight(), 4u);
+  gate.open();
+  lanes.wait_idle();
+  lanes.drain(sink);
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(lanes.in_flight(), 0u);
+  EXPECT_THROW(lanes.rethrow(), std::runtime_error);
+  EXPECT_NO_THROW(lanes.rethrow());  // reported once
+}
+
+// Every worker parked, so no engine can answer: the pumps alone keep the
+// connection alive past the keep-alive timeout, and once the workers are
+// free the round completes.
+TEST(Daemon, BusyLanesDoNotReapALivePeer) {
+  PipeDeployment d(4, /*loss=*/0.0);
+  LaneSet park(LaneSet::max_workers());
+  Gate gate;  // after `park`: opens before park waits for its tasks
+  std::latch parked(static_cast<std::ptrdiff_t>(park.size()));
+  for (std::size_t l = 0; l < park.size(); ++l) {
+    park.post(l, [&] {
+      parked.count_down();
+      gate.wait();
+    });
+  }
+  parked.wait();
+
+  const double past = ReliableParams{}.keepalive_timeout_ms + 1000;
+  ASSERT_LT(past, core::RetryPolicy{}.round_deadline_ms);
+  d.cend.connect(d.dsock->local_addr(), d.now);
+  d.client.begin_round(0, d.now);
+  while (d.now < past) {
+    d.now += 5;
+    d.host.pump(d.now);
+    d.client.step(d.now);
+  }
+  EXPECT_GT(d.host.in_flight(), 0u);  // nothing answered
+  EXPECT_FALSE(d.client.round_done());
+  EXPECT_EQ(d.dend.live_conns(), 1u);
+  const ReliableConn* conn = d.cend.conn(d.dsock->local_addr());
+  ASSERT_NE(conn, nullptr);
+  EXPECT_FALSE(conn->defunct());
+  EXPECT_EQ(d.dend.stats().reaped_dead + d.cend.stats().reaped_dead, 0u);
+
+  gate.open();
+  while (!d.client.round_done() && d.now < 60000) {
+    d.now += 5;
+    d.host.pump(d.now);
+    d.host.settle();
+    d.client.step(d.now);
+    d.client.settle();
+  }
+  const ClientReport report = d.client.finish_round(d.now);
+  EXPECT_TRUE(report.complete()) << report.resolved << "/" << report.expected;
 }
 
 }  // namespace

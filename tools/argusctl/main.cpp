@@ -127,6 +127,11 @@ int main(int argc, char** argv) {
   transport::SockTransport sock(endpoint);
 
   core::SubjectEngineConfig scfg = core::subject_engine_config(scenario);
+  // The scenario seed alone would repeat every R_S on a second run
+  // against the same daemon, whose replay windows then drop them all.
+  // Mix in the PID, as conn_id_base does; --compare-sim compares service
+  // sets, which no nonce changes.
+  scfg.seed ^= static_cast<std::uint64_t>(getpid()) * 0x9E3779B97F4A7C15ull;
   scfg.resumption.enabled = opt.resumption;
   scfg.metrics = &metrics;
 
@@ -148,10 +153,15 @@ int main(int argc, char** argv) {
   std::uint64_t que1_retx = 0, que2_retx = 0, rejects = 0;
   bool all_complete = true;
   // Sleep on the socket until a datagram arrives or the earliest
-  // reliable-layer deadline, capped by `until_ms`.
+  // reliable-layer deadline, capped by `until_ms`. While the client's
+  // lane still owes effects the sleep is capped at kEffectPollMs, so a
+  // finished QUE2 leaves within about that.
+  constexpr double kEffectPollMs = 1;
   const auto sleep_until_due = [&](double until_ms) {
-    socket->wait_readable(std::min(endpoint.next_deadline_ms(), until_ms) -
-                          wall_now());
+    const double now = wall_now();
+    double due = std::min(endpoint.next_deadline_ms(), until_ms);
+    if (client.in_flight() > 0) due = std::min(due, now + kEffectPollMs);
+    socket->wait_readable(due - now);
   };
   for (std::size_t r = 0; r < opt.rounds; ++r) {
     client.begin_round(r, wall_now());

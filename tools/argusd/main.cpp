@@ -7,8 +7,8 @@
 // Backend and the two processes can complete real handshakes with no
 // key-distribution side channel.
 //
-// The host runs the engines on its shard threads (transport/host.hpp);
-// this loop only pumps the socket and sends replies as they finish.
+// The host runs the engines on engine lanes (transport/lanes.hpp); this
+// loop only pumps the socket and sends replies as they finish.
 //
 // Prints "LISTENING <port>" once bound (port 0 = ephemeral), serves until
 // SIGTERM/SIGINT, a control-plane shutdown frame, or --run-ms expires,
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
 
   // Sleep on the socket until a datagram arrives or a timer is due: the
   // reliable layer's next deadline, capped by `until` (a signal also
-  // ends the wait). While the engine shards still owe replies the sleep
+  // ends the wait). While the engine lanes still owe replies the sleep
   // is capped at kReplyPollMs, so a finished reply leaves within about
   // that; an idle host sleeps until its next deadline.
   constexpr double kReplyPollMs = 1;
