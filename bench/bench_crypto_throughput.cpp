@@ -40,6 +40,7 @@
 #include "argus/subject_engine.hpp"
 #include "backend/registry.hpp"
 #include "bench_args.hpp"
+#include "bench_crypto_backends.hpp"
 #include "common/thread_pool.hpp"
 #include "crypto/ec.hpp"
 #include "crypto/sha256.hpp"
@@ -312,9 +313,10 @@ int smoke(const bench::Args& args) {
   std::printf(
       "smoke OK: %llu handshakes/mode; reference %.1f hs/s, fast %.1f, "
       "steady %.1f (%.2fx); fast==reference bytes, 1-vs-4-thread steady "
-      "digests identical (%.12s...)\n",
+      "digests identical (%.12s...); %s\n",
       static_cast<unsigned long long>(timed), ref.per_s(), fast.per_s(),
-      steady1.per_s(), speedup, steady1.digest.c_str());
+      steady1.per_s(), speedup, steady1.digest.c_str(),
+      bench::crypto_backends().c_str());
 
   obs::bench::BenchReporter reporter("crypto");
   reporter.set_threads(1);
@@ -345,8 +347,10 @@ int main(int argc, char** argv) {
                              1, std::thread::hardware_concurrency());
 
   std::printf("Crypto throughput — %zu lanes x %zu subjects x %zu rounds "
-              "(+1 warm-up)\n\n",
-              grid.lanes, grid.subjects, grid.rounds);
+              "(+1 warm-up), %u cores\n%s\n\n",
+              grid.lanes, grid.subjects, grid.rounds,
+              std::thread::hardware_concurrency(),
+              bench::crypto_backends().c_str());
   std::printf("%-12s | %8s | %12s | %10s\n", "mode", "threads", "hs/s",
               "speedup");
   std::printf("-------------+----------+--------------+-----------\n");

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bench_crypto_backends.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/ec.hpp"
 #include "crypto/ecdsa.hpp"
@@ -134,7 +135,9 @@ int main(int argc, char** argv) {
   sink = sink + g.scalar_mul(peer, fixed).x.w[0];
   sink = sink + crypto::ecdsa_sign(g, fixed, msg).s.w[0];
 
-  std::printf("dudect-style Welch t-test, P-256, fixed vs random secret\n");
+  std::printf("dudect-style Welch t-test, P-256, fixed vs random secret\n"
+              "%s\n",
+              bench::crypto_backends().c_str());
   report("scalar_mul",
          measure(samples, coin, fixed, randoms, [&](const crypto::UInt& k) {
            sink = sink + g.scalar_mul(peer, k).x.w[0];

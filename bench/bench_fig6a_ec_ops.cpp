@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "bench_crypto_backends.hpp"
 #include "bench_gbench_main.hpp"
 
 #include "crypto/ecdh.hpp"
@@ -19,6 +20,13 @@ using crypto::Strength;
 
 const crypto::Strength kStrengths[] = {Strength::b112, Strength::b128,
                                        Strength::b192, Strength::b256};
+
+// The kernels behind every row, in the context block printed above the
+// table (google-benchmark's custom context).
+const bool kBackendsNoted = [] {
+  benchmark::AddCustomContext("crypto_backends", bench::crypto_backends());
+  return true;
+}();
 
 void BM_EcdsaSign(benchmark::State& state) {
   const auto& g = crypto::group_for(kStrengths[state.range(0)]);

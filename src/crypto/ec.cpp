@@ -12,6 +12,18 @@ namespace {
 
 EcFastPaths g_fast_paths{};
 
+#if defined(ARGUS_FIELD_ADX)
+/// Whether this CPU runs the MULX/ADX field kernels: asked once per
+/// process, the way the SHA-256 backend is chosen (sha256.cpp).
+bool cpu_has_mulx_adx() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("adx") && __builtin_cpu_supports("bmi2");
+  }();
+  return has;
+}
+#endif
+
 }  // namespace
 
 const EcFastPaths& ec_fast_paths() { return g_fast_paths; }
@@ -200,11 +212,24 @@ EcGroup::EcGroup(const CurveParams& params)
   a_m_ = fp_.to_mont(params_.a);
   b_m_ = fp_.to_mont(params_.b);
   // One typed group per field shape: the two 4-word NIST primes get
-  // their shift-and-add reductions, the others the generic REDC.
+  // their shift-and-add reductions (inside MULX/ADX kernels when the CPU
+  // has them), the others the generic REDC.
   const std::size_t words = params_.p.word_count();
   if (words == 4 && fe::from_uint<4>(params_.p) == fe::kP224) {
+#if defined(ARGUS_FIELD_ADX)
+    if (cpu_has_mulx_adx()) {
+      typed_ = std::make_unique<EcGroupT<FieldP224Adx>>(params_);
+      return;
+    }
+#endif
     typed_ = std::make_unique<EcGroupT<FieldP224>>(params_);
   } else if (words == 4 && fe::from_uint<4>(params_.p) == fe::kP256) {
+#if defined(ARGUS_FIELD_ADX)
+    if (cpu_has_mulx_adx()) {
+      typed_ = std::make_unique<EcGroupT<FieldP256Adx>>(params_);
+      return;
+    }
+#endif
     typed_ = std::make_unique<EcGroupT<FieldP256>>(params_);
   } else if (words == 6) {
     typed_ = std::make_unique<EcGroupT<FieldP384>>(params_);
@@ -217,6 +242,12 @@ EcGroup::EcGroup(const CurveParams& params)
 }
 
 EcGroup::~EcGroup() = default;
+
+const char* EcGroup::field_kernel() const {
+  return visit([](const auto& g) {
+    return redc_name(std::decay_t<decltype(g.field())>::kRedc);
+  });
+}
 
 bool EcGroup::on_curve(const EcPoint& pt) const {
   return visit([&](const auto& g) { return g.on_curve(pt); });

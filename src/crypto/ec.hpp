@@ -118,6 +118,10 @@ class EcGroup {
   /// Decode and validate (on-curve check). nullopt on malformed/invalid.
   [[nodiscard]] std::optional<EcPoint> decode_point(ByteSpan data) const;
 
+  /// The field kernel this group's typed arithmetic runs on (redc_name):
+  /// the MULX/ADX one for P-256 and P-224 when the CPU has ADX and BMI2.
+  [[nodiscard]] const char* field_kernel() const;
+
   /// Run `fn` on this curve's width-typed group (EcGroupT<F>&, defined in
   /// ec_typed.hpp, which a caller must include): one dispatch per call.
   template <class Fn>
@@ -134,6 +138,10 @@ class EcGroup {
   UInt b_m_;
   std::variant<std::unique_ptr<EcGroupT<FieldP224>>,
                std::unique_ptr<EcGroupT<FieldP256>>,
+#if defined(ARGUS_FIELD_ADX)
+               std::unique_ptr<EcGroupT<FieldP224Adx>>,
+               std::unique_ptr<EcGroupT<FieldP256Adx>>,
+#endif
                std::unique_ptr<EcGroupT<FieldP384>>,
                std::unique_ptr<EcGroupT<FieldP521>>>
       typed_;

@@ -570,6 +570,10 @@ auto EcGroupT<F>::scalar_mul_jac(const EcPoint& p,
 // The four curves' groups are compiled once, in ec_typed.cpp.
 extern template class EcGroupT<FieldP224>;
 extern template class EcGroupT<FieldP256>;
+#if defined(ARGUS_FIELD_ADX)
+extern template class EcGroupT<FieldP224Adx>;
+extern template class EcGroupT<FieldP256Adx>;
+#endif
 extern template class EcGroupT<FieldP384>;
 extern template class EcGroupT<FieldP521>;
 

@@ -21,10 +21,20 @@
 // 64-bit x86 CPU has them; there is no runtime dispatch) and to 128-bit
 // arithmetic elsewhere.
 //
+// On x86-64 the same two primes also get MULX/ADX kernels (Redc::kP256Adx,
+// Redc::kP224Adx): mul and sqr written as inline assembly, with MULX
+// products summed on two independent carry chains (ADCX on CF, ADOX on
+// OF), the shaped REDC fused into the same block and a CMOV final
+// subtraction. Compilers do not emit ADCX/ADOX from the _addcarryx_u64
+// intrinsic (GCC 12 serialises both chains through one flag), hence the
+// assembly. Those fields may only run on a CPU that reports both ADX and
+// BMI2; EcGroup picks them once per group (ec.cpp).
+//
 // Every kernel returns the unique fully reduced value, so which kernel
 // runs never changes an output bit: FieldT<4, Redc::kP256>::mul equals
-// MontCtx::mul on the same modulus word for word. MontCtx (mont.hpp)
-// instantiates these same templates for its runtime-width rows.
+// FieldT<4, Redc::kP256Adx>::mul and MontCtx::mul on the same modulus word
+// for word. MontCtx (mont.hpp) instantiates these same templates for its
+// runtime-width rows.
 #pragma once
 
 #include <array>
@@ -33,6 +43,12 @@
 
 #if defined(__x86_64__)
 #include <x86intrin.h>
+#endif
+
+#if defined(__x86_64__) && defined(__GNUC__)
+/// The MULX/ADX kernels exist in this build (they still need a CPU with
+/// ADX and BMI2 to run).
+#define ARGUS_FIELD_ADX 1
 #endif
 
 #include "crypto/wide.hpp"
@@ -273,6 +289,263 @@ inline Fe<4> redc_p224(std::uint64_t (&t)[8]) {
   return final_sub<4>(t + 4, top, kP224);
 }
 
+#if defined(ARGUS_FIELD_ADX)
+// MULX/ADX kernels for P-256 and P-224. Each is one asm block over
+// registers: product words, two scratch words (lo, hi), RDX (MULX's
+// implicit operand) and the operand pointers. The operands are read
+// through the pointers under a "memory" clobber rather than as "m"
+// operands, which keeps the demand at 10 (mul) and 12 (sqr) registers,
+// few enough for -O0 sanitizer builds that reserve the frame pointer.
+//
+// mul interleaves: product row i (a * b[i], lows on the CF chain, highs on
+// the OF chain) then REDC step i, whose factor is word i, already final.
+// Only five product words are ever live, so they rotate through r0..r4;
+// step i's carry becomes the initial top word of row i + 1. sqr forms the
+// six cross products, doubles them on the CF chain while the four squares
+// enter on the OF chain, runs the four REDC steps on the low half alone
+// and adds the high half last, so no step waits for the previous step's
+// carry.
+//
+// A row or step can drop a carry out of its top word only if the running
+// sum outgrew the words it has. It never does: after row i the sum is
+// below (2^64 + 2) * p * 2^(64i), under 2^(64(i+5)) for both primes. The
+// result (below 2p, its carry in `top`) is reduced by a subtract-and-CMOV:
+// no branch, no operand-dependent load.
+
+// REDC step for P-256 with factor m = t[i] (see redc_p256): m << 32 and
+// m >> 32 into words i+1 and i+2, the low word of m * 0xffffffff00000001
+// into word i+3; its high word, left in m's register, goes to word i+4
+// by TAIL (the carry chain is still open).
+#define ARGUS_P256_STEP(m, t1, t2, t3, TAIL) \
+  "movq %[" m "], %[lo]\n\t"                 \
+  "shlq $32, %[lo]\n\t"                      \
+  "movq %[" m "], %[hi]\n\t"                 \
+  "shrq $32, %[hi]\n\t"                      \
+  "movq %[" m "], %%rdx\n\t"                 \
+  "subq %[lo], %%rdx\n\t"                    \
+  "sbbq %[hi], %[" m "]\n\t"                 \
+  "addq %[lo], %[" t1 "]\n\t"                \
+  "adcq %[hi], %[" t2 "]\n\t"                \
+  "adcq %%rdx, %[" t3 "]\n\t" TAIL
+
+// REDC step for P-224 with k = t[i] (see redc_p224): (k << 32) | 1,
+// ~(~k >> 32) and ~(k << 32) into words i+1..i+3; ~k >> 32, left in k's
+// register, goes to word i+4 by TAIL.
+#define ARGUS_P224_STEP(m, t1, t2, t3, TAIL) \
+  "movq %[" m "], %[lo]\n\t"                 \
+  "shlq $32, %[lo]\n\t"                      \
+  "movq %[lo], %[hi]\n\t"                    \
+  "notq %[hi]\n\t"                           \
+  "notq %[" m "]\n\t"                        \
+  "shrq $32, %[" m "]\n\t"                   \
+  "movq %[" m "], %%rdx\n\t"                 \
+  "notq %%rdx\n\t"                           \
+  "orq $1, %[lo]\n\t"                        \
+  "addq %[lo], %[" t1 "]\n\t"                \
+  "adcq %%rdx, %[" t2 "]\n\t"                \
+  "adcq %[hi], %[" t3 "]\n\t" TAIL
+
+// Step tails. Into an existing word t4, carrying out into m's register
+// (which becomes word i+5), or m's register itself becoming word i+4 (it
+// cannot wrap: the top addend is at most 2^64 - 2^32).
+#define ARGUS_TAIL_INTO(m, t4)      \
+  "adcq %[" m "], %[" t4 "]\n\t"  \
+  "movl $0, %k[" m "]\n\t"        \
+  "adcq $0, %[" m "]\n\t"
+#define ARGUS_TAIL_FRESH(m) "adcq $0, %[" m "]\n\t"
+
+// (top : x3..x0) - p into lo, hi, s0, s1; keep x where that borrows.
+// p's words as immediates or RDX loads (MOV leaves the flags alone).
+#define ARGUS_P256_FINAL(x0, x1, x2, x3, top, s0, s1) \
+  "movq %[" x0 "], %[lo]\n\t"                         \
+  "subq $-1, %[lo]\n\t"                               \
+  "movl $0xffffffff, %%edx\n\t"                       \
+  "movq %[" x1 "], %[hi]\n\t"                         \
+  "sbbq %%rdx, %[hi]\n\t"                             \
+  "movq %[" x2 "], %[" s0 "]\n\t"                     \
+  "sbbq $0, %[" s0 "]\n\t"                            \
+  "movabsq $0xffffffff00000001, %%rdx\n\t"            \
+  "movq %[" x3 "], %[" s1 "]\n\t"                     \
+  "sbbq %%rdx, %[" s1 "]\n\t"                         \
+  "sbbq $0, %[" top "]\n\t"                           \
+  "cmovncq %[lo], %[" x0 "]\n\t"                      \
+  "cmovncq %[hi], %[" x1 "]\n\t"                      \
+  "cmovncq %[" s0 "], %[" x2 "]\n\t"                  \
+  "cmovncq %[" s1 "], %[" x3 "]\n\t"
+
+#define ARGUS_P224_FINAL(x0, x1, x2, x3, top, s0, s1) \
+  "movq %[" x0 "], %[lo]\n\t"                         \
+  "subq $1, %[lo]\n\t"                                \
+  "movabsq $0xffffffff00000000, %%rdx\n\t"            \
+  "movq %[" x1 "], %[hi]\n\t"                         \
+  "sbbq %%rdx, %[hi]\n\t"                             \
+  "movq %[" x2 "], %[" s0 "]\n\t"                     \
+  "sbbq $-1, %[" s0 "]\n\t"                           \
+  "movl $0xffffffff, %%edx\n\t"                       \
+  "movq %[" x3 "], %[" s1 "]\n\t"                     \
+  "sbbq %%rdx, %[" s1 "]\n\t"                         \
+  "sbbq $0, %[" top "]\n\t"                           \
+  "cmovncq %[lo], %[" x0 "]\n\t"                      \
+  "cmovncq %[hi], %[" x1 "]\n\t"                      \
+  "cmovncq %[" s0 "], %[" x2 "]\n\t"                  \
+  "cmovncq %[" s1 "], %[" x3 "]\n\t"
+
+// Row 0 of a * b: t0..t4 = a * b[0] on one carry chain.
+#define ARGUS_ADX_ROW0                  \
+  "movq (%[b]), %%rdx\n\t"              \
+  "mulxq (%[a]), %[r0], %[r1]\n\t"      \
+  "mulxq 8(%[a]), %[lo], %[r2]\n\t"     \
+  "addq %[lo], %[r1]\n\t"               \
+  "mulxq 16(%[a]), %[lo], %[r3]\n\t"    \
+  "adcq %[lo], %[r2]\n\t"               \
+  "mulxq 24(%[a]), %[lo], %[r4]\n\t"    \
+  "adcq %[lo], %[r3]\n\t"               \
+  "adcq $0, %[r4]\n\t"
+
+// Row i > 0: (t4..t0) += a * b[i], b[i] at byte offset `off`. XOR clears
+// CF and OF; the lows ride CF, the highs OF, and CF lands in t4 last.
+#define ARGUS_ADX_ROW(off, t0, t1, t2, t3, t4) \
+  "movq " off "(%[b]), %%rdx\n\t"              \
+  "xorl %k[lo], %k[lo]\n\t"                    \
+  "mulxq (%[a]), %[lo], %[hi]\n\t"             \
+  "adcxq %[lo], %[" t0 "]\n\t"                 \
+  "adoxq %[hi], %[" t1 "]\n\t"                 \
+  "mulxq 8(%[a]), %[lo], %[hi]\n\t"            \
+  "adcxq %[lo], %[" t1 "]\n\t"                 \
+  "adoxq %[hi], %[" t2 "]\n\t"                 \
+  "mulxq 16(%[a]), %[lo], %[hi]\n\t"           \
+  "adcxq %[lo], %[" t2 "]\n\t"                 \
+  "adoxq %[hi], %[" t3 "]\n\t"                 \
+  "mulxq 24(%[a]), %[lo], %[hi]\n\t"           \
+  "adcxq %[lo], %[" t3 "]\n\t"                 \
+  "adoxq %[hi], %[" t4 "]\n\t"                 \
+  "adcq $0, %[" t4 "]\n\t"
+
+// a^2 into r0..r7: cross products a_i * a_j (i < j) into r1..r6, then
+// r7:r1 doubled on CF while the squares a_i^2 enter on OF.
+#define ARGUS_ADX_SQR_WIDE                                              \
+  "movq (%[a]), %%rdx\n\t"                                              \
+  "mulxq 8(%[a]), %[r1], %[r2]\n\t"                                     \
+  "mulxq 16(%[a]), %[lo], %[r3]\n\t"                                    \
+  "addq %[lo], %[r2]\n\t"                                               \
+  "mulxq 24(%[a]), %[lo], %[r4]\n\t"                                    \
+  "adcq %[lo], %[r3]\n\t"                                               \
+  "adcq $0, %[r4]\n\t"                                                  \
+  "movq 8(%[a]), %%rdx\n\t"                                             \
+  "xorl %k[r5], %k[r5]\n\t"                                             \
+  "mulxq 16(%[a]), %[lo], %[hi]\n\t"                                    \
+  "adcxq %[lo], %[r3]\n\t"                                              \
+  "adoxq %[hi], %[r4]\n\t"                                              \
+  "mulxq 24(%[a]), %[lo], %[hi]\n\t"                                    \
+  "adcxq %[lo], %[r4]\n\t"                                              \
+  "adoxq %[hi], %[r5]\n\t"                                              \
+  "adcq $0, %[r5]\n\t"                                                  \
+  "movq 16(%[a]), %%rdx\n\t"                                            \
+  "mulxq 24(%[a]), %[lo], %[r6]\n\t"                                    \
+  "addq %[lo], %[r5]\n\t"                                               \
+  "adcq $0, %[r6]\n\t"                                                  \
+  "movq (%[a]), %%rdx\n\t"                                              \
+  "xorl %k[r7], %k[r7]\n\t"                                             \
+  "mulxq %%rdx, %[r0], %[hi]\n\t"                                       \
+  "adcxq %[r1], %[r1]\n\t"                                              \
+  "adoxq %[hi], %[r1]\n\t"                                              \
+  "movq 8(%[a]), %%rdx\n\t"                                             \
+  "mulxq %%rdx, %[lo], %[hi]\n\t"                                       \
+  "adcxq %[r2], %[r2]\n\t"                                              \
+  "adoxq %[lo], %[r2]\n\t"                                              \
+  "adcxq %[r3], %[r3]\n\t"                                              \
+  "adoxq %[hi], %[r3]\n\t"                                              \
+  "movq 16(%[a]), %%rdx\n\t"                                            \
+  "mulxq %%rdx, %[lo], %[hi]\n\t"                                       \
+  "adcxq %[r4], %[r4]\n\t"                                              \
+  "adoxq %[lo], %[r4]\n\t"                                              \
+  "adcxq %[r5], %[r5]\n\t"                                              \
+  "adoxq %[hi], %[r5]\n\t"                                              \
+  "movq 24(%[a]), %%rdx\n\t"                                            \
+  "mulxq %%rdx, %[lo], %[hi]\n\t"                                       \
+  "adcxq %[r6], %[r6]\n\t"                                              \
+  "adoxq %[lo], %[r6]\n\t"                                              \
+  "adcxq %[r7], %[r7]\n\t"                                              \
+  "adoxq %[hi], %[r7]\n\t"
+
+// mul: rows and REDC steps interleaved over the rotating r0..r4; the
+// result lands in r4, r0, r1, r2 with the carry in r3.
+#define ARGUS_ADX_MUL(STEP, FINAL)                                    \
+  std::uint64_t r0, r1, r2, r3, r4, lo, hi, dx;                       \
+  const std::uint64_t* ap = a.w.data();                               \
+  const std::uint64_t* bp = b.w.data();                               \
+  __asm__(ARGUS_ADX_ROW0                                              \
+          STEP("r0", "r1", "r2", "r3", ARGUS_TAIL_INTO("r0", "r4"))   \
+          ARGUS_ADX_ROW("8", "r1", "r2", "r3", "r4", "r0")            \
+          STEP("r1", "r2", "r3", "r4", ARGUS_TAIL_INTO("r1", "r0"))   \
+          ARGUS_ADX_ROW("16", "r2", "r3", "r4", "r0", "r1")           \
+          STEP("r2", "r3", "r4", "r0", ARGUS_TAIL_INTO("r2", "r1"))   \
+          ARGUS_ADX_ROW("24", "r3", "r4", "r0", "r1", "r2")           \
+          STEP("r3", "r4", "r0", "r1", ARGUS_TAIL_INTO("r3", "r2"))   \
+          FINAL("r4", "r0", "r1", "r2", "r3", "a", "b")               \
+          : [r0] "=&r"(r0), [r1] "=&r"(r1), [r2] "=&r"(r2),           \
+            [r3] "=&r"(r3), [r4] "=&r"(r4), [lo] "=&r"(lo),           \
+            [hi] "=&r"(hi), "=&d"(dx), [a] "+r"(ap), [b] "+r"(bp)     \
+          :                                                           \
+          : "cc", "memory");                                          \
+  return Fe<4>{{r4, r0, r1, r2}}
+
+// sqr: the eight-word square, then the four REDC steps on the low half
+// alone (r0..r3 rotate into words 4..7), the high half r4..r7 added with
+// its carry in r4 (the sum stays below 2p), and the final subtraction.
+#define ARGUS_ADX_SQR(STEP, FINAL)                                     \
+  std::uint64_t r0, r1, r2, r3, r4, r5, r6, r7, lo, hi, dx;            \
+  const std::uint64_t* ap = a.w.data();                                \
+  __asm__(ARGUS_ADX_SQR_WIDE                                           \
+          STEP("r0", "r1", "r2", "r3", ARGUS_TAIL_FRESH("r0"))         \
+          STEP("r1", "r2", "r3", "r0", ARGUS_TAIL_FRESH("r1"))         \
+          STEP("r2", "r3", "r0", "r1", ARGUS_TAIL_FRESH("r2"))         \
+          STEP("r3", "r0", "r1", "r2", ARGUS_TAIL_FRESH("r3"))         \
+          "addq %[r4], %[r0]\n\t"                                      \
+          "adcq %[r5], %[r1]\n\t"                                      \
+          "adcq %[r6], %[r2]\n\t"                                      \
+          "adcq %[r7], %[r3]\n\t"                                      \
+          "movl $0, %k[r4]\n\t"                                        \
+          "adcq $0, %[r4]\n\t"                                         \
+          FINAL("r0", "r1", "r2", "r3", "r4", "r5", "r6")              \
+          : [r0] "=&r"(r0), [r1] "=&r"(r1), [r2] "=&r"(r2),            \
+            [r3] "=&r"(r3), [r4] "=&r"(r4), [r5] "=&r"(r5),            \
+            [r6] "=&r"(r6), [r7] "=&r"(r7), [lo] "=&r"(lo),            \
+            [hi] "=&r"(hi), "=&d"(dx), [a] "+r"(ap)                    \
+          :                                                            \
+          : "cc", "memory");                                           \
+  return Fe<4>{{r0, r1, r2, r3}}
+
+/// Montgomery a * b * 2^-256 mod P-256, for a, b < p. Needs ADX and BMI2.
+[[gnu::always_inline]] inline Fe<4> mul_p256_adx(const Fe<4>& a, const Fe<4>& b) {
+  ARGUS_ADX_MUL(ARGUS_P256_STEP, ARGUS_P256_FINAL);
+}
+/// Montgomery a^2 * 2^-256 mod P-256, for a < p. Needs ADX and BMI2.
+[[gnu::always_inline]] inline Fe<4> sqr_p256_adx(const Fe<4>& a) {
+  ARGUS_ADX_SQR(ARGUS_P256_STEP, ARGUS_P256_FINAL);
+}
+/// Montgomery a * b * 2^-256 mod P-224, for a, b < p. Needs ADX and BMI2.
+[[gnu::always_inline]] inline Fe<4> mul_p224_adx(const Fe<4>& a, const Fe<4>& b) {
+  ARGUS_ADX_MUL(ARGUS_P224_STEP, ARGUS_P224_FINAL);
+}
+/// Montgomery a^2 * 2^-256 mod P-224, for a < p. Needs ADX and BMI2.
+[[gnu::always_inline]] inline Fe<4> sqr_p224_adx(const Fe<4>& a) {
+  ARGUS_ADX_SQR(ARGUS_P224_STEP, ARGUS_P224_FINAL);
+}
+
+#undef ARGUS_P256_STEP
+#undef ARGUS_P224_STEP
+#undef ARGUS_P256_FINAL
+#undef ARGUS_P224_FINAL
+#undef ARGUS_ADX_ROW0
+#undef ARGUS_ADX_ROW
+#undef ARGUS_ADX_SQR_WIDE
+#undef ARGUS_ADX_MUL
+#undef ARGUS_ADX_SQR
+#undef ARGUS_TAIL_INTO
+#undef ARGUS_TAIL_FRESH
+#endif  // ARGUS_FIELD_ADX
+
 /// (a + b) mod p for a, b < p.
 template <std::size_t N>
 inline Fe<N> add(const Fe<N>& a, const Fe<N>& b, const Fe<N>& p) {
@@ -320,8 +593,21 @@ inline std::uint64_t neg_inv64(std::uint64_t n) {
 
 }  // namespace fe
 
-/// Which Montgomery reduction a field uses.
-enum class Redc { kGeneric, kP256, kP224 };
+/// Which Montgomery kernels a field uses: the generic REDC, a NIST
+/// prime's shaped REDC, or the same REDC fused into a MULX/ADX kernel.
+enum class Redc { kGeneric, kP256, kP224, kP256Adx, kP224Adx };
+
+/// Name of a field's kernel, as the benches print it.
+constexpr const char* redc_name(Redc r) {
+  switch (r) {
+    case Redc::kGeneric: return "generic";
+    case Redc::kP256: return "p256-portable";
+    case Redc::kP224: return "p224-portable";
+    case Redc::kP256Adx: return "p256-mulx-adx";
+    case Redc::kP224Adx: return "p224-mulx-adx";
+  }
+  return "?";
+}
 
 /// A prime field of N words in Montgomery form (R = 2^(64N)). The EC
 /// code's field type: every operation inlines into the point formulas.
@@ -329,16 +615,24 @@ template <std::size_t N, Redc R = Redc::kGeneric>
 class FieldT {
  public:
   static constexpr std::size_t kWords = N;
+  static constexpr Redc kRedc = R;
   using Elem = Fe<N>;
+
+  static constexpr bool kP256Shape = R == Redc::kP256 || R == Redc::kP256Adx;
+  static constexpr bool kP224Shape = R == Redc::kP224 || R == Redc::kP224Adx;
+  static constexpr bool kAdx = R == Redc::kP256Adx || R == Redc::kP224Adx;
+#if !defined(ARGUS_FIELD_ADX)
+  static_assert(!kAdx, "the MULX/ADX kernels are x86-64 only");
+#endif
 
   explicit FieldT(const UInt& p) : p_(fe::from_uint<N>(p)) {
     if (p.word_count() != N || !p.is_odd()) {
       throw std::invalid_argument("FieldT: modulus width mismatch");
     }
-    if constexpr (R == Redc::kP256) {
+    if constexpr (kP256Shape) {
       if (p_ != fe::kP256) throw std::invalid_argument("FieldT: not P-256");
     }
-    if constexpr (R == Redc::kP224) {
+    if constexpr (kP224Shape) {
       if (p_ != fe::kP224) throw std::invalid_argument("FieldT: not P-224");
     }
     n0inv_ = fe::neg_inv64(p_.w[0]);
@@ -354,11 +648,19 @@ class FieldT {
   [[nodiscard]] const Elem& one() const { return one_; }
 
   [[nodiscard]] Elem mul(const Elem& a, const Elem& b) const {
+#if defined(ARGUS_FIELD_ADX)
+    if constexpr (R == Redc::kP256Adx) return fe::mul_p256_adx(a, b);
+    if constexpr (R == Redc::kP224Adx) return fe::mul_p224_adx(a, b);
+#endif
     std::uint64_t t[2 * N];
     fe::mul_wide<N>(t, a, b);
     return reduce(t);
   }
   [[nodiscard]] Elem sqr(const Elem& a) const {
+#if defined(ARGUS_FIELD_ADX)
+    if constexpr (R == Redc::kP256Adx) return fe::sqr_p256_adx(a);
+    if constexpr (R == Redc::kP224Adx) return fe::sqr_p224_adx(a);
+#endif
     std::uint64_t t[2 * N];
     fe::sqr_wide<N>(t, a);
     return reduce(t);
@@ -402,9 +704,9 @@ class FieldT {
 
  private:
   [[nodiscard]] Elem reduce(std::uint64_t (&t)[2 * N]) const {
-    if constexpr (R == Redc::kP256) {
+    if constexpr (kP256Shape) {
       return fe::redc_p256(t);
-    } else if constexpr (R == Redc::kP224) {
+    } else if constexpr (kP224Shape) {
       return fe::redc_p224(t);
     } else {
       return fe::redc<N>(t, p_, n0inv_);
@@ -419,6 +721,10 @@ class FieldT {
 
 using FieldP224 = FieldT<4, Redc::kP224>;
 using FieldP256 = FieldT<4, Redc::kP256>;
+#if defined(ARGUS_FIELD_ADX)
+using FieldP224Adx = FieldT<4, Redc::kP224Adx>;
+using FieldP256Adx = FieldT<4, Redc::kP256Adx>;
+#endif
 using FieldP384 = FieldT<6>;
 using FieldP521 = FieldT<9>;
 

@@ -166,6 +166,12 @@ Sha256BlockFn sha256_blocks() {
 
 Sha256::Sha256() { reset(); }
 
+const char* Sha256::backend() {
+  return detail::sha256_blocks() == detail::sha256_blocks_portable
+             ? "portable"
+             : "sha-ni";
+}
+
 Sha256::Sha256(const Chain& chain, std::uint64_t blocks)
     : state_(chain), total_len_(blocks * kBlockSize) {}
 

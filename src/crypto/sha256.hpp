@@ -52,6 +52,10 @@ class Sha256 {
   /// One-shot convenience.
   static Bytes hash(ByteSpan data);
 
+  /// The compression backend this process runs ("sha-ni" or "portable"),
+  /// for the benches to print.
+  static const char* backend();
+
  private:
   Chain state_{};
   std::array<std::uint8_t, kBlockSize> buf_{};

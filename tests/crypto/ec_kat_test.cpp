@@ -5,8 +5,11 @@
 // separately by the RFC 6979 vectors in ecdsa_test.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 
+#include "crypto/ec_typed.hpp"
 #include "crypto/ecdh.hpp"
 #include "crypto/ecdsa.hpp"
 
@@ -153,6 +156,61 @@ TEST(EcKnownAnswerTest, EcdsaVerifyRejectsBitFlippedMessages) {
     EXPECT_FALSE(ecdsa_verify(g, pub, msg, sig));
   }
 }
+
+// Which field kernel a shared group runs on.
+Redc group_redc(const EcGroup& g) {
+  return g.visit(
+      [](const auto& tg) { return std::decay_t<decltype(tg.field())>::kRedc; });
+}
+
+bool cpu_runs_adx() {
+#if defined(ARGUS_FIELD_ADX)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("adx") && __builtin_cpu_supports("bmi2");
+#else
+  return false;
+#endif
+}
+
+TEST(EcGroupDispatch, AdxFieldExactlyWhenTheCpuHasAdxAndBmi2) {
+  const bool adx = cpu_runs_adx();
+  const Redc p224 = adx ? Redc::kP224Adx : Redc::kP224;
+  const Redc p256 = adx ? Redc::kP256Adx : Redc::kP256;
+  EXPECT_EQ(group_redc(group_for(Strength::b112)), p224);
+  EXPECT_EQ(group_redc(group_for(Strength::b128)), p256);
+  EXPECT_EQ(group_redc(group_for(Strength::b192)), Redc::kGeneric);
+  EXPECT_EQ(group_redc(group_for(Strength::b256)), Redc::kGeneric);
+  EXPECT_STREQ(group_for(Strength::b112).field_kernel(), redc_name(p224));
+  EXPECT_STREQ(group_for(Strength::b128).field_kernel(), redc_name(p256));
+}
+
+#if defined(ARGUS_FIELD_ADX)
+// The portable groups stay built on an ADX host: both typed groups of
+// each prime give the same ladder output, point for point.
+template <class Adx, class Portable>
+void expect_groups_agree(const CurveParams& cp) {
+  SCOPED_TRACE(cp.name);
+  const EcGroupT<Adx> ga(cp);
+  const EcGroupT<Portable> gp(cp);
+  const EcPoint g{cp.gx, cp.gy, false};
+  EcPoint p = g;
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    const UInt k = UInt::from_hex(std::string(cp.field_bytes * 2 - 2, 'c') +
+                                  std::to_string(10 + i));
+    const EcPoint a = ga.to_affine(ga.scalar_mul_ct(p, k));
+    ASSERT_EQ(a, gp.to_affine(gp.scalar_mul_ct(p, k)));
+    ASSERT_EQ(ga.to_affine(ga.jdbl(ga.to_jac(a))),
+              gp.to_affine(gp.jdbl(gp.to_jac(a))));
+    p = a;
+  }
+}
+
+TEST(EcGroupDispatch, PortableAndAdxGroupsAgree) {
+  if (!cpu_runs_adx()) GTEST_SKIP() << "this CPU lacks ADX or BMI2";
+  expect_groups_agree<FieldP256Adx, FieldP256>(curve_p256());
+  expect_groups_agree<FieldP224Adx, FieldP224>(curve_p224());
+}
+#endif
 
 }  // namespace
 }  // namespace argus::crypto

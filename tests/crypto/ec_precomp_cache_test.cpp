@@ -302,7 +302,9 @@ TEST(EcPrecompCacheTest, BuildsOutsideTheLockNeverTwice) {
 // scalar_mul_base (the typed group's lazy comb build), the first sign and
 // two verifies (EcPrecompCache misses, then hits) on every curve, each
 // thread in its own curve order. Run alone in its process (as ctest and
-// the tsan lane do), every lazy structure is built under contention.
+// the tsan lane do), every lazy structure is built under contention,
+// including the process-wide MULX/ADX check and, on a CPU with ADX and
+// BMI2, the MULX/ADX P-224 and P-256 groups.
 TEST(EcColdStartTest, FourThreadsFirstUseOfEveryCurve) {
   constexpr std::size_t kThreads = 4;
   const Strength strengths[] = {Strength::b112, Strength::b128,

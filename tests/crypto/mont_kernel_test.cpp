@@ -6,7 +6,9 @@
 // and every real modulus in the repository, on edge values plus 10^4
 // random operands per modulus — once through MontCtx's runtime-width rows
 // and once through the Fe<N> kernels of field.hpp directly, including
-// the shift-and-add reductions of the P-256 and P-224 fields.
+// the shift-and-add reductions of the P-256 and P-224 fields and, on a
+// CPU with ADX and BMI2, their MULX/ADX kernels (which must also match
+// the portable ones bit for bit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -359,6 +361,76 @@ TEST(FieldKernelTest, ShapedFieldsRejectOtherModuli) {
   EXPECT_THROW(FieldP224(curve_p256().p), std::invalid_argument);
   EXPECT_THROW(FieldP256(curve_p256().n), std::invalid_argument);
   EXPECT_THROW(FieldP384(curve_p256().p), std::invalid_argument);
+}
+
+// ---- MULX/ADX kernels -----------------------------------------------------
+
+#if defined(ARGUS_FIELD_ADX)
+bool cpu_runs_adx() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("adx") && __builtin_cpu_supports("bmi2");
+}
+
+// The ADX field against the frozen oracle (check_field), then against the
+// portable field of the same prime bit for bit: mul and sqr on the edge
+// operands and on random ones, pow with random exponents, and inv.
+template <class Adx, class Portable>
+void check_adx_field(const UInt& n, std::mt19937_64& rng, int randoms) {
+  check_field<Adx>(n, rng, randoms);
+  if (::testing::Test::HasFatalFailure()) return;
+  const Adx fa(n);
+  const Portable fp(n);
+  const std::vector<UInt> edges = edge_operands(n);
+  const auto agree = [&](const UInt& a, const UInt& b) {
+    const Fe<4> x = fe::from_uint<4>(a);
+    const Fe<4> y = fe::from_uint<4>(b);
+    ASSERT_EQ(fa.mul(x, y), fp.mul(x, y))
+        << "mul " << a.to_hex() << " " << b.to_hex();
+    ASSERT_EQ(fa.sqr(x), fp.sqr(x)) << "sqr " << a.to_hex();
+  };
+  for (const UInt& a : edges) {
+    for (const UInt& b : edges) {
+      agree(a, b);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  for (int i = 0; i < randoms; ++i) {
+    agree(random_below(rng, n), random_below(rng, n));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (int i = 0; i < 64; ++i) {
+    const Fe<4> x = fe::from_uint<4>(
+        i < static_cast<int>(edges.size()) ? edges[static_cast<std::size_t>(i)]
+                                           : random_below(rng, n));
+    const UInt e = random_below(rng, n);
+    ASSERT_EQ(fa.pow(x, e), fp.pow(x, e)) << "pow " << e.to_hex();
+    if (fe::is_zero(x)) continue;
+    ASSERT_EQ(fa.inv(x), fp.inv(x));
+    ASSERT_EQ(fa.mul(fa.inv(x), x), fa.one());
+  }
+  ASSERT_EQ(fa.one(), fp.one());
+}
+#endif
+
+TEST(FieldKernelTest, AdxKernelsMatchPortableAndOracle) {
+#if defined(ARGUS_FIELD_ADX)
+  if (!cpu_runs_adx()) GTEST_SKIP() << "this CPU lacks ADX or BMI2";
+  constexpr int kRandom = 100000;
+  std::mt19937_64 rng(0x616478);  // "adx"
+  {
+    SCOPED_TRACE("P-256");
+    check_adx_field<FieldP256Adx, FieldP256>(curve_p256().p, rng, kRandom);
+  }
+  if (HasFatalFailure()) return;
+  {
+    SCOPED_TRACE("P-224");
+    check_adx_field<FieldP224Adx, FieldP224>(curve_p224().p, rng, kRandom);
+  }
+  EXPECT_THROW(FieldP256Adx(curve_p224().p), std::invalid_argument);
+  EXPECT_THROW(FieldP224Adx(curve_p256().p), std::invalid_argument);
+#else
+  GTEST_SKIP() << "no MULX/ADX kernels in this build (not x86-64)";
+#endif
 }
 
 TEST(FieldKernelTest, MontgomeryRoundTripAndInverse) {
