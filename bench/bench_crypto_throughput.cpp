@@ -6,9 +6,8 @@
 //   fast        comb tables + Shamir verify + per-key windows on; every
 //               handshake still runs a full ECDH. Wire bytes must be
 //               bit-identical to `reference` (the drop-in proof).
-//   steady      fast paths + ECDH session resumption on both sides +
-//               ecdsa_verify_batch over each object's QUE2 window — the
-//               steady-state re-discovery path.
+//   steady      fast paths + ECDH session resumption on both sides —
+//               the steady-state re-discovery path.
 //
 // Every mode runs the engines' verified-credential cache (it has no
 // switch): after the warm-up round each admin-signed certificate and
@@ -27,8 +26,8 @@
 // `--json-out` appends them to the BENCH_crypto.json trajectory.
 //
 // `--smoke` is the ctest/CI gate: a reduced grid asserting the two digest
-// proofs, the exact deterministic resumption/batch/verified-cache
-// counters, and a conservative >= 2x steady-state speedup per core.
+// proofs, the exact deterministic resumption/verified-cache counters,
+// and a conservative >= 2x steady-state speedup per core.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -60,12 +59,11 @@ struct Mode {
   const char* name;
   crypto::EcFastPaths paths;
   bool resumption = false;
-  bool batch = false;
 };
 
-const Mode kReference{"reference", {false, false, false, false}, false, false};
-const Mode kFast{"fast", {true, true, true, true}, false, false};
-const Mode kSteady{"steady", {true, true, true, true}, true, true};
+const Mode kReference{"reference", {false, false, false, false}, false};
+const Mode kFast{"fast", {true, true, true, true}, false};
+const Mode kSteady{"steady", {true, true, true, true}, true};
 
 struct LaneSpec {
   backend::ObjectCredentials obj;
@@ -131,19 +129,15 @@ struct LaneState {
     cfg.creds = spec.obj;
     cfg.admin_pub = fleet.admin_pub;
     cfg.seed = lane_seed * 2 + 1;
-    // Keep every session of the run resident: the batch path flushes its
-    // window under capacity pressure, which would silently serialize the
-    // measurement.
-    cfg.session_capacity = 4096;
     cfg.resumption.enabled = mode.resumption;
     return core::ObjectEngine(std::move(cfg));
   }
 
   /// One discovery round for every subject of the lane: QUE1/RES1/QUE2
-  /// per subject in order, then all RES2s (batched on the steady path).
-  void run_round(bool batch, std::uint64_t now) {
+  /// per subject in order, then all RES2s.
+  void run_round(std::uint64_t now) {
     if (!ok) return;
-    std::vector<core::ObjectEngine::BatchInput> que2s;
+    std::vector<Bytes> que2s;
     que2s.reserve(subjects.size());
     for (auto& s : subjects) {
       const Bytes que1 = s.start_round();
@@ -154,21 +148,13 @@ struct LaneState {
       const auto que2 = s.handle(*res1, now);
       if (!que2) { ok = false; return; }
       hash.update(*que2);
-      que2s.push_back({*que2, now, 0});
-    }
-    std::vector<core::HandleResult> res2s;
-    if (batch) {
-      res2s = object.handle_batch(que2s);
-    } else {
-      res2s.reserve(que2s.size());
-      for (const auto& q : que2s) {
-        res2s.push_back(object.handle(q.wire, q.now, q.peer));
-      }
+      que2s.push_back(*que2);
     }
     for (std::size_t s = 0; s < subjects.size(); ++s) {
-      if (!res2s[s]) { ok = false; return; }
-      hash.update(*res2s[s]);
-      if (subjects[s].handle(*res2s[s], now).status !=
+      const auto res2 = object.handle(que2s[s], now);
+      if (!res2) { ok = false; return; }
+      hash.update(*res2);
+      if (subjects[s].handle(*res2, now).status !=
           core::HandleStatus::kOk) {
         ok = false;
         return;
@@ -184,7 +170,6 @@ struct ModeOutcome {
   std::uint64_t handshakes = 0;  // timed rounds only
   double wall_ns = 0;            // timed rounds only
   std::uint64_t resumption_hits = 0;
-  std::uint64_t batched_sigs = 0;
   std::uint64_t verified_hits = 0;  // admin signatures settled by the cache
 
   [[nodiscard]] double per_s() const {
@@ -207,13 +192,13 @@ ModeOutcome run_mode(const Fleet& fleet, const Mode& mode, const Grid& grid,
   // Warm-up: one untimed round per lane. On the steady path this fills
   // both resumption caches, so every timed ECDH is a cache hit.
   parallel_for(pool, lanes.size(), [&](std::size_t l) {
-    lanes[l]->run_round(mode.batch, fleet.now);
+    lanes[l]->run_round(fleet.now);
   });
   const std::uint64_t timed_rounds = grid.rounds * repeat;
   const std::uint64_t wall0 = obs::prof::now_ns();
   parallel_for(pool, lanes.size(), [&](std::size_t l) {
     for (std::uint64_t r = 0; r < timed_rounds; ++r) {
-      lanes[l]->run_round(mode.batch, fleet.now);
+      lanes[l]->run_round(fleet.now);
     }
   });
   ModeOutcome out;
@@ -225,7 +210,6 @@ ModeOutcome run_mode(const Fleet& fleet, const Mode& mode, const Grid& grid,
     // Subtract the warm-up round from the throughput numerator.
     out.handshakes += lane->handshakes - lane->subjects.size();
     out.resumption_hits += lane->object.stats().resumption_hits;
-    out.batched_sigs += lane->object.stats().batch_verified_sigs;
     out.verified_hits += lane->object.verified_cache().hits();
     for (const auto& s : lane->subjects) {
       out.resumption_hits += s.stats().resumption_hits;
@@ -269,7 +253,7 @@ int smoke(const bench::Args& args) {
                  ref.digest.c_str(), fast.digest.c_str());
     return 1;
   }
-  // Determinism proof: the steady-state pipeline (resumption + batch)
+  // Determinism proof: the steady-state pipeline (resumption)
   // yields identical bytes on 1 worker thread and on 4.
   if (steady1.digest != steady4.digest) {
     std::fprintf(stderr, "smoke: steady digest differs across thread counts\n"
@@ -280,26 +264,20 @@ int smoke(const bench::Args& args) {
   // Deterministic pipeline counters: after the warm-up round, every timed
   // ECDH must be a resumption hit on both sides, and every timed
   // handshake's four admin signatures (certificate and profile, each
-  // side) must be verified-cache hits. So the batch equation settles the
-  // warm-up window's 3 sigs per QUE2 and then only the transcript sig.
+  // side) must be verified-cache hits.
   const std::uint64_t per_round = grid.lanes * grid.subjects;
   const std::uint64_t timed = per_round * grid.rounds;
   const std::uint64_t expected_hits = 2 * timed;
   const std::uint64_t expected_verified = 4 * timed;
-  const std::uint64_t expected_batched = 3 * per_round + timed;
   if (steady1.resumption_hits != expected_hits ||
-      steady1.verified_hits != expected_verified ||
-      steady1.batched_sigs != expected_batched) {
+      steady1.verified_hits != expected_verified) {
     std::fprintf(stderr,
                  "smoke: pipeline counters off: hits %llu (want %llu), "
-                 "verified-cache hits %llu (want %llu), "
-                 "batched %llu (want %llu)\n",
+                 "verified-cache hits %llu (want %llu)\n",
                  static_cast<unsigned long long>(steady1.resumption_hits),
                  static_cast<unsigned long long>(expected_hits),
                  static_cast<unsigned long long>(steady1.verified_hits),
-                 static_cast<unsigned long long>(expected_verified),
-                 static_cast<unsigned long long>(steady1.batched_sigs),
-                 static_cast<unsigned long long>(expected_batched));
+                 static_cast<unsigned long long>(expected_verified));
     return 1;
   }
   const double speedup = steady1.per_s() / ref.per_s();
@@ -402,9 +380,7 @@ int main(int argc, char** argv) {
   const std::uint64_t per_round = grid.lanes * grid.subjects;
   const std::uint64_t timed = per_round * grid.rounds * args.repeat;
   if (steady1.resumption_hits != 2 * timed ||
-      steady1.verified_hits != 4 * timed ||
-      steady1.batched_sigs !=
-          3 * per_round /* the cold warm-up window */ + timed) {
+      steady1.verified_hits != 4 * timed) {
     std::fprintf(stderr, "steady pipeline counters off model\n");
     return 1;
   }
@@ -417,9 +393,6 @@ int main(int argc, char** argv) {
   reporter.metric("virtual.steady.verified_cache_hits",
                   static_cast<double>(4 * per_round * grid.rounds), "count",
                   "virtual", /*lower_is_better=*/false);
-  reporter.metric("virtual.steady.batch_settled_sigs",
-                  static_cast<double>(per_round * (3 + grid.rounds)),
-                  "count", "virtual", /*lower_is_better=*/true);
   reporter.metric("virtual.digest_match.fast_vs_ref", 1.0, "bool", "virtual",
                   /*lower_is_better=*/false);
   return bench::finish_bench(args, reporter, nullptr);

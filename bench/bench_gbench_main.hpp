@@ -9,24 +9,55 @@
 //     src/crypto light up under the microbenches;
 //   * a capturing reporter mirrors every per-iteration result into the
 //     trajectory entry as `wall.us_per_op.<BenchName>` and the console
-//     output stays untouched.
+//     output stays untouched; it colours that output by google-benchmark's
+//     own `--benchmark_color` rule.
 //
 // Use: ARGUS_GBENCH_MAIN("fig6a") at the end of the file instead of
 // BENCHMARK_MAIN().
 #pragma once
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <optional>
+#include <string>
+#include <string_view>
 
 #include "bench_args.hpp"
 
 namespace argus::bench {
 
+/// Console options for `--benchmark_color=V` in `argv` (the last one
+/// wins): "auto", the default, colours only when stdout is a terminal;
+/// any other value colours unless it reads false/no/off/0 (or f, n).
+inline benchmark::ConsoleReporter::OutputOptions console_options(
+    const std::vector<char*>& argv) {
+  constexpr std::string_view kFlag = "--benchmark_color=";
+  std::string value = "auto";
+  for (const char* arg : argv) {
+    if (arg != nullptr && std::string_view(arg).starts_with(kFlag)) {
+      value = arg + kFlag.size();
+    }
+  }
+  std::transform(value.begin(), value.end(), value.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  const bool color =
+      value == "auto"
+          ? isatty(fileno(stdout)) != 0
+          : !(value == "false" || value == "no" || value == "off" ||
+              value == "0" || value == "f" || value == "n");
+  return color ? benchmark::ConsoleReporter::OO_Defaults
+               : benchmark::ConsoleReporter::OO_Tabular;
+}
+
 /// ConsoleReporter that also records each run into a BenchReporter.
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
-  explicit CapturingReporter(obs::bench::BenchReporter& out) : out_(out) {}
+  CapturingReporter(obs::bench::BenchReporter& out, OutputOptions opts)
+      : benchmark::ConsoleReporter(opts), out_(out) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
@@ -54,13 +85,15 @@ inline int gbench_main(const char* name, int argc, char** argv) {
   std::optional<obs::prof::Profiler::Attach> attach;
   if (args.wants_profile()) attach.emplace(profiler, 0);
 
+  // Read the colour flag before Initialize strips it from argv.
+  const auto options = console_options(args.passthrough);
   int fwd_argc = static_cast<int>(args.passthrough.size()) - 1;
   benchmark::Initialize(&fwd_argc, args.passthrough.data());
   if (benchmark::ReportUnrecognizedArguments(fwd_argc,
                                              args.passthrough.data())) {
     return 1;
   }
-  CapturingReporter console(reporter);
+  CapturingReporter console(reporter, options);
   for (std::uint64_t r = 0; r < args.repeat; ++r) {
     benchmark::RunSpecifiedBenchmarks(&console);
   }

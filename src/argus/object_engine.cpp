@@ -301,9 +301,9 @@ HandleResult ObjectEngine::handle_que1(const Que1& msg, const Bytes& wire,
   return {res_wire};
 }
 
-std::optional<HandleResult> ObjectEngine::que2_front(const Que2& msg,
-                                                     std::uint64_t peer,
-                                                     Session* out) {
+HandleResult ObjectEngine::handle_que2(const Que2& msg, std::uint64_t now,
+                                       std::uint64_t peer) {
+  ARGUS_PROF_SCOPE("object.handle_que2");
   // Duplicate QUE2 after a completed exchange: resend the cached RES2
   // byte-for-byte. Identical bytes carry no new information (the same
   // nonces seal the same plaintext), and the retransmitted copy lets a
@@ -330,30 +330,14 @@ std::optional<HandleResult> ObjectEngine::que2_front(const Que2& msg,
   }
   // Work on a copy: a QUE2 that fails verification must leave the session
   // untouched so a later (possibly retransmitted) QUE2 can still complete.
-  *out = sit->second.value;
+  Session sess = sit->second.value;
   ++stats_.que2_handled;
-  return std::nullopt;
-}
 
-HandleResult ObjectEngine::handle_que2(const Que2& msg, std::uint64_t now,
-                                       std::uint64_t peer) {
-  ARGUS_PROF_SCOPE("object.handle_que2");
-  Session sess;
-  if (auto early = que2_front(msg, peer, &sess)) return std::move(*early);
-  return que2_complete(msg, now, std::move(sess), Que2Verdicts{});
-}
-
-HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
-                                         Session sess,
-                                         const Que2Verdicts& v) {
   // 1. Subject certificate: admin-signed, within validity.
   const auto cert = crypto::Certificate::parse(msg.cert);
   charge(net::CryptoOp::kEcdsaVerify);
-  const bool cert_ok =
-      cert && (v.have ? v.cert_ok
-                      : crypto::verify_certificate(group_, cfg_.admin_pub,
-                                                   *cert, now, verified_));
-  if (!cert_ok) {
+  if (!cert || !crypto::verify_certificate(group_, cfg_.admin_pub, *cert, now,
+                                          verified_)) {
     ++stats_.drops;
     return fail(HandleStatus::kBadCert);
   }
@@ -370,11 +354,7 @@ HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
   const Bytes sig_digest = sess.transcript.digest();
   const auto sig = crypto::EcdsaSignature::from_bytes(group_, msg.sig);
   charge(net::CryptoOp::kEcdsaVerify);
-  const bool sig_ok =
-      sig && (v.have ? v.sig_ok
-                     : crypto::ecdsa_verify(group_, *subject_pub, sig_digest,
-                                            *sig));
-  if (!sig_ok) {
+  if (!sig || !crypto::ecdsa_verify(group_, *subject_pub, sig_digest, *sig)) {
     ++stats_.drops;
     return fail(HandleStatus::kBadSignature);
   }
@@ -383,11 +363,8 @@ HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
   // 3. Subject profile: admin-signed; its attributes drive Level 2.
   const auto prof = backend::Profile::parse(msg.prof);
   charge(net::CryptoOp::kEcdsaVerify);
-  const bool prof_ok =
-      prof && (v.have ? v.prof_ok
-                      : verify_profile(group_, cfg_.admin_pub, *prof,
-                                       verified_));
-  if (!prof_ok || prof->entity_id != cert->subject_id) {
+  if (!prof || !verify_profile(group_, cfg_.admin_pub, *prof, verified_) ||
+      prof->entity_id != cert->subject_id) {
     ++stats_.drops;
     return fail(HandleStatus::kBadProfile);
   }
@@ -526,155 +503,6 @@ HandleResult ObjectEngine::que2_complete(const Que2& msg, std::uint64_t now,
   res2_cache_.put(msg.r_s, CachedRes2{res_wire, now_ms_}, lru_seq_++);
   bound_state();
   return {res_wire};
-}
-
-std::vector<HandleResult> ObjectEngine::handle_batch(
-    const std::vector<BatchInput>& items) {
-  ARGUS_PROF_SCOPE("object.handle_batch");
-  // Three phases per flush window: the strictly-ordered cheap front half
-  // of every QUE2, one batched verification of all their signatures, then
-  // the expensive tails in arrival order with the precomputed verdicts.
-  // Anything that could make the reordering observable — a non-QUE2
-  // message, a repeated R_S, capacity pressure on the RES2 cache —
-  // flushes the pending window first, so the results equal a
-  // message-by-message handle() exactly.
-  constexpr std::size_t kMaxBatch = 16;
-  struct Pending {
-    std::size_t idx = 0;
-    Que2 msg;
-    std::uint64_t now = 0;
-    Session sess;
-  };
-  std::vector<HandleResult> out(items.size());
-  std::vector<Pending> pending;
-
-  const auto flush = [&] {
-    if (pending.empty()) return;
-    if (pending.size() == 1) {
-      // A lone QUE2 gains nothing from the batch equation; verify it
-      // exactly like the sequential path.
-      Pending& p = pending.front();
-      out[p.idx] = que2_complete(p.msg, p.now, std::move(p.sess), {});
-      pending.clear();
-      return;
-    }
-    // Phase B: gather every signature that parses — certificate,
-    // transcript, profile — into one batch. A job that fails a
-    // short-circuit the sequential path would have hit (expired validity
-    // window, unparseable signature) is simply not enqueued; its verdict
-    // stays false and que2_complete re-derives the matching reject. An
-    // admin signature the verified cache already holds is settled here
-    // and not enqueued either.
-    struct Slot {
-      int cert = -1;
-      int sig = -1;
-      int prof = -1;
-      bool cert_cached = false;
-      bool prof_cached = false;
-    };
-    std::vector<crypto::EcdsaBatchItem> jobs;
-    // Cache key of each admin-signed job; nullopt for transcripts.
-    std::vector<std::optional<crypto::VerifiedCache::Key>> job_keys;
-    std::vector<Slot> slots(pending.size());
-    std::vector<Que2Verdicts> verdicts(pending.size());
-    // Settle an admin signature over `tbs` from the cache, or enqueue it.
-    const auto admin_job = [&](Bytes tbs, const Bytes& sig_bytes, int* slot,
-                               bool* cached) {
-      const auto key = crypto::VerifiedCache::key(group_, cfg_.admin_pub, tbs,
-                                                  sig_bytes);
-      if (verified_.contains(key)) {
-        *cached = true;
-      } else if (const auto sig =
-                     crypto::EcdsaSignature::from_bytes(group_, sig_bytes)) {
-        *slot = static_cast<int>(jobs.size());
-        jobs.push_back({cfg_.admin_pub, std::move(tbs), *sig});
-        job_keys.push_back(key);
-      }
-    };
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const Pending& p = pending[i];
-      verdicts[i].have = true;
-      const auto cert = crypto::Certificate::parse(p.msg.cert);
-      if (!cert) continue;  // completion rejects at kBadCert
-      if (cert->valid_at(p.now)) {
-        admin_job(cert->tbs(), cert->signature, &slots[i].cert,
-                  &slots[i].cert_cached);
-      }
-      if (const auto subject_pub = group_.decode_point(cert->pubkey)) {
-        Transcript t = p.sess.transcript;  // completion re-absorbs its own
-        t.absorb(p.msg.prof);
-        t.absorb(p.msg.cert);
-        t.absorb(p.msg.kexm);
-        if (const auto tsig =
-                crypto::EcdsaSignature::from_bytes(group_, p.msg.sig)) {
-          slots[i].sig = static_cast<int>(jobs.size());
-          jobs.push_back({*subject_pub, t.digest(), *tsig});
-          job_keys.emplace_back();
-        }
-      }
-      if (const auto prof = backend::Profile::parse(p.msg.prof)) {
-        admin_job(prof->tbs(), prof->signature, &slots[i].prof,
-                  &slots[i].prof_cached);
-      }
-    }
-    crypto::EcdsaBatchStats bstats;
-    const std::vector<bool> ok =
-        crypto::ecdsa_verify_batch(group_, jobs, &bstats);
-    stats_.batch_verified_sigs += bstats.batched;
-    stats_.batch_fallback_sigs += bstats.fallback_single;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (ok[j] && job_keys[j]) verified_.insert(*job_keys[j]);
-    }
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      verdicts[i].cert_ok =
-          slots[i].cert_cached || (slots[i].cert >= 0 && ok[slots[i].cert]);
-      verdicts[i].sig_ok = slots[i].sig >= 0 && ok[slots[i].sig];
-      verdicts[i].prof_ok =
-          slots[i].prof_cached || (slots[i].prof >= 0 && ok[slots[i].prof]);
-    }
-    // Phase C: expensive tails, strictly in arrival order.
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      Pending& p = pending[i];
-      out[p.idx] = que2_complete(p.msg, p.now, std::move(p.sess), verdicts[i]);
-    }
-    pending.clear();
-  };
-
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const BatchInput& item = items[i];
-    std::optional<Message> msg;
-    const bool oversized = cfg_.admission.enabled &&
-                           cfg_.admission.max_wire_bytes > 0 &&
-                           item.wire.size() > cfg_.admission.max_wire_bytes;
-    if (!oversized) msg = decode(item.wire);
-    const Que2* que2 = msg ? std::get_if<Que2>(&*msg) : nullptr;
-    if (que2 == nullptr) {
-      // Not a QUE2: drain the window, then take the sequential path (it
-      // repeats the size/decode checks, so the counting is identical).
-      flush();
-      out[i] = handle(item.wire, item.now, item.peer);
-      continue;
-    }
-    // Flush barriers. A repeated R_S must see the earlier item's effect
-    // (cached RES2 / consumed session); the capacity bound guarantees the
-    // window's completions never trigger an LRU eviction a later front in
-    // the same window ran ahead of.
-    const bool dup_rs =
-        std::any_of(pending.begin(), pending.end(),
-                    [&](const Pending& p) { return p.msg.r_s == que2->r_s; });
-    const bool capacity =
-        cfg_.session_capacity > 0 &&
-        res2_cache_.size() + pending.size() + 1 > cfg_.session_capacity;
-    if (dup_rs || capacity || pending.size() >= kMaxBatch) flush();
-    Session sess;
-    if (auto early = que2_front(*que2, item.peer, &sess)) {
-      out[i] = std::move(*early);
-    } else {
-      pending.push_back(Pending{i, *que2, item.now, std::move(sess)});
-    }
-  }
-  flush();
-  return out;
 }
 
 }  // namespace argus::core

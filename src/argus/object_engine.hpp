@@ -10,10 +10,8 @@
 // rejection status, never a throw.
 #pragma once
 
-#include <optional>
 #include <set>
 #include <variant>
-#include <vector>
 
 #include "argus/messages.hpp"
 #include "argus/result.hpp"
@@ -94,24 +92,6 @@ class ObjectEngine {
   /// control is enabled.
   HandleResult handle(ByteSpan wire, std::uint64_t now, std::uint64_t peer = 0);
 
-  /// One message of a drained ingress batch: the same arguments handle()
-  /// takes, captured so independent handshakes can be processed together.
-  struct BatchInput {
-    Bytes wire;
-    std::uint64_t now = 0;
-    std::uint64_t peer = 0;
-  };
-
-  /// Process a drained ingress-queue batch. Returns exactly the results
-  /// handle() would have produced called item by item, in order — the
-  /// batch path is a pure throughput optimisation. QUE2 signature checks
-  /// (certificate, transcript, profile) across the batch are verified
-  /// together via ecdsa_verify_batch; everything that could make batched
-  /// execution observable — a repeated R_S, a non-QUE2 message
-  /// interleaved in the batch, state-capacity pressure — flushes the
-  /// pending window first, so sequential semantics are preserved exactly.
-  std::vector<HandleResult> handle_batch(const std::vector<BatchInput>& items);
-
   /// Feed the engine virtual time (monotonic, ms). Sessions and cached
   /// replies older than the TTL are evicted here, and so are resumption
   /// premasters past their own TTL. The replay window has no TTL: it is
@@ -178,8 +158,9 @@ class ObjectEngine {
     // Premaster entries a restore() refused to revive (security
     // invariant: cached premasters never survive a reboot).
     std::uint64_t resumption_dropped = 0;
-    // handle_batch: signatures settled by a batch equation vs re-checked
-    // individually after a failed batch.
+    // Nothing increments these two: every QUE2 is verified on its own.
+    // They stay because the snapshot format and perfbench's daemon
+    // workload still carry them.
     std::uint64_t batch_verified_sigs = 0;
     std::uint64_t batch_fallback_sigs = 0;
   };
@@ -233,25 +214,6 @@ class ObjectEngine {
                            std::uint64_t peer);
   HandleResult handle_que2(const Que2& msg, std::uint64_t now,
                            std::uint64_t peer);
-
-  /// Precomputed signature verdicts for one QUE2, produced by the batch
-  /// path. `have == false` (the sequential path) makes que2_complete
-  /// verify each signature inline instead.
-  struct Que2Verdicts {
-    bool have = false;
-    bool cert_ok = false;
-    bool sig_ok = false;
-    bool prof_ok = false;
-  };
-  /// Cheap, strictly-ordered front half of QUE2 handling: cached-resend,
-  /// session lookup, admission. Fills `out` and returns nullopt when the
-  /// expensive tail still has to run.
-  std::optional<HandleResult> que2_front(const Que2& msg, std::uint64_t peer,
-                                         Session* out);
-  /// Expensive tail of QUE2 handling (signatures, key agreement, MACs,
-  /// seal), identical for the sequential and batch paths.
-  HandleResult que2_complete(const Que2& msg, std::uint64_t now, Session sess,
-                             const Que2Verdicts& verdicts);
 
   /// The object's semi-static ECDH key for the current resumption epoch
   /// (generated on first use, invalidated by epoch rotation).

@@ -210,7 +210,6 @@ RefJac ref_add(const MontCtx& fp, const UInt& a_m, const RefJac& p,
 EcGroup::EcGroup(const CurveParams& params)
     : params_(params), fp_(params.p), fn_(params.n) {
   a_m_ = fp_.to_mont(params_.a);
-  b_m_ = fp_.to_mont(params_.b);
   // One typed group per field shape: the two 4-word NIST primes get
   // their shift-and-add reductions (inside MULX/ADX kernels when the CPU
   // has them), the others the generic REDC.
@@ -316,17 +315,6 @@ EcPoint EcGroup::scalar_mul_base(const UInt& k) const {
   if (!g_fast_paths.fixed_base) return scalar_mul(generator(), k);
   ARGUS_PROF_SCOPE("crypto.ec.scalar_mul_base");
   return fixed_base_mul(*this, k);
-}
-
-std::optional<EcPoint> EcGroup::lift_x(const UInt& x) const {
-  if (cmp(x, params_.p) >= 0) return std::nullopt;
-  const UInt x_m = fp_.to_mont(x);
-  UInt rhs = fp_.mul(fp_.sqr(x_m), x_m);
-  rhs = fp_.add(rhs, fp_.mul(a_m_, x_m));
-  rhs = fp_.add(rhs, b_m_);
-  const auto y_m = fp_.sqrt(rhs);
-  if (!y_m) return std::nullopt;
-  return EcPoint{x, fp_.from_mont(*y_m), false};
 }
 
 UInt EcGroup::random_scalar(HmacDrbg& rng) const {

@@ -10,7 +10,7 @@
 // Two scalar-multiplication paths exist. `scalar_mul_reference` is the
 // frozen pre-pipeline algorithm that the differential tests use as the
 // oracle. The production paths — the masked ladder behind `scalar_mul`,
-// comb tables behind `scalar_mul_base`, per-key window tables and
+// comb tables behind `scalar_mul_base`, per-key comb tables and
 // Shamir's trick — are bit-for-bit drop-ins: affine results are unique,
 // so golden digests cannot move.
 #pragma once
@@ -67,7 +67,7 @@ struct EcFastPaths {
   bool fixed_base = true;     // comb tables behind scalar_mul_base
   bool fast_double = true;    // a = -3 specialised Jacobian doubling
   bool shamir_verify = true;  // fused u1*G + u2*Q inside ecdsa_verify
-  bool precomp_cache = true;  // per-public-key window tables (LRU)
+  bool precomp_cache = true;  // per-public-key comb tables (LRU)
 };
 [[nodiscard]] const EcFastPaths& ec_fast_paths();
 void set_ec_fast_paths(const EcFastPaths& paths);
@@ -105,11 +105,6 @@ class EcGroup {
   [[nodiscard]] EcPoint scalar_mul_reference(const EcPoint& pt,
                                              const UInt& k) const;
 
-  /// Lift an x coordinate to a curve point (one of the two roots; which
-  /// one is unspecified — batch verification handles both signs).
-  /// nullopt when x^3 + ax + b is a non-residue.
-  [[nodiscard]] std::optional<EcPoint> lift_x(const UInt& x) const;
-
   /// Uniform scalar in [1, n-1].
   [[nodiscard]] UInt random_scalar(HmacDrbg& rng) const;
 
@@ -134,8 +129,7 @@ class EcGroup {
   CurveParams params_;
   MontCtx fp_;
   MontCtx fn_;
-  UInt a_m_;  // curve a in Montgomery form (reference path and lift_x)
-  UInt b_m_;
+  UInt a_m_;  // curve a in Montgomery form (reference path)
   std::variant<std::unique_ptr<EcGroupT<FieldP224>>,
                std::unique_ptr<EcGroupT<FieldP256>>,
 #if defined(ARGUS_FIELD_ADX)

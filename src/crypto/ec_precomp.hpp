@@ -21,7 +21,6 @@
 // reach them (verification's u2) are public.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <future>
@@ -63,14 +62,9 @@ class EcPrecomp {
   [[nodiscard]] bool is_identity_point() const { return p_.infinity; }
   [[nodiscard]] std::size_t blocks() const { return blocks_; }
 
-  /// Block 0 at width N (the group's field width): entry v - 1 holds vP;
-  /// empty for the identity. msm reads it directly.
-  template <std::size_t N>
-  [[nodiscard]] std::span<const AffMT<N>> table() const {
-    return comb<N>().first(std::min(comb<N>().size(), kTableSize));
-  }
-  /// Every block (EcGroupT::key_table's layout), as EcGroupT::key_mul
-  /// reads it through the masked ct_select.
+  /// Every block at width N (the group's field width), in
+  /// EcGroupT::key_table's layout, as EcGroupT::key_mul reads it through
+  /// the masked ct_select; empty for the identity.
   template <std::size_t N>
   [[nodiscard]] std::span<const AffMT<N>> comb() const {
     return std::get<std::vector<AffMT<N>>>(tab_);

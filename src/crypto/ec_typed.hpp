@@ -132,9 +132,6 @@ class EcGroupT {
   [[nodiscard]] EcPoint to_affine(const Jac& p) const;
   [[nodiscard]] bool on_curve(const EcPoint& pt) const;
 
-  [[nodiscard]] Jac jneg(const Jac& p) const {
-    return Jac{p.x, fp_.neg(p.y), p.z};
-  }
   /// Doubling: the a = -3 formula when enabled (it yields the same
   /// Jacobian representative as the general one, so bit-identical).
   [[nodiscard]] Jac jdbl(const Jac& p) const;
@@ -173,19 +170,6 @@ class EcGroupT {
   /// and no field inversion runs. u1, u2 reduced below n.
   [[nodiscard]] bool shamir_verify_x(std::span<const Aff> qtab, const UInt& u1,
                                      const UInt& u2, const UInt& r) const;
-
-  /// One term of a multi-scalar multiplication: k * (tab's point), k
-  /// reduced below n; an empty table stands for the identity.
-  struct MsmTerm {
-    std::span<const Aff> tab;
-    UInt k;
-  };
-  /// Straus interleaving: sum of k_i * P_i with one shared doubling chain.
-  [[nodiscard]] Jac msm(const std::vector<MsmTerm>& terms) const;
-
-  /// Double-and-add k * P (no table worth building) — for the short
-  /// batch-verification coefficients.
-  [[nodiscard]] Jac scalar_mul_jac(const EcPoint& p, const UInt& kr) const;
 
  private:
   const CurveParams& cp_;
@@ -532,39 +516,6 @@ bool EcGroupT<F>::shamir_verify_x(std::span<const Aff> qtab, const UInt& u1,
     if (cmp(cand, cp_.p) >= 0) break;
   }
   return false;
-}
-
-template <class F>
-auto EcGroupT<F>::msm(const std::vector<MsmTerm>& terms) const -> Jac {
-  std::size_t maxbits = 0;
-  for (const MsmTerm& t : terms) maxbits = std::max(maxbits, t.k.bit_length());
-  Jac acc = identity();
-  if (maxbits == 0) return acc;
-  const std::size_t nibbles = (maxbits + 3) / 4;
-  for (std::size_t i = nibbles; i-- > 0;) {
-    if (i != nibbles - 1) {
-      for (int d = 0; d < 4; ++d) acc = jdbl(acc);
-    }
-    for (const MsmTerm& t : terms) {
-      if (t.tab.empty()) continue;
-      const std::size_t nib = ec_detail::scalar_nibble(t.k, i);
-      if (nib != 0) acc = jadd_mixed(acc, t.tab[nib - 1]);
-    }
-  }
-  return acc;
-}
-
-template <class F>
-auto EcGroupT<F>::scalar_mul_jac(const EcPoint& p,
-                                            const UInt& kr) const -> Jac {
-  Jac acc = identity();
-  if (kr.is_zero() || p.infinity) return acc;
-  const Jac base = to_jac(p);
-  for (std::size_t i = kr.bit_length(); i-- > 0;) {
-    acc = jdbl(acc);
-    if (kr.bit(i)) acc = jadd(acc, base);
-  }
-  return acc;
 }
 
 // The four curves' groups are compiled once, in ec_typed.cpp.

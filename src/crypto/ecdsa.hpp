@@ -6,9 +6,6 @@
 // integers — 64 bytes at 128-bit strength, matching §IX-A.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "crypto/drbg.hpp"
 #include "crypto/ec.hpp"
 
@@ -38,35 +35,5 @@ EcdsaSignature ecdsa_sign(const EcGroup& group, const UInt& priv,
 /// Verify a signature over SHA-256(message).
 bool ecdsa_verify(const EcGroup& group, const EcPoint& pub, ByteSpan message,
                   const EcdsaSignature& sig);
-
-/// One signature check inside a batch.
-struct EcdsaBatchItem {
-  EcPoint pub;
-  Bytes message;
-  EcdsaSignature sig;
-};
-
-/// Observability counters for a batch-verification call.
-struct EcdsaBatchStats {
-  std::uint64_t batched = 0;          // items accepted via a batch equation
-  std::uint64_t fallback_single = 0;  // items re-checked individually
-  std::uint64_t batch_rounds = 0;     // batch equations evaluated
-  std::uint64_t batch_failures = 0;   // sub-batches that fell back
-};
-
-/// Batch verification: one verdict per item, and the verdicts are
-/// guaranteed identical to calling ecdsa_verify on each item alone.
-///
-/// Valid sub-batches (4 items) are accepted with a single random-linear-
-/// combination equation over recovered R points (Shamir + comb inside);
-/// any sub-batch whose equation fails falls back to per-signature
-/// verification, so exactly the corrupt items are rejected. Items the
-/// batch equation cannot express — malformed r/s, off-curve keys, an r
-/// with no curve point, or the rare r+n < p ambiguity — short-circuit to
-/// the single-verify code path. Combination coefficients are derived
-/// deterministically (Fiat–Shamir style) from the batch content.
-std::vector<bool> ecdsa_verify_batch(const EcGroup& group,
-                                     const std::vector<EcdsaBatchItem>& items,
-                                     EcdsaBatchStats* stats = nullptr);
 
 }  // namespace argus::crypto

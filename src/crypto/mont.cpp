@@ -121,67 +121,4 @@ UInt MontCtx::inv(const UInt& a_m) const {
   return pow(a_m, e);
 }
 
-std::optional<UInt> MontCtx::sqrt(const UInt& a_m) const {
-  if (a_m.is_zero()) return UInt{};
-  if ((n_.w[0] & 3) == 3) {
-    // r = a^((p+1)/4). The 575-bit modulus cap leaves headroom for p+1.
-    const UInt e = shr1(shr1(crypto::add(n_, UInt::one())));
-    const UInt r = pow(a_m, e);
-    if (sqr(r) != a_m) return std::nullopt;
-    return r;
-  }
-
-  // Tonelli–Shanks for p = 1 (mod 4). Write p-1 = q * 2^s, q odd.
-  UInt q = crypto::sub(n_, UInt::one());
-  std::size_t s = 0;
-  while (!q.is_odd()) {
-    q = shr1(q);
-    ++s;
-  }
-  // Deterministic search for a quadratic non-residue z: Euler's criterion.
-  const UInt euler_e = shr1(crypto::sub(n_, UInt::one()));
-  UInt z_m;
-  for (std::uint64_t z = 2;; ++z) {
-    z_m = to_mont(UInt::from_u64(z));
-    if (pow(z_m, euler_e) != one_) break;
-  }
-  std::size_t m = s;
-  UInt c = pow(z_m, q);
-  UInt t = pow(a_m, q);
-  UInt r = pow(a_m, shr1(crypto::add(q, UInt::one())));
-  while (t != one_) {
-    // Least i in (0, m) with t^(2^i) == 1; none means non-residue.
-    std::size_t i = 0;
-    UInt t2 = t;
-    while (t2 != one_) {
-      t2 = sqr(t2);
-      if (++i == m) return std::nullopt;
-    }
-    UInt b = c;
-    for (std::size_t j = 0; j + i + 1 < m; ++j) b = sqr(b);
-    m = i;
-    c = sqr(b);
-    t = mul(t, c);
-    r = mul(r, b);
-  }
-  return r;
-}
-
-void MontCtx::batch_inv(std::vector<UInt>& vals) const {
-  if (vals.empty()) return;
-  // Prefix products: pfx[i] = vals[0] * ... * vals[i].
-  std::vector<UInt> pfx(vals.size());
-  pfx[0] = vals[0];
-  for (std::size_t i = 1; i < vals.size(); ++i) {
-    pfx[i] = mul(pfx[i - 1], vals[i]);
-  }
-  UInt acc = inv(pfx.back());  // throws if any element is zero
-  for (std::size_t i = vals.size(); i-- > 1;) {
-    const UInt vi = vals[i];
-    vals[i] = mul(acc, pfx[i - 1]);
-    acc = mul(acc, vi);
-  }
-  vals[0] = acc;
-}
-
 }  // namespace argus::crypto

@@ -14,9 +14,6 @@
 // values, so the choice of kernel never changes an output bit.
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "crypto/wide.hpp"
 
 namespace argus::crypto {
@@ -71,18 +68,6 @@ class MontCtx {
 
   /// Multiplicative inverse for prime moduli (Fermat), Montgomery domain.
   [[nodiscard]] UInt inv(const UInt& a_m) const;
-
-  /// Modular square root for prime moduli, Montgomery domain: the
-  /// p = 3 (mod 4) exponentiation shortcut when available, Tonelli–Shanks
-  /// otherwise (P-224's prime is 1 mod 4). nullopt for quadratic
-  /// non-residues; sqrt(0) = 0. Of the two roots, returns pow/TS's
-  /// canonical pick — callers needing a specific parity must check it.
-  [[nodiscard]] std::optional<UInt> sqrt(const UInt& a_m) const;
-
-  /// Montgomery's batch-inversion trick: replaces every element of `vals`
-  /// (all nonzero, Montgomery domain) with its inverse using one inversion
-  /// plus 3(k-1) multiplications. Throws on a zero element.
-  void batch_inv(std::vector<UInt>& vals) const;
 
   /// Reduce an arbitrary value (e.g. a hash) into [0, n).
   [[nodiscard]] UInt reduce(const UInt& x) const { return mod(x, n_); }

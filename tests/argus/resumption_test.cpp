@@ -1,7 +1,6 @@
 // Crypto-pipeline engine tests: ECDH session resumption (hit/miss/expiry/
-// eviction/rotation/reboot semantics, proven via profiler span counts),
-// batched QUE2 handling (exact sequential equivalence), and the
-// degenerate-KEXM regression (reject status, never a throw).
+// eviction/rotation/reboot semantics, proven via profiler span counts)
+// and the degenerate-KEXM regression (reject status, never a throw).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -210,256 +209,6 @@ TEST_F(ResumptionFixture, CachedSessionsNeverCrossCertificates) {
   // And the original pair still hits — the entries are independent.
   ASSERT_TRUE(exchange(s1, o, be_.now()));
   EXPECT_EQ(o.stats().resumption_hits, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// handle_batch: the batch path must produce exactly the sequential results.
-
-class BatchFixture : public ResumptionFixture {
- protected:
-  /// Two engines configured identically (same seed -> same DRBG stream),
-  /// so any divergence between sequential and batched processing is the
-  /// batch path's fault.
-  struct Pair {
-    ObjectEngine seq;
-    ObjectEngine bat;
-  };
-
-  Pair make_pair(const ResumptionParams& res = {}) {
-    return Pair{make_object(tv_, res), make_object(tv_, res)};
-  }
-
-  /// Feed one wire to both engines (sequential handle), asserting they
-  /// stay lockstep-identical.
-  void feed_both(Pair& p, const Bytes& wire, std::uint64_t now) {
-    const auto a = p.seq.handle(wire, now);
-    const auto b = p.bat.handle(wire, now);
-    ASSERT_EQ(a.status, b.status);
-    ASSERT_EQ(a.reply, b.reply);
-  }
-
-  void expect_equal_results(const std::vector<HandleResult>& seq,
-                            const std::vector<HandleResult>& bat) {
-    ASSERT_EQ(seq.size(), bat.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      EXPECT_EQ(seq[i].status, bat[i].status) << "item " << i;
-      EXPECT_EQ(seq[i].reply, bat[i].reply) << "item " << i;
-    }
-  }
-
-  void expect_equal_stats(const ObjectEngine& a, const ObjectEngine& b) {
-    EXPECT_EQ(a.stats().que2_handled, b.stats().que2_handled);
-    EXPECT_EQ(a.stats().replies_sent, b.stats().replies_sent);
-    EXPECT_EQ(a.stats().drops, b.stats().drops);
-    EXPECT_EQ(a.stats().rejects, b.stats().rejects);
-    EXPECT_EQ(a.stats().replays_detected, b.stats().replays_detected);
-    EXPECT_EQ(a.stats().retransmissions, b.stats().retransmissions);
-    EXPECT_EQ(a.stats().resumption_hits, b.stats().resumption_hits);
-    EXPECT_EQ(a.open_sessions(), b.open_sessions());
-    EXPECT_EQ(a.cached_replies(), b.cached_replies());
-  }
-};
-
-TEST_F(BatchFixture, BenignBatchMatchesSequential) {
-  auto p = make_pair();
-  std::vector<SubjectEngine> subjects;
-  subjects.push_back(make_subject(alice_, {}, 21));
-  subjects.push_back(make_subject(bob_, {}, 22));
-  subjects.push_back(make_subject(carol_, {}, 23));
-  std::vector<ObjectEngine::BatchInput> batch;
-  for (auto& s : subjects) {
-    const Bytes que1 = s.start_round();
-    const auto res1a = p.seq.handle(que1, be_.now());
-    const auto res1b = p.bat.handle(que1, be_.now());
-    ASSERT_TRUE(res1a);
-    ASSERT_EQ(*res1a, *res1b);
-    const auto que2 = s.handle(*res1a, be_.now());
-    ASSERT_TRUE(que2);
-    batch.push_back({*que2, be_.now(), 0});
-  }
-  std::vector<HandleResult> seq;
-  for (const auto& item : batch) {
-    seq.push_back(p.seq.handle(item.wire, item.now, item.peer));
-  }
-  const auto bat = p.bat.handle_batch(batch);
-  expect_equal_results(seq, bat);
-  expect_equal_stats(p.seq, p.bat);
-  // All nine signatures (cert, transcript, profile per QUE2) settled by
-  // batch equations.
-  EXPECT_EQ(p.bat.stats().batch_verified_sigs, 9u);
-  EXPECT_EQ(p.bat.stats().batch_fallback_sigs, 0u);
-  EXPECT_EQ(p.seq.stats().batch_verified_sigs, 0u);
-}
-
-TEST_F(BatchFixture, CorruptAndHostileItemsMatchSequential) {
-  auto p = make_pair();
-  std::vector<SubjectEngine> subjects;
-  subjects.push_back(make_subject(alice_, {}, 31));
-  subjects.push_back(make_subject(bob_, {}, 32));
-  subjects.push_back(make_subject(carol_, {}, 33));
-  std::vector<Bytes> que2s;
-  for (auto& s : subjects) {
-    const Bytes que1 = s.start_round();
-    const auto res1a = p.seq.handle(que1, be_.now());
-    const auto res1b = p.bat.handle(que1, be_.now());
-    ASSERT_TRUE(res1a);
-    ASSERT_EQ(*res1a, *res1b);
-    const auto que2 = s.handle(*res1a, be_.now());
-    ASSERT_TRUE(que2);
-    que2s.push_back(*que2);
-  }
-  // A stale QUE2: built against a third engine whose session this pair
-  // never opened.
-  auto stranger = make_object(radio_, {}, 40);
-  auto s4 = make_subject(alice_, {}, 34);
-  const Bytes que1_s4 = s4.start_round();
-  const auto res1_s4 = stranger.handle(que1_s4, be_.now());
-  ASSERT_TRUE(res1_s4);
-  const auto stale_que2 = s4.handle(*res1_s4, be_.now());
-  ASSERT_TRUE(stale_que2);
-  // Tampered copy: flip one byte inside the transcript signature (the two
-  // 32-byte MACs plus length prefixes occupy the last 68 bytes; the
-  // signature sits just before them), forcing a kBadSignature that the
-  // batch path must settle via its per-item fallback.
-  Bytes tampered = que2s[1];
-  tampered[tampered.size() - 70] ^= 0xff;
-
-  std::vector<ObjectEngine::BatchInput> batch;
-  batch.push_back({que2s[0], be_.now(), 0});
-  batch.push_back({tampered, be_.now(), 0});
-  batch.push_back({Bytes{0x99, 0x01, 0x02}, be_.now(), 0});  // malformed
-  batch.push_back({*stale_que2, be_.now(), 0});
-  batch.push_back({que2s[1], be_.now(), 0});
-  batch.push_back({que2s[2], be_.now(), 0});
-  batch.push_back({que2s[2], be_.now(), 0});  // duplicate R_S -> resend
-
-  std::vector<HandleResult> seq;
-  for (const auto& item : batch) {
-    seq.push_back(p.seq.handle(item.wire, item.now, item.peer));
-  }
-  const auto bat = p.bat.handle_batch(batch);
-  expect_equal_results(seq, bat);
-  expect_equal_stats(p.seq, p.bat);
-}
-
-TEST_F(BatchFixture, InterleavedQue1FlushesAndMatches) {
-  auto p = make_pair();
-  auto s1 = make_subject(alice_, {}, 41);
-  auto s2 = make_subject(bob_, {}, 42);
-  auto s3 = make_subject(carol_, {}, 43);
-  HandleResult que2_a, que2_b;
-  for (auto pair : {std::make_pair(&s1, &que2_a),
-                    std::make_pair(&s2, &que2_b)}) {
-    const Bytes que1 = pair.first->start_round();
-    const auto ra = p.seq.handle(que1, be_.now());
-    const auto rb = p.bat.handle(que1, be_.now());
-    ASSERT_TRUE(ra);
-    ASSERT_EQ(*ra, *rb);
-    *pair.second = pair.first->handle(*ra, be_.now());
-  }
-  ASSERT_TRUE(que2_a);
-  ASSERT_TRUE(que2_b);
-  // Batch: QUE2, then a brand-new QUE1 (flush barrier), then QUE2.
-  const Bytes q1_c = s3.start_round();
-  std::vector<ObjectEngine::BatchInput> items;
-  items.push_back({*que2_a, be_.now(), 0});
-  items.push_back({q1_c, be_.now(), 0});
-  items.push_back({*que2_b, be_.now(), 0});
-  std::vector<HandleResult> seq;
-  for (const auto& item : items) {
-    seq.push_back(p.seq.handle(item.wire, item.now, item.peer));
-  }
-  const auto bat = p.bat.handle_batch(items);
-  expect_equal_results(seq, bat);
-  expect_equal_stats(p.seq, p.bat);
-}
-
-TEST_F(BatchFixture, ResumptionInsideBatchMatchesSequential) {
-  auto p = make_pair(enabled_resumption());
-  auto s1 = make_subject(alice_, enabled_resumption(), 51);
-  auto s2 = make_subject(bob_, enabled_resumption(), 52);
-  for (int round = 0; round < 2; ++round) {
-    std::vector<ObjectEngine::BatchInput> batch;
-    for (auto* s : {&s1, &s2}) {
-      const Bytes que1 = s->start_round();
-      const auto res1a = p.seq.handle(que1, be_.now());
-      const auto res1b = p.bat.handle(que1, be_.now());
-      ASSERT_TRUE(res1a);
-      ASSERT_EQ(*res1a, *res1b);
-      const auto que2 = s->handle(*res1a, be_.now());
-      ASSERT_TRUE(que2);
-      batch.push_back({*que2, be_.now(), 0});
-    }
-    std::vector<HandleResult> seq;
-    for (const auto& item : batch) {
-      seq.push_back(p.seq.handle(item.wire, item.now, item.peer));
-    }
-    const auto bat = p.bat.handle_batch(batch);
-    expect_equal_results(seq, bat);
-    expect_equal_stats(p.seq, p.bat);
-  }
-  // Round 2 resumed both subjects on both engines.
-  EXPECT_EQ(p.seq.stats().resumption_hits, 2u);
-  EXPECT_EQ(p.bat.stats().resumption_hits, 2u);
-}
-
-TEST_F(BatchFixture, WarmVerifiedCacheBatchMatchesSequential) {
-  // Once the admin-signed certificates and profiles sit in the verified
-  // cache, a batch window queues only the transcript signatures, and its
-  // results still equal message-by-message handling.
-  auto p = make_pair();
-  std::vector<SubjectEngine> subjects;
-  subjects.push_back(make_subject(alice_, {}, 61));
-  subjects.push_back(make_subject(bob_, {}, 62));
-  subjects.push_back(make_subject(carol_, {}, 63));
-  const auto round = [&](const auto& edit) {
-    std::vector<ObjectEngine::BatchInput> batch;
-    for (auto& s : subjects) {
-      const Bytes que1 = s.start_round();
-      const auto res1a = p.seq.handle(que1, be_.now());
-      const auto res1b = p.bat.handle(que1, be_.now());
-      EXPECT_TRUE(res1a);
-      EXPECT_EQ(*res1a, *res1b);
-      const auto que2 = s.handle(*res1a, be_.now());
-      EXPECT_TRUE(que2);
-      batch.push_back({*que2, be_.now(), 0});
-    }
-    edit(batch);
-    std::vector<HandleResult> seq;
-    for (const auto& item : batch) {
-      seq.push_back(p.seq.handle(item.wire, item.now, item.peer));
-    }
-    expect_equal_results(seq, p.bat.handle_batch(batch));
-    expect_equal_stats(p.seq, p.bat);
-    return seq;
-  };
-  const auto unchanged = [](std::vector<ObjectEngine::BatchInput>&) {};
-
-  round(unchanged);  // cold: every signature reaches the batch
-  EXPECT_EQ(p.bat.stats().batch_verified_sigs, 9u);
-  EXPECT_EQ(p.bat.verified_cache().size(), 6u);
-
-  round(unchanged);  // warm: only the three transcript signatures
-  EXPECT_EQ(p.bat.stats().batch_verified_sigs, 12u);
-  EXPECT_EQ(p.bat.verified_cache().hits(), 6u);
-  EXPECT_EQ(p.seq.verified_cache().hits(), 6u);
-
-  // Warm and hostile: bob's cached certificate body with one signature
-  // byte flipped must not ride on the cached entry.
-  const auto hostile = round([&](std::vector<ObjectEngine::BatchInput>& batch) {
-    auto msg = decode(batch[1].wire);
-    ASSERT_TRUE(msg);
-    auto& que2 = std::get<Que2>(*msg);
-    auto cert = crypto::Certificate::parse(que2.cert);
-    ASSERT_TRUE(cert);
-    cert->signature[3] ^= 0x01;
-    que2.cert = cert->serialize();
-    batch.insert(batch.begin() + 1,
-                 ObjectEngine::BatchInput{encode(*msg), be_.now(), 0});
-  });
-  ASSERT_EQ(hostile.size(), 4u);
-  EXPECT_EQ(hostile[1].status, HandleStatus::kBadCert);
-  EXPECT_EQ(hostile[2].status, HandleStatus::kOk);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <span>
-#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -98,7 +97,7 @@ TEST_P(EcPrecompTest, ConstantTimeSelectMatchesDirectLookup) {
   const EcPrecomp tab(g(), p);
   g().visit([&](const auto& tg) {
     constexpr std::size_t N = std::decay_t<decltype(tg)>::N;
-    const std::span<const AffMT<N>> entries = tab.table<N>();
+    const std::span<const AffMT<N>> entries = tab.comb<N>();
     ASSERT_EQ(entries.size(), EcPrecomp::kTableSize);
     std::vector<JacT<N>> jac;
     for (std::size_t v = 1; v <= EcPrecomp::kTableSize; ++v) {
@@ -166,11 +165,10 @@ TEST_P(EcPrecompTest, PromotedTableShape) {
     const std::span<const AffMT<N>> all = promoted.comb<N>();
     ASSERT_EQ(all.size(), kPromotedBlocks * EcPrecomp::kTableSize);
     ASSERT_EQ(plain.comb<N>().size(), EcPrecomp::kTableSize);
-    // Block 0 is the plain table, and it is what table<N>() hands msm.
-    ASSERT_EQ(promoted.table<N>().size(), EcPrecomp::kTableSize);
+    // Block 0 is the plain table.
     for (std::size_t i = 0; i < EcPrecomp::kTableSize; ++i) {
-      EXPECT_EQ(promoted.table<N>()[i].x, plain.table<N>()[i].x);
-      EXPECT_EQ(promoted.table<N>()[i].y, plain.table<N>()[i].y);
+      EXPECT_EQ(all[i].x, plain.comb<N>()[i].x);
+      EXPECT_EQ(all[i].y, plain.comb<N>()[i].y);
     }
     // Entry (j, v) is v * 2^(s*j) * P.
     for (std::size_t j = 0; j < kPromotedBlocks; ++j) {
@@ -347,46 +345,6 @@ TEST_P(EcPrecompTest, ShamirVerifyRejectsSumAtInfinity) {
   EXPECT_FALSE(shamir_verify_x(g(), qtab, u, u, UInt::from_u64(1)));
 }
 
-TEST_P(EcPrecompTest, MsmMatchesReferenceSum) {
-  HmacDrbg rng(str_bytes("msm-fuzz"));
-  const UInt& n = g().params().n;
-  std::vector<EcPoint> pts;
-  std::vector<UInt> ks;
-  std::vector<EcPrecomp> tabs;
-  tabs.reserve(4);
-  for (int i = 0; i < 4; ++i) {
-    pts.push_back(g().scalar_mul_reference(g().generator(),
-                                           g().random_scalar(rng)));
-    ks.push_back(mod(g().random_scalar(rng), n));
-    tabs.emplace_back(g(), pts.back());
-  }
-  EcPoint want = EcPoint::identity();
-  for (int i = 0; i < 4; ++i) {
-    want = g().add(want, g().scalar_mul_reference(pts[i], ks[i]));
-  }
-  g().visit([&](const auto& tg) {
-    using G = std::decay_t<decltype(tg)>;
-    std::vector<typename G::MsmTerm> terms;
-    for (int i = 0; i < 4; ++i) {
-      terms.push_back({tabs[i].template table<G::N>(), ks[i]});
-    }
-    EXPECT_EQ(tg.to_affine(tg.msm(terms)), want);
-  });
-}
-
-TEST_P(EcPrecompTest, ScalarMulJacMatchesReference) {
-  HmacDrbg rng(str_bytes("jac-fuzz"));
-  const EcPoint p = g().scalar_mul_reference(g().generator(),
-                                             g().random_scalar(rng));
-  for (int i = 0; i < 8; ++i) {
-    const UInt k = mod(g().random_scalar(rng), g().params().n);
-    g().visit([&](const auto& tg) {
-      EXPECT_EQ(tg.to_affine(tg.scalar_mul_jac(p, k)),
-                g().scalar_mul_reference(p, k));
-    });
-  }
-}
-
 TEST_P(EcPrecompTest, DisabledFastPathsStillMatch) {
   // With every toggle off, the dispatchers must collapse to the frozen
   // reference algorithms — and produce the same bytes they do when on.
@@ -397,21 +355,6 @@ TEST_P(EcPrecompTest, DisabledFastPathsStillMatch) {
   EXPECT_EQ(g().scalar_mul_base(k), fast);
   EXPECT_EQ(g().scalar_mul_base(k),
             g().scalar_mul_reference(g().generator(), k));
-}
-
-TEST_P(EcPrecompTest, LiftXRecoversCurvePoints) {
-  HmacDrbg rng(str_bytes("lift-x"));
-  for (int i = 0; i < 8; ++i) {
-    const EcPoint p = g().scalar_mul_reference(g().generator(),
-                                               g().random_scalar(rng));
-    const auto lifted = g().lift_x(p.x);
-    ASSERT_TRUE(lifted.has_value());
-    EXPECT_TRUE(g().on_curve(*lifted));
-    EXPECT_EQ(lifted->x, p.x);
-    // The recovered y is p.y or its negation.
-    const bool matches = lifted->y == p.y || lifted->y == g().negate(p).y;
-    EXPECT_TRUE(matches);
-  }
 }
 
 TEST_P(EcPrecompTest, FixedBaseTableShape) {
@@ -436,68 +379,6 @@ TEST_P(EcPrecompTest, FixedBaseTableShape) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrengths, EcPrecompTest,
-                         ::testing::Values(Strength::b112, Strength::b128,
-                                           Strength::b192, Strength::b256));
-
-// ---------------------------------------------------------------------------
-// Montgomery-context helpers the pipeline leans on: sqrt and batch_inv.
-
-class MontExtTest : public ::testing::TestWithParam<Strength> {
- protected:
-  const EcGroup& g() const { return group_for(GetParam()); }
-};
-
-TEST_P(MontExtTest, SqrtRoundTripsSquares) {
-  const MontCtx fp(g().params().p);
-  HmacDrbg rng(str_bytes("sqrt-fuzz"));
-  for (int i = 0; i < 12; ++i) {
-    const UInt a = mod(UInt::from_bytes_be(rng.generate(48)), g().params().p);
-    const UInt a_m = fp.to_mont(a);
-    const UInt sq = fp.sqr(a_m);
-    const auto root = fp.sqrt(sq);
-    ASSERT_TRUE(root.has_value());
-    // Either root of a^2 is acceptable; both square back to a^2.
-    EXPECT_EQ(fp.sqr(*root), sq);
-  }
-  EXPECT_EQ(fp.sqrt(UInt{}), UInt{});
-}
-
-TEST_P(MontExtTest, SqrtRejectsNonResidues) {
-  const MontCtx fp(g().params().p);
-  HmacDrbg rng(str_bytes("nonresidue-fuzz"));
-  int rejected = 0;
-  for (int i = 0; i < 24 && rejected < 4; ++i) {
-    const UInt a = mod(UInt::from_bytes_be(rng.generate(48)), g().params().p);
-    if (a.is_zero()) continue;
-    if (!fp.sqrt(fp.to_mont(a)).has_value()) ++rejected;
-  }
-  // Half of all nonzero field elements are non-residues; 24 draws missing
-  // four of them has probability ~2^-18.
-  EXPECT_GE(rejected, 4);
-}
-
-TEST_P(MontExtTest, BatchInvMatchesSingleInv) {
-  const MontCtx fp(g().params().p);
-  HmacDrbg rng(str_bytes("batchinv-fuzz"));
-  std::vector<UInt> vals;
-  std::vector<UInt> want;
-  for (int i = 0; i < 9; ++i) {
-    UInt a;
-    do {
-      a = mod(UInt::from_bytes_be(rng.generate(48)), g().params().p);
-    } while (a.is_zero());
-    vals.push_back(fp.to_mont(a));
-    want.push_back(fp.inv(vals.back()));
-  }
-  fp.batch_inv(vals);
-  EXPECT_EQ(vals, want);
-  std::vector<UInt> empty;
-  fp.batch_inv(empty);  // no-op, must not throw
-  std::vector<UInt> with_zero{fp.one(), UInt{}};
-  EXPECT_THROW(fp.batch_inv(with_zero), std::invalid_argument);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllStrengths, MontExtTest,
                          ::testing::Values(Strength::b112, Strength::b128,
                                            Strength::b192, Strength::b256));
 

@@ -56,6 +56,45 @@ TEST_P(EcdsaTest, RejectsZeroComponents) {
                             EcdsaSignature{g().params().n, UInt::one()}));
 }
 
+// Wycheproof-style malformed inputs, each applied to an otherwise valid
+// signature: out-of-range or wrong scalars, degenerate public keys, and an
+// s >= n that survives the fixed-width wire codec. Every one must reject.
+TEST_P(EcdsaTest, RejectsMalformedScalarsAndKeys) {
+  HmacDrbg rng(str_bytes("ecdsa-malformed"));
+  const EcKeyPair kp = ec_generate(g(), rng);
+  const Bytes msg = rng.generate(40);
+  const EcdsaSignature good = ecdsa_sign(g(), kp.priv, msg);
+  ASSERT_TRUE(ecdsa_verify(g(), kp.pub, msg, good));
+  const UInt& n = g().params().n;
+
+  const struct {
+    const char* label;
+    UInt r, s;
+  } kScalars[] = {
+      {"s=n", good.r, n},
+      {"s>n", good.r, add(n, UInt::from_u64(5))},
+      {"r=n-1", sub(n, UInt::one()), good.s},
+  };
+  for (const auto& c : kScalars) {
+    EXPECT_FALSE(ecdsa_verify(g(), kp.pub, msg, EcdsaSignature{c.r, c.s}))
+        << c.label;
+  }
+
+  EXPECT_FALSE(ecdsa_verify(g(), EcPoint::identity(), msg, good));
+  EcPoint off_curve = kp.pub;
+  off_curve.y = addmod(off_curve.y, UInt::one(), g().params().p);
+  ASSERT_FALSE(g().on_curve(off_curve));
+  EXPECT_FALSE(ecdsa_verify(g(), off_curve, msg, good));
+
+  // The wire form is fixed-width, not range-checked: s = n + 1 decodes
+  // back unchanged, and verification is what rejects it.
+  const EcdsaSignature high{good.r, add(n, UInt::one())};
+  const auto decoded = EcdsaSignature::from_bytes(g(), high.to_bytes(g()));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->s, high.s);
+  EXPECT_FALSE(ecdsa_verify(g(), kp.pub, msg, *decoded));
+}
+
 TEST_P(EcdsaTest, DeterministicNonces) {
   // RFC 6979: the same key and message always produce the same signature.
   HmacDrbg rng(str_bytes("ecdsa6"));
