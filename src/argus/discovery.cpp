@@ -6,7 +6,7 @@
 #include <optional>
 #include <string_view>
 
-#include "fault/byzantine.hpp"
+#include "argus/object_core.hpp"
 #include "fault/chaos.hpp"
 
 namespace argus::core {
@@ -51,89 +51,69 @@ struct Shared {
   }
 };
 
+/// Simulator adapter over the object core: traces the handling span and
+/// its instants, charges the step's modeled compute to the node, and puts
+/// the reply on the radio.
 class ObjectNode final : public net::SimNode {
  public:
   ObjectNode(ObjectEngineConfig cfg, Shared* shared)
-      : cfg_(std::move(cfg)), shared_(shared) {
-    engine_.emplace(cfg_);
-  }
-
-  /// Reboot after a crash: the engine restarts from its config with an
-  /// empty session table (and a reset DRBG — bad post-reboot entropy is
-  /// realistic). Any Byzantine arming dies with the old process image.
-  void restart_engine() { engine_.emplace(cfg_); }
-
-  /// Silent-drop zombie: the node keeps receiving and even burns compute,
-  /// but no reply ever leaves it again.
-  void make_zombie() { zombie_ = true; }
-
-  void arm_byzantine(fault::ByzantineMode mode, std::uint64_t seed) {
-    engine_->arm(mode, seed);
-  }
+      : core_(std::move(cfg), shared->epoch), shared_(shared) {}
 
   void on_message(net::NodeId from, const Bytes& payload) override {
     obs::Tracer* const tr = shared_->tracer;
-    const std::uint64_t fellows_before =
-        engine_->inner().stats().fellows_confirmed;
     if (tr) {
       tr->begin(net_->now(), node_id(),
                 std::string("handle.") + msg_type_name(wire_type(payload)),
                 "phase", payload.size());
     }
-    engine_->inner().advance_clock(net_->now());
-    auto reply = engine_->handle(payload, shared_->epoch, from);
-    const double ms = engine_->take_consumed_ms();
-    net_->consume_compute(node_id(), ms);
-    shared_->report->object_compute_ms += ms;
-    if (tr && is_reject(reply.status)) {
+    ObjectCore::Step step = core_.step(payload, from, net_->now());
+    net_->consume_compute(node_id(), step.consumed_ms);
+    shared_->report->object_compute_ms += step.consumed_ms;
+    const HandleStatus status = step.result.status;
+    if (tr && is_reject(status)) {
       tr->instant(net_->now(), node_id(),
-                  std::string("reject.") + status_name(reply.status), "fault",
+                  std::string("reject.") + status_name(status), "fault",
                   payload.size(), from);
     }
-    if (tr && is_shed(reply.status)) {
+    if (tr && is_shed(status)) {
       // Admission sheds only fire when admission control is enabled, so
       // flood-free traces stay byte-identical.
       tr->instant(net_->now(), node_id(),
-                  std::string("shed.") + status_name(reply.status), "fault",
+                  std::string("shed.") + status_name(status), "fault",
                   payload.size(), from);
     }
-    std::uint64_t reply_level = 0;
-    if (reply && zombie_) {
-      // The engine did the work; the zombie eats the reply.
+    if (step.zombie_suppressed) {
+      // The engine did the work; the zombie ate the reply.
       shared_->metrics->counter("fault.zombie_suppressed").inc();
       if (tr) {
         tr->instant(net_->now(), node_id(), "drop.zombie", "fault",
-                    reply->size(), from);
+                    *step.zombie_suppressed, from);
       }
-      reply.reply.reset();
     }
-    if (reply) {
-      if (wire_type(*reply) == MsgType::kRes2) {
-        reply_level =
-            engine_->inner().stats().fellows_confirmed > fellows_before ? 3
-                                                                        : 2;
-      }
-      const char* type = msg_type_name(wire_type(*reply));
-      const std::size_t size = reply->size();
+    if (step.result) {
+      const char* type = msg_type_name(wire_type(*step.result));
+      const std::size_t size = step.result->size();
       if (tr) {
         tr->instant(net_->now(), node_id(), std::string("tx.") + type, "net",
-                    size, reply_level);
+                    size, step.reply_level);
       }
-      const auto sent = net_->unicast(node_id(), from, std::move(*reply));
+      const auto sent =
+          net_->unicast(node_id(), from, std::move(*step.result));
       shared_->tally(type, size, sent.delivered);
     }
     // The span closes when the node's modeled compute drains; its `b`
     // carries the reply level the auditor partitions faces by.
-    if (tr) tr->end(net_->node_free_at(node_id()), node_id(), 0, reply_level);
+    if (tr) {
+      tr->end(net_->node_free_at(node_id()), node_id(), 0, step.reply_level);
+    }
   }
 
-  ObjectEngine& engine() { return engine_->inner(); }
-  [[nodiscard]] const ObjectEngine& engine() const { return engine_->inner(); }
+  ObjectCore& core() { return core_; }
+  ObjectEngine& engine() { return core_.engine(); }
+  [[nodiscard]] const ObjectEngine& engine() const { return core_.engine(); }
 
  private:
-  ObjectEngineConfig cfg_;  // kept for reboot-time engine rebuilds
-  std::optional<fault::ByzantineEngine<ObjectEngine>> engine_;
-  bool zombie_ = false;
+  ObjectCore core_;
   Shared* shared_;
 };
 
@@ -258,7 +238,7 @@ class FlooderNode final : public net::SimNode {
       : spec_(spec),
         targets_(std::move(targets)),
         shared_(shared),
-        rng_(crypto::make_rng(spec.seed, "flooder")) {}
+        payloads_(spec.kind, spec.seed, spec.replay_wire) {}
 
   void start() {
     if (!spec_.armed() || targets_.empty()) return;
@@ -274,7 +254,7 @@ class FlooderNode final : public net::SimNode {
   void tick() {
     const double now = net_->now();
     if (spec_.duration_ms >= 0 && now >= start_ms_ + spec_.duration_ms) return;
-    Bytes payload = make_payload();
+    Bytes payload = payloads_.next();
     const net::NodeId target = targets_[next_target_++ % targets_.size()];
     const std::size_t size = payload.size();
     if (obs::Tracer* const tr = shared_->tracer) {
@@ -286,32 +266,39 @@ class FlooderNode final : public net::SimNode {
     net_->sim().schedule(1000.0 / spec_.rate_per_s, [this] { tick(); });
   }
 
-  Bytes make_payload() {
-    switch (spec_.kind) {
-      case FloodSpec::Kind::kQue1Storm:
-        // Fresh nonce each tick: every one reads as a brand-new exchange.
-        return encode(Message{Que1{rng_.generate(kNonceSize)}});
-      case FloodSpec::Kind::kGarbageQue2: {
-        Bytes junk = rng_.generate(64 + (rng_.generate(1)[0] % 128));
-        junk[0] = static_cast<std::uint8_t>(MsgType::kQue2);
-        return junk;
-      }
-      case FloodSpec::Kind::kReplay:
-        return spec_.replay_wire;
-    }
-    return {};
-  }
-
   FloodSpec spec_;
   std::vector<net::NodeId> targets_;
   Shared* shared_;
-  crypto::HmacDrbg rng_;
+  FloodPayloads payloads_;
   double start_ms_ = 0;
   std::size_t next_target_ = 0;
   std::uint64_t sent_ = 0;
 };
 
 }  // namespace
+
+FloodPayloads::FloodPayloads(FloodSpec::Kind kind, std::uint64_t seed,
+                             Bytes replay_wire)
+    : kind_(kind),
+      rng_(crypto::make_rng(seed, "flooder")),
+      replay_wire_(std::move(replay_wire)) {}
+
+Bytes FloodPayloads::next() {
+  switch (kind_) {
+    case FloodSpec::Kind::kQue1Storm:
+      // Fresh nonce every time: each payload reads as a brand-new
+      // exchange, so an unprotected engine pays full price for each.
+      return encode(Message{Que1{rng_.generate(kNonceSize)}});
+    case FloodSpec::Kind::kGarbageQue2: {
+      Bytes junk = rng_.generate(64 + (rng_.generate(1)[0] % 128));
+      junk[0] = static_cast<std::uint8_t>(MsgType::kQue2);
+      return junk;
+    }
+    case FloodSpec::Kind::kReplay:
+      return replay_wire_;
+  }
+  return {};
+}
 
 ObjectEngineConfig object_engine_config(const DiscoveryScenario& scenario,
                                         std::size_t i) {
@@ -466,7 +453,7 @@ struct DiscoveryTestbed::Impl {
       }
     };
     hooks.reboot = [this](std::size_t i) {
-      objects[i]->restart_engine();  // empty session table, fresh DRBG
+      objects[i]->core().reboot();  // empty session table, fresh DRBG
       if (scenario.faults.reboot_policy ==
           fault::RebootPolicy::kFromSnapshot) {
         // Strict restore: any integrity/identity failure leaves the
@@ -518,7 +505,7 @@ struct DiscoveryTestbed::Impl {
       }
     };
     hooks.zombie = [this](std::size_t i) {
-      objects[i]->make_zombie();
+      objects[i]->core().make_zombie();
       shared.metrics->counter("fault.zombie").inc();
       if (scenario.tracer) {
         scenario.tracer->instant(sim.now(), object_ids[i], "fault.zombie",
@@ -527,7 +514,7 @@ struct DiscoveryTestbed::Impl {
     };
     hooks.byzantine = [this](std::size_t i, fault::ByzantineMode mode,
                              std::uint64_t seed) {
-      objects[i]->arm_byzantine(mode, seed);
+      objects[i]->core().arm_byzantine(mode, seed);
       shared.metrics->counter("fault.byzantine").inc();
       if (scenario.tracer) {
         scenario.tracer->instant(sim.now(), object_ids[i], "fault.byzantine",

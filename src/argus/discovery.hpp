@@ -54,6 +54,26 @@ struct FloodSpec {
   [[nodiscard]] bool armed() const { return rate_per_s > 0; }
 };
 
+/// The flood payload stream of one (kind, seed): the same pair always
+/// yields the same bytes, drawn from the DRBG stream labelled "flooder".
+/// The simulator's flooder node sprays it over the radio;
+/// attacks::Flooder feeds it straight into an engine.
+class FloodPayloads {
+ public:
+  FloodPayloads(FloodSpec::Kind kind, std::uint64_t seed,
+                Bytes replay_wire = {});
+
+  /// Next payload in the stream.
+  Bytes next();
+
+  [[nodiscard]] FloodSpec::Kind kind() const { return kind_; }
+
+ private:
+  FloodSpec::Kind kind_;
+  crypto::HmacDrbg rng_;
+  Bytes replay_wire_;
+};
+
 struct DiscoveryScenario {
   ProtocolVersion version = ProtocolVersion::kV30;
   crypto::Strength strength = crypto::Strength::b128;

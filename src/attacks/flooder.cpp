@@ -3,30 +3,6 @@
 namespace argus::attacks {
 
 using core::HandleStatus;
-using core::MsgType;
-using core::Que1;
-
-Flooder::Flooder(Kind kind, std::uint64_t seed, Bytes replay_wire)
-    : kind_(kind),
-      rng_(crypto::make_rng(seed, "flooder")),
-      replay_wire_(std::move(replay_wire)) {}
-
-Bytes Flooder::next() {
-  switch (kind_) {
-    case Kind::kQue1Storm:
-      // Fresh nonce every time: each payload reads as a brand-new
-      // exchange, so an unprotected engine pays full price for each.
-      return core::encode(core::Message{Que1{rng_.generate(core::kNonceSize)}});
-    case Kind::kGarbageQue2: {
-      Bytes junk = rng_.generate(64 + (rng_.generate(1)[0] % 128));
-      junk[0] = static_cast<std::uint8_t>(MsgType::kQue2);
-      return junk;
-    }
-    case Kind::kReplay:
-      return replay_wire_;
-  }
-  return {};
-}
 
 FloodOutcome Flooder::run_against(core::ObjectEngine& engine,
                                   std::size_t count, double tick_ms,

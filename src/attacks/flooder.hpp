@@ -4,13 +4,14 @@
 // random-nonce QUE1s (each would cost the victim an ECDH generate + ECDSA
 // sign), garbage bytes wearing a QUE2 type tag (cheap-reject fodder for
 // the cheap-check-first pipeline), or a captured wire blob replayed
-// verbatim. The in-simulation flooder node (argus/discovery.cpp) sprays
-// the same streams over the radio; this offline form drives an engine
-// directly so unit tests can measure exactly what a flood costs and what
-// admission control sheds — no network, no timers, same bytes.
+// verbatim. The stream is core::FloodPayloads (argus/discovery.hpp),
+// which the in-simulation flooder node sprays over the radio; this
+// offline form drives an engine directly so unit tests can measure
+// exactly what a flood costs and what admission control sheds — no
+// network, no timers, same bytes.
 #pragma once
 
-#include "argus/object_engine.hpp"
+#include "argus/discovery.hpp"
 #include "attacks/adversary.hpp"
 
 namespace argus::attacks {
@@ -25,21 +26,16 @@ struct FloodOutcome {
   double victim_compute_ms = 0;   // modeled crypto the flood extracted
 };
 
-/// Deterministic generator for flood payloads. The same (kind, seed)
-/// always yields the same byte stream, so flood experiments replay
-/// bit-identically.
+/// A flood payload stream that can feed itself into a victim engine.
 class Flooder {
  public:
-  enum class Kind : std::uint8_t {
-    kQue1Storm = 0,
-    kGarbageQue2 = 1,
-    kReplay = 2,
-  };
+  using Kind = core::FloodSpec::Kind;
 
-  Flooder(Kind kind, std::uint64_t seed, Bytes replay_wire = {});
+  Flooder(Kind kind, std::uint64_t seed, Bytes replay_wire = {})
+      : payloads_(kind, seed, std::move(replay_wire)) {}
 
   /// Next payload in the stream.
-  Bytes next();
+  Bytes next() { return payloads_.next(); }
 
   /// Feed `count` payloads straight into an engine, advancing its virtual
   /// clock by `tick_ms` per payload (so token buckets refill exactly as
@@ -49,12 +45,10 @@ class Flooder {
                            double tick_ms, std::uint64_t now,
                            std::uint64_t peer = 0xF100D);
 
-  [[nodiscard]] Kind kind() const { return kind_; }
+  [[nodiscard]] Kind kind() const { return payloads_.kind(); }
 
  private:
-  Kind kind_;
-  crypto::HmacDrbg rng_;
-  Bytes replay_wire_;
+  core::FloodPayloads payloads_;
 };
 
 /// Build a replay flooder from a captured exchange: the replayed blob is

@@ -1,17 +1,14 @@
-// Byzantine peer wrapper: an engine whose replies are corrupted.
+// Byzantine peer: a node whose replies are corrupted.
 //
 // ByzantineMutator rewrites reply bytes under a seeded DRBG (truncate /
-// bit-flip / replay-previous, or a per-reply mix). ByzantineEngine<E>
-// wraps any engine with a `handle(wire, now)` member and mutates whatever
-// it returns once armed; unarmed it forwards untouched, so wrapping an
-// honest node costs nothing and changes no bytes. The corruption happens
-// *after* the honest engine ran — a Byzantine node does the work and then
-// lies about it, which is the adversary the paper's MAC/signature checks
-// must catch.
+// bit-flip / replay-previous, or a per-reply mix); unarmed it is the
+// identity, so an honest node changes no bytes. The object core
+// (argus/object_core.hpp) applies it *after* the honest engine ran — a
+// Byzantine node does the work and then lies about it, which is the
+// adversary the paper's MAC/signature checks must catch.
 #pragma once
 
 #include <optional>
-#include <utility>
 
 #include "common/bytes.hpp"
 #include "crypto/drbg.hpp"
@@ -23,7 +20,6 @@ class ByzantineMutator {
  public:
   /// Start corrupting with `mode` using a DRBG stream keyed by `seed`.
   void arm(ByzantineMode mode, std::uint64_t seed);
-  void disarm() { mode_ = ByzantineMode::kNone; }
   [[nodiscard]] bool armed() const { return mode_ != ByzantineMode::kNone; }
 
   /// Corrupt one reply. Identity when unarmed.
@@ -42,48 +38,4 @@ class ByzantineMutator {
   std::uint64_t mutations_ = 0;
 };
 
-template <typename Engine>
-class ByzantineEngine {
- public:
-  template <typename... Args>
-  explicit ByzantineEngine(Args&&... args)
-      : engine_(std::forward<Args>(args)...) {}
-
-  void arm(ByzantineMode mode, std::uint64_t seed) {
-    mutator_.arm(mode, seed);
-  }
-  [[nodiscard]] bool armed() const { return mutator_.armed(); }
-
-  /// Forward to the wrapped engine, then corrupt the reply when armed.
-  /// The return type follows the wrapped engine's handle() so callers
-  /// keep their status taxonomy.
-  auto handle(ByteSpan wire, std::uint64_t now, std::uint64_t peer = 0) {
-    auto result = engine_.handle(wire, now, peer);
-    if (mutator_.armed() && result.has_value()) {
-      *result = mutator_.mutate(std::move(*result));
-    }
-    return result;
-  }
-
-  double take_consumed_ms() { return engine_.take_consumed_ms(); }
-
-  Engine& inner() { return engine_; }
-  const Engine& inner() const { return engine_; }
-  [[nodiscard]] std::uint64_t mutations() const {
-    return mutator_.mutations();
-  }
-
- private:
-  Engine engine_;
-  ByzantineMutator mutator_;
-};
-
 }  // namespace argus::fault
-
-namespace argus::core {
-class ObjectEngine;
-}
-
-namespace argus::fault {
-using ByzantineObjectEngine = ByzantineEngine<core::ObjectEngine>;
-}

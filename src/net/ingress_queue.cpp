@@ -11,7 +11,7 @@ void IngressQueue::push(EventKey key, Entry entry) {
   ++size_;
 }
 
-IngressQueue::Entry IngressQueue::pop_front() { return take(first_, 0); }
+IngressQueue::Entry IngressQueue::pop_front() { return take(first_); }
 
 void IngressQueue::repark_front(SimTime time, std::uint64_t seq) {
   // Relabel the run, shedding its consumed prefix once that is at least
@@ -34,32 +34,7 @@ IngressQueue::Entry IngressQueue::evict_oldest() {
   for (std::size_t i = first_ + 1; i < runs_.size(); ++i) {
     if (runs_[i].seq < runs_[oldest].seq) oldest = i;
   }
-  return take(oldest, 0);
-}
-
-std::optional<IngressQueue::Entry> IngressQueue::evict_weakest(
-    std::uint8_t arriving) {
-  std::size_t run = first_;
-  std::size_t index = 0;
-  std::uint8_t worst = 0;
-  std::uint64_t worst_seq = 0;
-  bool found = false;
-  for (std::size_t i = first_; i < runs_.size(); ++i) {
-    const Run& r = runs_[i];
-    for (std::size_t j = 0; j < r.size(); ++j) {
-      const std::uint8_t p = priority(*r.entries[r.head + j].frame);
-      const std::uint64_t seq = r.seq + j;
-      if (!found || p > worst || (p == worst && seq > worst_seq)) {
-        run = i;
-        index = j;
-        worst = p;
-        worst_seq = seq;
-        found = true;
-      }
-    }
-  }
-  if (!found || arriving >= worst) return std::nullopt;
-  return take(run, index);
+  return take(oldest);
 }
 
 void IngressQueue::insert(Run run) {
@@ -82,27 +57,13 @@ void IngressQueue::insert(Run run) {
                std::move(run));
 }
 
-IngressQueue::Entry IngressQueue::take(std::size_t i, std::size_t j) {
+IngressQueue::Entry IngressQueue::take(std::size_t i) {
   Run& r = runs_[i];
-  const std::size_t at = r.head + j;
-  Entry out = std::move(r.entries[at]);
+  Entry out = std::move(r.entries[r.head]);
+  ++r.head;
+  ++r.seq;
   --size_;
-  if (j == 0) {
-    ++r.head;
-    ++r.seq;
-  } else if (j + 1 == r.size()) {
-    r.entries.pop_back();
-  } else {
-    // Mid-run removal splits the run: the tail keeps its keys.
-    Run tail{r.time, r.seq + j + 1, {}, 0};
-    const auto split = r.entries.begin() + static_cast<std::ptrdiff_t>(at);
-    tail.entries.assign(std::make_move_iterator(split + 1),
-                        std::make_move_iterator(r.entries.end()));
-    r.entries.erase(split, r.entries.end());
-    runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                 std::move(tail));
-  }
-  if (runs_[i].size() == 0) erase_run(i);
+  if (r.size() == 0) erase_run(i);
   return out;
 }
 

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -34,11 +33,6 @@ class IngressQueue {
     NodeId from = 0;
     SimTime arrived = 0;  // first park; net.queue.wait_ms counts from here
   };
-
-  /// Eviction class of a frame: its wire-type byte, lower = stronger.
-  static std::uint8_t priority(const Bytes& frame) {
-    return frame.empty() ? 0xFF : frame[0];
-  }
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -64,9 +58,6 @@ class IngressQueue {
 
   /// Remove and return the entry parked earliest (smallest seq).
   Entry evict_oldest();
-  /// Remove and return the weakest entry (highest priority byte, newest
-  /// of those), unless `arriving` is no stronger than it.
-  std::optional<Entry> evict_weakest(std::uint8_t arriving);
 
  private:
   /// Live entries[head..] wake at (time, seq), (time, seq + 1), ...
@@ -81,8 +72,8 @@ class IngressQueue {
   /// Place a run whose seqs exceed every queued seq, merging it into its
   /// predecessor when their keys continue each other.
   void insert(Run run);
-  /// Remove and return live entry `j` of runs_[i].
-  Entry take(std::size_t i, std::size_t j);
+  /// Remove and return the first live entry of runs_[i].
+  Entry take(std::size_t i);
   /// Drop runs_[i] once it is empty.
   void erase_run(std::size_t i);
 

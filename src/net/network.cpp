@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -16,14 +15,14 @@ Network::Network(Simulator& sim, RadioParams radio, std::uint64_t seed)
 }
 
 Network::NodeSlot& Network::slot(NodeId id) {
-  if (id == 0 || id >= nodes_.size() || nodes_[id].node == nullptr) {
+  if (!has_node(id)) {
     throw std::out_of_range("Network: unknown node " + std::to_string(id));
   }
   return nodes_[id];
 }
 
 const Network::NodeSlot& Network::slot(NodeId id) const {
-  if (id == 0 || id >= nodes_.size() || nodes_[id].node == nullptr) {
+  if (!has_node(id)) {
     throw std::out_of_range("Network: unknown node " + std::to_string(id));
   }
   return nodes_[id];
@@ -41,39 +40,6 @@ NodeId Network::add_node(SimNode* node, unsigned hops) {
   rings_[hops].push_back(id);
   if (hops > max_hops_) max_hops_ = hops;
   return id;
-}
-
-void Network::unindex_ring(NodeId id, unsigned hops) {
-  auto& ring = rings_[hops];
-  for (auto it = ring.begin(); it != ring.end(); ++it) {
-    if (*it == id) {
-      ring.erase(it);
-      break;
-    }
-  }
-  while (max_hops_ > 0 && rings_[max_hops_].empty()) --max_hops_;
-}
-
-void Network::remove_node(NodeId node) {
-  NodeSlot& s = slot(node);
-  unindex_ring(node, s.hops);
-  s.node->net_ = nullptr;
-  s.node = nullptr;  // departed: has_node() is false, slot() throws
-  s.up = false;
-  s.busy_until = sim_.now();
-  // Entries still parked keep their wake keys; each one's wake finds the
-  // node gone and records a traced no_dest drop, mirroring how a crash
-  // drains its queue.
-}
-
-void Network::set_node_hops(NodeId node, unsigned hops) {
-  NodeSlot& s = slot(node);
-  if (s.hops == hops) return;
-  unindex_ring(node, s.hops);
-  s.hops = hops;
-  if (rings_.size() <= hops) rings_.resize(hops + 1);
-  rings_[hops].push_back(node);
-  if (hops > max_hops_) max_hops_ = hops;
 }
 
 unsigned Network::hops_between(NodeId a, NodeId b) const {
@@ -109,10 +75,6 @@ SimTime Network::reserve_channel(unsigned ring, SimTime earliest,
 
 void Network::deliver(NodeId from, NodeId to, Frame frame, SimTime arrival) {
   sim_.schedule_at(arrival, [this, from, to, frame = std::move(frame)]() mutable {
-    if (!has_node(to)) {
-      no_dest_drop(from, to, frame->size());
-      return;
-    }
     if (!nodes_[to].up) {
       fault_drop(from, to, frame->size());
       return;
@@ -147,7 +109,7 @@ void Network::process(NodeId from, NodeId to, Frame frame) {
 
 void Network::park(NodeId from, NodeId to, Frame frame) {
   NodeSlot& s = nodes_[to];
-  if (queue_full(to) && !make_room(to, *frame)) {
+  if (queue_full(to) && !make_room(to)) {
     queue_shed(from, to, frame->size(), /*evicted=*/false);
     return;
   }
@@ -187,12 +149,6 @@ void Network::wake(NodeId to) {
     const EventKey key = s.queue.front_key();
     const EventKey next = sim_.next_key();
     if (key.time != sim_.now() || next < key) break;
-    if (s.node == nullptr) {
-      // Departed while this message sat in its queue.
-      const IngressQueue::Entry e = s.queue.pop_front();
-      no_dest_drop(e.from, to, e.frame->size());
-      continue;
-    }
     if (!s.up) {
       const IngressQueue::Entry e = s.queue.pop_front();
       fault_drop(e.from, to, e.frame->size());
@@ -219,23 +175,10 @@ void Network::wake(NodeId to) {
   arm(to);
 }
 
-bool Network::make_room(NodeId to, const Bytes& arriving) {
-  IngressQueue& queue = nodes_[to].queue;
-  std::optional<IngressQueue::Entry> victim;
-  switch (radio_.queue_policy) {
-    case QueuePolicy::kDropTail:
-      return false;
-    case QueuePolicy::kDropOldest:
-      victim = queue.evict_oldest();
-      break;
-    case QueuePolicy::kPriority:
-      // Weakest class loses; newest of the weakest class goes first so
-      // the oldest strong entries keep their place in line.
-      victim = queue.evict_weakest(IngressQueue::priority(arriving));
-      break;
-  }
-  if (!victim) return false;
-  queue_shed(victim->from, to, victim->frame->size(), /*evicted=*/true);
+bool Network::make_room(NodeId to) {
+  if (radio_.queue_policy != QueuePolicy::kDropOldest) return false;
+  const IngressQueue::Entry victim = nodes_[to].queue.evict_oldest();
+  queue_shed(victim.from, to, victim.frame->size(), /*evicted=*/true);
   return true;
 }
 
@@ -287,9 +230,9 @@ void Network::set_compute_factor(NodeId node, double factor) {
 SendOutcome Network::unicast(NodeId from, NodeId to, Bytes payload) {
   NodeSlot& src = slot(from);
   if (!has_node(to)) {
-    // Crash-then-deregister race: the sender addressed a node that has
-    // left the network. A traced drop, not an exception — the sender's
-    // retry/timeout machinery handles it like any other lost message.
+    // The sender addressed a node that was never attached. A traced
+    // drop, not an exception — the sender's retry/timeout machinery
+    // handles it like any other lost message.
     no_dest_drop(from, to, payload.size());
     SendOutcome out;
     out.drops = 1;

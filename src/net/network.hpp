@@ -25,7 +25,7 @@
 //     never touches a tree map;
 //   * a per-ring membership index makes broadcast delivery O(members of
 //     the reached rings) and keeps max-hops maintenance O(1) per
-//     attach/re-ring, instead of an all-nodes scan per broadcast;
+//     attach, instead of an all-nodes scan per broadcast;
 //   * one payload buffer is shared (refcounted frame) by every scheduled
 //     copy of a send — broadcast to 10k receivers allocates one frame,
 //     not 10k — and the last copy frees it.
@@ -56,18 +56,12 @@ namespace argus::net {
 enum class QueuePolicy : std::uint8_t {
   kDropTail = 0,    // reject the arriving message
   kDropOldest = 1,  // evict the head (oldest queued) to admit the arrival
-  /// Evict the queued message with the weakest class; the class is the
-  /// wire-type byte (QUE1=1 outranks QUE2=4 outranks junk), newest of the
-  /// weakest class first. An arrival no stronger than the weakest queued
-  /// entry is rejected instead — the queue never trades up for it.
-  kPriority = 2,
 };
 
 inline const char* queue_policy_name(QueuePolicy p) {
   switch (p) {
     case QueuePolicy::kDropTail: return "drop_tail";
     case QueuePolicy::kDropOldest: return "drop_oldest";
-    case QueuePolicy::kPriority: return "priority";
   }
   return "?";
 }
@@ -128,26 +122,17 @@ class Network {
 
   /// Attach a node at `hops` from the subject (subject itself: hops 0).
   NodeId add_node(SimNode* node, unsigned hops);
-  /// Detach a node (it left the network for good, e.g. deregistered
-  /// after a crash). Its id stays retired; traffic already in flight to
-  /// it — and anything still parked in its ingress queue — is dropped
-  /// with a drop.no_dest trace instead of crashing the run.
-  void remove_node(NodeId node);
-  /// Move a node to a different hop ring mid-run (mobility / re-ring
-  /// faults). Copies already in flight keep the arrival time computed at
-  /// send time; future traffic uses the new ring.
-  void set_node_hops(NodeId node, unsigned hops);
-  /// True while `id` names an attached (not removed) node.
+  /// True when `id` names an attached node.
   [[nodiscard]] bool has_node(NodeId id) const {
-    return id < nodes_.size() && nodes_[id].node != nullptr;
+    return id != 0 && id < nodes_.size();
   }
 
   /// Hop distance used for traffic between two nodes.
   [[nodiscard]] unsigned hops_between(NodeId a, NodeId b) const;
 
   /// Point-to-point send from the node currently processing (or idle).
-  /// An unknown or departed destination is a traced drop (drop.no_dest),
-  /// not an error: under churn a sender can race a deregistration.
+  /// An unknown destination is a traced drop (drop.no_dest), not an
+  /// error.
   SendOutcome unicast(NodeId from, NodeId to, Bytes payload);
   /// Flooded broadcast: reaches every node; each hop ring re-transmits.
   SendOutcome broadcast(NodeId from, Bytes payload);
@@ -156,10 +141,6 @@ class Network {
   /// sends and deliveries queue behind it). The node's compute factor
   /// scales the charge (stragglers run slow).
   void consume_compute(NodeId node, double ms);
-  /// Charge one modeled crypto op.
-  void consume_op(NodeId node, const ComputeModel& model, CryptoOp op) {
-    consume_compute(node, model.cost(op));
-  }
 
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] SimTime now() const { return sim_.now(); }
@@ -190,8 +171,7 @@ class Network {
     std::uint64_t dropped = 0;        // copies lost in flight
     std::uint64_t duplicates = 0;     // extra copies delivered
     std::uint64_t fault_dropped = 0;  // copies lost to a crashed node
-    /// Copies addressed to an unknown/departed node (crash-then-
-    /// deregister race under churn); zero unless remove_node is used.
+    /// Sends addressed to a node id that was never attached.
     std::uint64_t no_dest_dropped = 0;
     // Bounded-queue sheds (zero on unbounded networks).
     std::uint64_t queue_rejected = 0;  // arrivals refused at a full queue
@@ -223,7 +203,7 @@ class Network {
   using Frame = std::shared_ptr<const Bytes>;
 
   struct NodeSlot {
-    SimNode* node = nullptr;  // null: slot 0 sentinel or departed node
+    SimNode* node = nullptr;  // null: the slot 0 sentinel
     unsigned hops = 0;
     SimTime busy_until = 0;
     bool up = true;
@@ -234,7 +214,7 @@ class Network {
   };
 
   /// Bounds-checked slot access for attached nodes (throws out_of_range
-  /// like the map::at it replaced; removed nodes count as unknown).
+  /// like the map::at it replaced).
   NodeSlot& slot(NodeId id);
   const NodeSlot& slot(NodeId id) const;
 
@@ -255,11 +235,11 @@ class Network {
   /// The node's wake event fired: replay, in key order, every queued
   /// wake-up that is due before the next foreign event — deliver it,
   /// re-park it behind busy_until if the node is busy again, or drop it
-  /// if the node died — then re-arm at the next key.
+  /// if the node is down — then re-arm at the next key.
   void wake(NodeId to);
   /// Make room in a full queue per the policy. True if an entry was
   /// evicted; false means the arrival itself must be rejected.
-  bool make_room(NodeId to, const Bytes& arriving);
+  bool make_room(NodeId to);
   /// Account one bounded-queue shed (arrival rejected or entry evicted).
   void queue_shed(NodeId from, NodeId to, std::size_t bytes, bool evicted);
   /// True when `to` has a bounded ingress queue that is currently full.
@@ -269,11 +249,8 @@ class Network {
   }
   /// Account one copy lost to a down node.
   void fault_drop(NodeId from, NodeId to, std::size_t bytes);
-  /// Account one copy addressed to an unknown/departed node.
+  /// Account one send addressed to an unknown node.
   void no_dest_drop(NodeId from, NodeId to, std::size_t bytes);
-  /// Drop `id` from its ring's member list and refresh the max-hops
-  /// watermark (used by remove_node / set_node_hops).
-  void unindex_ring(NodeId id, unsigned hops);
   double jitter();
   /// One Bernoulli draw from the network DRBG; p <= 0 draws nothing, so
   /// lossless runs consume an unchanged RNG stream.
@@ -287,8 +264,8 @@ class Network {
   /// vector index, no tree walk.
   std::vector<NodeSlot> nodes_;
   /// rings_[h] lists the attached nodes at hop distance h, in attach
-  /// order; max_hops_ is the highest non-empty ring. Maintained
-  /// incrementally so broadcast never scans the whole fleet.
+  /// order; max_hops_ is the highest non-empty ring. Maintained at
+  /// attach so broadcast never scans the whole fleet.
   std::vector<std::vector<NodeId>> rings_;
   unsigned max_hops_ = 0;
   NodeId next_id_ = 1;

@@ -10,11 +10,12 @@ ObjectHost::ObjectHost(HostConfig cfg, SockTransport& transport)
     : cfg_(std::move(cfg)),
       transport_(transport),
       lanes_(cfg_.objects.size()) {
-  engines_.reserve(cfg_.objects.size());
+  cores_.reserve(cfg_.objects.size());
   metrics_.reserve(cfg_.objects.size());
   for (core::ObjectEngineConfig ocfg : cfg_.objects) {
     ocfg.metrics = metrics_.emplace_back(ocfg.metrics).stand_in();
-    engines_.push_back(std::make_unique<core::ObjectEngine>(std::move(ocfg)));
+    cores_.push_back(
+        std::make_unique<core::ObjectCore>(std::move(ocfg), cfg_.epoch));
   }
   transport_.set_handler([this](PeerId from, const Bytes& frame) {
     on_frame(from, frame);
@@ -44,7 +45,7 @@ void ObjectHost::pump(double now_ms) {
 
 void ObjectHost::settle() {
   lanes_.wait_idle();
-  for (auto& engine : engines_) engine->advance_clock(clock_ms_);
+  for (auto& obj : cores_) obj->engine().advance_clock(clock_ms_);
   send_finished();
   for (LaneRegistry& m : metrics_) m.merge();
   lanes_.rethrow();
@@ -54,7 +55,7 @@ std::size_t ObjectHost::in_flight() const { return lanes_.in_flight(); }
 
 core::ObjectEngine& ObjectHost::engine(std::size_t i) {
   settle();
-  return *engines_[i];
+  return cores_[i]->engine();
 }
 
 void ObjectHost::send_finished() {
@@ -71,10 +72,11 @@ void ObjectHost::send_finished() {
 Bytes ObjectHost::fleet_bundle() {
   settle();
   persist::BundleEntries entries;
-  entries.reserve(engines_.size());
-  for (const auto& engine : engines_) {
-    entries.emplace_back(persist::object_section(engine->credentials().id),
-                         engine->snapshot());
+  entries.reserve(cores_.size());
+  for (const auto& obj : cores_) {
+    const core::ObjectEngine& engine = obj->engine();
+    entries.emplace_back(persist::object_section(engine.credentials().id),
+                         engine.snapshot());
   }
   return persist::seal_bundle(entries);
 }
@@ -106,11 +108,12 @@ persist::RestoreError ObjectHost::restore_from_file() {
   if (!bundle) return bundle.error;
   // Blank-or-exact per engine: a missing or refused section leaves that
   // engine blank without disturbing its neighbours' restores.
-  for (auto& engine : engines_) {
-    const std::string want = persist::object_section(engine->credentials().id);
+  for (auto& obj : cores_) {
+    core::ObjectEngine& engine = obj->engine();
+    const std::string want = persist::object_section(engine.credentials().id);
     for (const auto& [name, sealed] : bundle.entries) {
       if (name != want) continue;
-      if (engine->restore(sealed) == persist::RestoreError::kOk) restored_++;
+      if (engine.restore(sealed) == persist::RestoreError::kOk) restored_++;
       break;
     }
   }
@@ -137,7 +140,7 @@ void ObjectHost::on_frame(PeerId from, const Bytes& frame) {
     return;
   }
   const bool broadcast = mux->channel == kMuxBroadcast;
-  if (!broadcast && mux->channel >= engines_.size()) {
+  if (!broadcast && mux->channel >= cores_.size()) {
     stats_.bad_channel++;
     return;
   }
@@ -147,7 +150,7 @@ void ObjectHost::on_frame(PeerId from, const Bytes& frame) {
     return;
   }
   stats_.broadcasts_rx++;
-  for (std::size_t i = 0; i < engines_.size(); ++i) dispatch(i, from, payload);
+  for (std::size_t i = 0; i < cores_.size(); ++i) dispatch(i, from, payload);
 }
 
 void ObjectHost::dispatch(std::size_t idx, PeerId from,
@@ -155,14 +158,13 @@ void ObjectHost::dispatch(std::size_t idx, PeerId from,
   lanes_.post(idx, [this, idx, from, payload, clock = clock_ms_] {
     // The engine's clock catches up here, before its frame, to the pump
     // before the one that dispatched it — as on a host that advanced
-    // every engine at the end of every pump.
-    core::ObjectEngine& engine = *engines_[idx];
-    engine.advance_clock(clock);
-    const auto result = engine.handle(*payload, cfg_.epoch, from);
-    (void)engine.take_consumed_ms();  // modeled cost; real time is real here
+    // every engine at the end of every pump. The step's modeled cost is
+    // not charged: real time is real here.
+    const core::ObjectCore::Step step =
+        cores_[idx]->step(*payload, from, clock);
     Reply reply{from, std::nullopt};
-    if (result) {
-      reply.frame = encode_mux(static_cast<std::uint32_t>(idx), *result);
+    if (step.result) {
+      reply.frame = encode_mux(static_cast<std::uint32_t>(idx), *step.result);
     }
     return reply;
   });

@@ -1,14 +1,15 @@
-// Object-side daemon core: N ObjectEngines behind one SockTransport.
+// Object-side daemon room: N object cores behind one SockTransport.
 //
 // The host is argusd's engine room, kept tool-free so the in-process
 // transport tests drive exactly the daemon's code path. It demuxes
-// inbound frames (mux.hpp) onto the hosted engines — a broadcast channel
-// frame (QUE1) fans out to every engine, a unicast channel addresses one
-// — and sends each engine's reply back on that engine's channel. PR-5
-// admission control and PR-8 session resumption run whenever the engine
-// configs arm them; the `peer` handed to the engines is the transport
-// PeerId (a packed socket address on the real path), so per-peer
-// admission buckets track real remote endpoints.
+// inbound frames (mux.hpp) onto the hosted object cores
+// (argus/object_core.hpp), the same step the simulator's object nodes
+// run — a broadcast channel frame (QUE1) fans out to every core, a
+// unicast channel addresses one — and sends each core's reply back on
+// that engine's channel. Admission control and session resumption run
+// whenever the engine configs arm them; the `peer` handed to the cores
+// is the transport PeerId (a packed socket address on the real path),
+// so per-peer admission buckets track real remote endpoints.
 //
 // Engine lanes (lanes.hpp): each engine has a lane of its own, so it
 // handles its frames in arrival order and is only ever touched by one
@@ -23,7 +24,7 @@
 // lockstep driver that calls `pump(); settle();` issues exactly the
 // send() sequence of a host that handled every frame inline.
 //
-// Persistence (ISSUE-10 satellite): with a snapshot path set, the host
+// Persistence: with a snapshot path set, the host
 // writes a sealed fleet bundle via the persist layer's atomic file
 // helpers on demand, on an interval, and on shutdown, and restores
 // blank-or-exact per engine on startup — an engine whose section is
@@ -36,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "argus/object_engine.hpp"
+#include "argus/object_core.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "persist/snapshot.hpp"
@@ -100,7 +101,7 @@ class ObjectHost {
   persist::RestoreError restore_from_file();
   [[nodiscard]] std::size_t restored_engines() const { return restored_; }
 
-  [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
+  [[nodiscard]] std::size_t engine_count() const { return cores_.size(); }
   /// Settles first; the reference is safe to use until the next pump().
   [[nodiscard]] core::ObjectEngine& engine(std::size_t i);
 
@@ -130,7 +131,7 @@ class ObjectHost {
 
   HostConfig cfg_;
   SockTransport& transport_;
-  std::vector<std::unique_ptr<core::ObjectEngine>> engines_;
+  std::vector<std::unique_ptr<core::ObjectCore>> cores_;
   std::vector<LaneRegistry> metrics_;  // per engine
   double now_ms_ = 0;    // the current pump's time: replies leave at it
   double clock_ms_ = 0;  // the last finished pump's time: engines' clock

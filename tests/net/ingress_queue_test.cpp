@@ -48,18 +48,6 @@ class RefNetwork {
     if (hops > max_hops_) max_hops_ = hops;
     return id;
   }
-  void remove_node(NodeId id) {
-    NodeSlot& s = nodes_[id];
-    auto& ring = rings_[s.hops];
-    std::erase(ring, id);
-    while (max_hops_ > 0 && rings_[max_hops_].empty()) --max_hops_;
-    s.node = nullptr;
-    s.up = false;
-    s.busy_until = sim_.now();
-  }
-  [[nodiscard]] bool has_node(NodeId id) const {
-    return id < nodes_.size() && nodes_[id].node != nullptr;
-  }
   void set_node_up(NodeId id, bool up) {
     nodes_[id].up = up;
     nodes_[id].busy_until = sim_.now();
@@ -80,12 +68,6 @@ class RefNetwork {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   SendOutcome unicast(NodeId from, NodeId to, Bytes payload) {
-    if (!has_node(to)) {
-      no_dest_drop(from, to, payload.size());
-      SendOutcome out;
-      out.drops = 1;
-      return out;
-    }
     const unsigned ha = nodes_[from].hops;
     const unsigned hb = nodes_[to].hops;
     const unsigned hops = std::max(1u, ha > hb ? ha - hb : hb - ha);
@@ -143,7 +125,6 @@ class RefNetwork {
     TimerId timer = 0;
     NodeId from = 0;
     std::size_t bytes = 0;
-    std::uint8_t prio = 0xFF;
   };
   struct NodeSlot {
     SimNode* node = nullptr;
@@ -167,10 +148,6 @@ class RefNetwork {
 
   void deliver(NodeId from, NodeId to, Frame frame, SimTime arrival) {
     sim_.schedule_at(arrival, [this, from, to, frame = std::move(frame)] {
-      if (!has_node(to)) {
-        no_dest_drop(from, to, frame->size());
-        return;
-      }
       if (!nodes_[to].up) {
         fault_drop(from, to, frame->size());
         return;
@@ -196,7 +173,7 @@ class RefNetwork {
   }
   void park(NodeId from, NodeId to, const Frame& frame) {
     NodeSlot& s = nodes_[to];
-    if (queue_full(to) && !make_room(to, *frame)) {
+    if (queue_full(to) && !make_room(to)) {
       queue_shed(from, to, frame->size(), false);
       return;
     }
@@ -204,7 +181,6 @@ class RefNetwork {
     entry.park_id = next_park_++;
     entry.from = from;
     entry.bytes = frame->size();
-    entry.prio = frame->empty() ? 0xFF : (*frame)[0];
     const std::uint64_t park_id = entry.park_id;
     entry.timer = sim_.schedule_timer_at(
         s.busy_until,
@@ -222,10 +198,6 @@ class RefNetwork {
         break;
       }
     }
-    if (s.node == nullptr) {
-      no_dest_drop(from, to, frame->size());
-      return;
-    }
     if (!s.up) {
       fault_drop(from, to, frame->size());
       return;
@@ -237,34 +209,14 @@ class RefNetwork {
     ++stats_.deliveries;
     s.node->on_message(from, *frame);
   }
-  bool make_room(NodeId to, const Bytes& arriving) {
+  bool make_room(NodeId to) {
     NodeSlot& s = nodes_[to];
-    switch (radio_.queue_policy) {
-      case QueuePolicy::kDropTail:
-        return false;
-      case QueuePolicy::kDropOldest: {
-        const Parked victim = s.parked.front();
-        sim_.cancel_timer(victim.timer);
-        s.parked.pop_front();
-        queue_shed(victim.from, to, victim.bytes, true);
-        return true;
-      }
-      case QueuePolicy::kPriority: {
-        auto worst = s.parked.begin();
-        for (auto it = s.parked.begin(); it != s.parked.end(); ++it) {
-          if (it->prio >= worst->prio) worst = it;
-        }
-        const std::uint8_t arriving_prio =
-            arriving.empty() ? 0xFF : arriving[0];
-        if (arriving_prio >= worst->prio) return false;
-        const Parked victim = *worst;
-        sim_.cancel_timer(victim.timer);
-        s.parked.erase(worst);
-        queue_shed(victim.from, to, victim.bytes, true);
-        return true;
-      }
-    }
-    return false;
+    if (radio_.queue_policy != QueuePolicy::kDropOldest) return false;
+    const Parked victim = s.parked.front();
+    sim_.cancel_timer(victim.timer);
+    s.parked.pop_front();
+    queue_shed(victim.from, to, victim.bytes, true);
+    return true;
   }
   void queue_shed(NodeId from, NodeId to, std::size_t bytes, bool evicted) {
     ++(evicted ? stats_.queue_evicted : stats_.queue_rejected);
@@ -280,12 +232,6 @@ class RefNetwork {
       tracer_->instant(sim_.now(), to, "drop.crashed", "net", bytes, from);
     }
   }
-  void no_dest_drop(NodeId from, NodeId to, std::size_t bytes) {
-    ++stats_.no_dest_dropped;
-    if (tracer_) {
-      tracer_->instant(sim_.now(), to, "drop.no_dest", "net", bytes, from);
-    }
-  }
 
   Simulator& sim_;
   RadioParams radio_;
@@ -299,12 +245,11 @@ class RefNetwork {
 };
 
 /// Payload layout: [wire type, cost index, reply ttl, reply target, id].
-/// The wire type doubles as the kPriority eviction class.
 constexpr double kCost[] = {0, 0, 1, 2, 3, 5, 10};
 constexpr std::size_t kCosts = std::size(kCost);
 
 struct Action {
-  enum Kind { kSend, kBroadcast, kCrash, kReboot, kRemove } kind = kSend;
+  enum Kind { kSend, kBroadcast, kCrash, kReboot } kind = kSend;
   SimTime at = 0;
   NodeId node = 1;  // sender, or the node a fault hits
   NodeId to = 1;
@@ -377,7 +322,6 @@ Outcome run(const Scenario& sc) {
   }
   for (const Action& a : sc.script) {
     sim.schedule_at(a.at, [&net, &a] {
-      if (!net.has_node(a.node)) return;
       switch (a.kind) {
         case Action::kSend:
           for (std::size_t r = 0; r < a.repeat; ++r) {
@@ -395,9 +339,6 @@ Outcome run(const Scenario& sc) {
           break;
         case Action::kReboot:
           net.set_node_up(a.node, true);
-          break;
-        case Action::kRemove:
-          net.remove_node(a.node);
           break;
       }
     });
@@ -464,7 +405,7 @@ Scenario random_scenario(std::uint64_t seed) {
   const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
   Scenario sc;
   sc.radio = integer_radio(pick(2) ? 0 : 1 + pick(4),
-                           static_cast<QueuePolicy>(pick(3)));
+                           static_cast<QueuePolicy>(pick(2)));
   sc.radio.per_hop_latency_ms = static_cast<double>(pick(3));
   const std::size_t n = 2 + pick(5);
   sc.hops.push_back(0);
@@ -489,10 +430,8 @@ Scenario random_scenario(std::uint64_t seed) {
       a.kind = Action::kBroadcast;
     } else if (k < 17) {
       a.kind = Action::kCrash;
-    } else if (k < 19) {
-      a.kind = Action::kReboot;
     } else {
-      a.kind = Action::kRemove;
+      a.kind = Action::kReboot;
     }
     sc.script.push_back(std::move(a));
   }
@@ -623,22 +562,18 @@ TEST(IngressQueueTest, DropOldestAfterRebootEvictsEarliestPark) {
   EXPECT_LT(delivery_index(got, 4), got.deliveries.size());
 }
 
-TEST(IngressQueueTest, CrashAndRemoveDropEachEntryAtItsWakeTime) {
-  for (const Action::Kind kind : {Action::kCrash, Action::kRemove}) {
-    // Entries park behind windows ending at 7, 12, 17, ...; the fault at
-    // t = 10 leaves each to be dropped when its own wake comes due.
-    Scenario sc = burst(8, 5, 0, QueuePolicy::kDropTail);
-    sc.script.push_back(fault(kind, 10, 2));
-    const Outcome got =
-        check(sc, kind == Action::kCrash ? "crash" : "remove");
-    EXPECT_GT(got.stats.fault_dropped + got.stats.no_dest_dropped, 0u);
-  }
+TEST(IngressQueueTest, CrashDropsEachEntryAtItsWakeTime) {
+  // Entries park behind windows ending at 7, 12, 17, ...; the crash at
+  // t = 10 leaves each to be dropped when its own wake comes due.
+  Scenario sc = burst(8, 5, 0, QueuePolicy::kDropTail);
+  sc.script.push_back(fault(Action::kCrash, 10, 2));
+  const Outcome got = check(sc, "crash");
+  EXPECT_GT(got.stats.fault_dropped, 0u);
 }
 
 TEST(IngressQueueTest, BoundedPoliciesEvictTheSameEntries) {
   for (const QueuePolicy policy :
-       {QueuePolicy::kDropTail, QueuePolicy::kDropOldest,
-        QueuePolicy::kPriority}) {
+        {QueuePolicy::kDropTail, QueuePolicy::kDropOldest}) {
     for (const std::size_t depth : {1u, 2u, 3u}) {
       const Scenario sc = burst(16, 5, depth, policy);
       const std::string what = std::string(queue_policy_name(policy)) +

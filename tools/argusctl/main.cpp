@@ -13,10 +13,12 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <unistd.h>
 
 #include "argus/discovery.hpp"
+#include "common/json.hpp"
 #include "fault/netem.hpp"
 #include "harness/sweep.hpp"
 #include "obs/metrics.hpp"
@@ -231,16 +233,24 @@ int main(int argc, char** argv) {
   const double ratio =
       expected == 0 ? 1.0
                     : static_cast<double>(resolved) / static_cast<double>(expected);
-  std::printf(
-      "{\"expected\":%zu,\"resolved\":%zu,\"delivery_ratio\":%.4f,"
-      "\"services\":%zu,\"round_ms\":%.1f,\"que1_retx\":%llu,"
-      "\"que2_retx\":%llu,\"rejects\":%llu,\"sim_match\":%s,"
-      "\"shim_dropped\":%llu}\n",
-      expected, resolved, ratio, client.engine().discovered().size(),
-      last_round_ms, static_cast<unsigned long long>(que1_retx),
-      static_cast<unsigned long long>(que2_retx),
-      static_cast<unsigned long long>(rejects), sim_match ? "true" : "false",
-      static_cast<unsigned long long>(shimmed.stats().dropped));
+  std::string line = "{";
+  const auto field = [&line](std::string_view key, double value) {
+    if (line.size() > 1) line += ',';
+    json::put_string(line, key);
+    line += ':';
+    json::put_number(line, value);
+  };
+  field("expected", static_cast<double>(expected));
+  field("resolved", static_cast<double>(resolved));
+  field("delivery_ratio", ratio);
+  field("services", static_cast<double>(client.engine().discovered().size()));
+  field("round_ms", last_round_ms);
+  field("que1_retx", static_cast<double>(que1_retx));
+  field("que2_retx", static_cast<double>(que2_retx));
+  field("rejects", static_cast<double>(rejects));
+  line += sim_match ? ",\"sim_match\":true" : ",\"sim_match\":false";
+  field("shim_dropped", static_cast<double>(shimmed.stats().dropped));
+  std::printf("%s}\n", line.c_str());
   std::fflush(stdout);
   return all_complete && sim_match ? 0 : 1;
 }

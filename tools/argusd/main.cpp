@@ -23,8 +23,10 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <unistd.h>
 
+#include "common/json.hpp"
 #include "fault/netem.hpp"
 #include "harness/sweep.hpp"
 #include "obs/metrics.hpp"
@@ -213,23 +215,25 @@ int main(int argc, char** argv) {
 
   const auto& hs = host.stats();
   const auto& es = endpoint.stats();
-  std::printf(
-      "{\"conns_live\":%zu,\"conns_accepted\":%llu,\"conns_closed\":%llu,"
-      "\"conns_reaped_dead\":%llu,\"conns_reaped_half_open\":%llu,"
-      "\"conns_evicted\":%llu,\"frames_rx\":%llu,\"replies_tx\":%llu,"
-      "\"broadcasts_rx\":%llu,\"snapshots_written\":%llu,"
-      "\"shim_dropped\":%llu}\n",
-      endpoint.live_conns(),
-      static_cast<unsigned long long>(es.accepted),
-      static_cast<unsigned long long>(es.closed),
-      static_cast<unsigned long long>(es.reaped_dead),
-      static_cast<unsigned long long>(es.reaped_half_open),
-      static_cast<unsigned long long>(es.evicted),
-      static_cast<unsigned long long>(hs.frames_rx),
-      static_cast<unsigned long long>(hs.replies_tx),
-      static_cast<unsigned long long>(hs.broadcasts_rx),
-      static_cast<unsigned long long>(hs.snapshots_written),
-      static_cast<unsigned long long>(shimmed.stats().dropped));
+  std::string line = "{";
+  const auto field = [&line](std::string_view key, double value) {
+    if (line.size() > 1) line += ',';
+    json::put_string(line, key);
+    line += ':';
+    json::put_number(line, value);
+  };
+  field("conns_live", static_cast<double>(endpoint.live_conns()));
+  field("conns_accepted", static_cast<double>(es.accepted));
+  field("conns_closed", static_cast<double>(es.closed));
+  field("conns_reaped_dead", static_cast<double>(es.reaped_dead));
+  field("conns_reaped_half_open", static_cast<double>(es.reaped_half_open));
+  field("conns_evicted", static_cast<double>(es.evicted));
+  field("frames_rx", static_cast<double>(hs.frames_rx));
+  field("replies_tx", static_cast<double>(hs.replies_tx));
+  field("broadcasts_rx", static_cast<double>(hs.broadcasts_rx));
+  field("snapshots_written", static_cast<double>(hs.snapshots_written));
+  field("shim_dropped", static_cast<double>(shimmed.stats().dropped));
+  std::printf("%s}\n", line.c_str());
   std::fflush(stdout);
   return endpoint.live_conns() == 0 ? 0 : 3;
 }
