@@ -23,6 +23,29 @@
 
 namespace argus::bench {
 
+/// A kB field of /proc/self/status (e.g. "VmRSS:", "VmHWM:"); 0 where
+/// unsupported.
+inline std::uint64_t proc_status_kb(const char* field) {
+#if defined(__linux__)
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[128];
+  std::uint64_t kb = 0;
+  const std::size_t n = std::strlen(field);
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, field, n) == 0) {
+      kb = std::strtoull(line + n, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb;
+#else
+  (void)field;
+  return 0;
+#endif
+}
+
 struct Args {
   bool smoke = false;
   std::size_t threads = 0;

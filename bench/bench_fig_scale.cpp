@@ -19,7 +19,6 @@
 // smoke fleet is 10k nodes in optimized builds and 2k in Debug (the Debug
 // CI lane runs every smoke; EC crypto is ~10x slower there).
 #include <cstdio>
-#include <cstring>
 
 #include "bench_args.hpp"
 #include "harness/sweep.hpp"
@@ -31,25 +30,8 @@ namespace {
 
 constexpr std::size_t kShards = 16;
 
-/// Current resident set in kB (/proc/self/status); 0 where unsupported.
-std::uint64_t rss_kb() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[128];
-  std::uint64_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmRSS:", 6) == 0) {
-      kb = std::strtoull(line + 6, nullptr, 10);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb;
-#else
-  return 0;
-#endif
-}
+/// Current resident set in kB; 0 where unsupported.
+std::uint64_t rss_kb() { return bench::proc_status_kb("VmRSS:"); }
 
 harness::SweepPoint scale_point(std::size_t nodes) {
   harness::SweepPoint p;

@@ -8,9 +8,11 @@
 // armed and hard-fails on any bounded-growth violation, any corrupted
 // restore that did not fall back blank, or any clean restore that
 // errored. The full run soaks 1000 rounds and appends the trajectory
-// entry benchdiff gates (BENCH_soak.json).
+// entry benchdiff gates (BENCH_soak.json). Beside the soak, it gauges the
+// engine bytes per remembered nonce of a default replay window driven full.
 #include <cstdio>
 
+#include "argus/object_engine.hpp"
 #include "bench_args.hpp"
 #include "harness/soak.hpp"
 
@@ -94,6 +96,30 @@ int check(const harness::SoakResult& r) {
   return rc;
 }
 
+/// Replay-window storage per remembered nonce: a default Level-1 object
+/// fed twice its window of distinct QUE1s, so the window is full and has
+/// turned over. Deterministic: it counts allocated capacity, not pages.
+double replay_bytes_per_nonce() {
+  backend::Backend be(crypto::Strength::b128, 17);
+  core::ObjectEngineConfig cfg;
+  cfg.creds = be.register_object("lamp-1",
+                                 backend::AttributeMap{{"type", "lamp"}},
+                                 backend::Level::kL1, {"switch"});
+  cfg.admin_pub = be.admin_public_key();
+  const std::size_t window = cfg.replay_window;
+  core::ObjectEngine object(std::move(cfg));
+  for (std::size_t i = 0; i < 2 * window; ++i) {
+    Bytes r_s(core::kNonceSize, 0);
+    for (std::size_t b = 0; b < 8; ++b) {
+      r_s[b] = static_cast<std::uint8_t>(i >> (8 * b));
+    }
+    (void)object.handle(core::encode(core::Que1{r_s}), 0);
+  }
+  if (object.replay_entries() != window) return 0;
+  return static_cast<double>(object.replay_storage_bytes()) /
+         static_cast<double>(window);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,6 +168,13 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.snapshot_cycles + r.corrupt_cycles));
   }
 
+  // Peak resident set at the end of the measured phase (wall: it counts
+  // pages, which depend on the allocator and the host).
+  const std::uint64_t vmhwm_kb = bench::proc_status_kb("VmHWM:");
+  const double nonce_bytes = replay_bytes_per_nonce();
+  std::printf("replay window: %.1f engine bytes per remembered nonce "
+              "(default window, full)\n", nonce_bytes);
+
   const auto& last = r.samples.back().gauges;
   reporter.metric("virtual.rounds", static_cast<double>(r.rounds_run),
                   "count", "virtual", /*lower_is_better=*/false);
@@ -165,6 +198,8 @@ int main(int argc, char** argv) {
                   static_cast<double>(last.metrics_counters +
                                       last.metrics_histograms),
                   "count", "virtual");
+  reporter.metric("virtual.replay_bytes_per_nonce", nonce_bytes, "B",
+                  "virtual");
   const double wall_s = static_cast<double>(wall_ns) / 1e9;
   if (wall_s > 0) {
     const double repeats = static_cast<double>(args.repeat);
@@ -174,6 +209,8 @@ int main(int argc, char** argv) {
                     "ops/s", "wall", /*lower_is_better=*/false);
     reporter.metric("wall.rss_final_kb",
                     static_cast<double>(r.samples.back().rss_kb), "kb",
+                    "wall");
+    reporter.metric("wall.vmhwm_kb", static_cast<double>(vmhwm_kb), "kb",
                     "wall");
   }
   return bench::finish_bench(args, reporter,

@@ -205,6 +205,7 @@ void SubjectEngine::walk(Self& self, Io& io) {
     io.seq(svc.services, [&](auto& s) { io.str(s); });
     walk_attribute_pairs(io, svc.attributes);
   });
+  if constexpr (Io::kLoading) self.index_discovered();
   io.drbg(self.rng_);
 }
 
@@ -216,6 +217,7 @@ void SubjectEngine::reset_to_blank() {
   resume_cache_.clear();
   completed_.clear();
   discovered_.clear();
+  discovered_index_.clear();
   verified_ = crypto::VerifiedCache{};
   lru_seq_ = 0;
   consumed_ms_ = 0;

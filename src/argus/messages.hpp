@@ -13,6 +13,7 @@
 // discovery), mandatory in v3.0 (indistinguishability).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <variant>
 
@@ -21,6 +22,8 @@
 namespace argus::core {
 
 inline constexpr std::size_t kNonceSize = 28;
+/// A nonce as a fixed-size key (decode enforces the length).
+using Nonce = std::array<std::uint8_t, kNonceSize>;
 inline constexpr std::size_t kMacSize = 32;
 
 /// Protocol revisions as the paper develops them (Figs 3, 4, 5).

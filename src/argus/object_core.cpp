@@ -5,12 +5,14 @@
 namespace argus::core {
 
 ObjectCore::ObjectCore(ObjectEngineConfig cfg, std::uint64_t epoch)
-    : cfg_(std::move(cfg)), epoch_(epoch) {
-  engine_.emplace(cfg_);
+    : epoch_(epoch) {
+  engine_.emplace(std::move(cfg));
 }
 
 void ObjectCore::reboot() {
-  engine_.emplace(cfg_);
+  // Copied out first: emplace destroys the old engine before it builds.
+  ObjectEngineConfig cfg = engine_->config();
+  engine_.emplace(std::move(cfg));
   byzantine_ = {};
 }
 

@@ -1,8 +1,8 @@
 // Object side of one discovery node, shared by the simulator and the
 // daemon.
 //
-// ObjectCore owns an ObjectEngine, the config the engine is rebuilt from
-// on reboot, and the chaos a fault plan arms on the node: a
+// ObjectCore owns an ObjectEngine, which it rebuilds from the engine's own
+// config on reboot, and the chaos a fault plan arms on the node: a
 // ByzantineMutator that corrupts replies after the honest engine ran, and
 // the zombie flag that eats them. The simulator's ObjectNode adds the
 // trace, compute charging and the radio to its step; the daemon's
@@ -57,7 +57,6 @@ class ObjectCore {
   [[nodiscard]] const ObjectEngine& engine() const { return *engine_; }
 
  private:
-  ObjectEngineConfig cfg_;
   std::uint64_t epoch_;
   std::optional<ObjectEngine> engine_;  // optional: rebuilt in place on reboot
   fault::ByzantineMutator byzantine_;

@@ -15,8 +15,9 @@ ObjectEngine::ObjectEngine(ObjectEngineConfig cfg)
     : cfg_(std::move(cfg)),
       group_(crypto::group_for(cfg_.strength)),
       rng_(crypto::make_rng(cfg_.seed, "object:" + cfg_.creds.id)) {
+  Bytes public_wire = cfg_.creds.public_prof.serialize();
   // Constant RES2 length: every variant pads to the largest profile.
-  max_prof_wire_ = cfg_.creds.public_prof.serialize().size();
+  max_prof_wire_ = public_wire.size();
   for (const auto& v : cfg_.creds.variants2) {
     max_prof_wire_ = std::max(max_prof_wire_, v.prof.serialize().size());
   }
@@ -24,6 +25,10 @@ ObjectEngine::ObjectEngine(ObjectEngineConfig cfg)
     max_prof_wire_ = std::max(max_prof_wire_, v.prof.serialize().size());
   }
   global_bucket_.tokens = cfg_.admission.global_burst;
+  if (cfg_.creds.level == Level::kL1) {
+    res1_l1_wire_ = encode(Res1Level1{std::move(public_wire)});
+    res1_l1_wire_.shrink_to_fit();  // one per object, kept for good
+  }
 }
 
 double ObjectEngine::take_consumed_ms() {
@@ -162,14 +167,13 @@ void ObjectEngine::advance_clock(double virtual_ms) {
 void ObjectEngine::bound_state() {
   // LRU capacity bound: a flood of half-open sessions (zombie subjects,
   // replayed QUE1 storms) evicts the least-recently-touched entry instead
-  // of growing without bound. Replay stamps are never refreshed, so the
-  // window forgets the oldest nonce first.
+  // of growing without bound. The replay window is bounded where it
+  // grows, in handle_que1.
   std::uint64_t evicted = 0;
   if (cfg_.session_capacity > 0) {
     evicted += sessions_.trim(cfg_.session_capacity);
     evicted += res2_cache_.trim(cfg_.session_capacity);
   }
-  if (cfg_.replay_window > 0) evicted += seen_rs_.trim(cfg_.replay_window);
   if (cfg_.resumption.capacity > 0) {
     evicted += resume_cache_.trim(cfg_.resumption.capacity);
   }
@@ -211,7 +215,7 @@ HandleResult ObjectEngine::handle(ByteSpan wire, std::uint64_t now,
     return fail(HandleStatus::kMalformed);
   }
   if (const auto* que1 = std::get_if<Que1>(&*msg)) {
-    return handle_que1(*que1, Bytes(wire.begin(), wire.end()), peer);
+    return handle_que1(*que1, wire, peer);
   }
   if (const auto* que2 = std::get_if<Que2>(&*msg)) {
     return handle_que2(*que2, now, peer);
@@ -220,21 +224,22 @@ HandleResult ObjectEngine::handle(ByteSpan wire, std::uint64_t now,
   return fail(HandleStatus::kMalformed);
 }
 
-HandleResult ObjectEngine::handle_que1(const Que1& msg, const Bytes& wire,
+HandleResult ObjectEngine::handle_que1(const Que1& msg, ByteSpan wire,
                                        std::uint64_t peer) {
   ARGUS_PROF_SCOPE("object.handle_que1");
+  Nonce r_s;
+  std::copy(msg.r_s.begin(), msg.r_s.end(), r_s.begin());
   // Freshness: duplicate R_S means a replayed/echoed query or a lossy-link
   // duplicate (§IV-B). Either way the response is idempotent: while the
   // exchange is open, resend the cached RES1 byte-for-byte (no fresh
   // crypto, so a duplicate cannot desynchronize the session); once the
   // exchange completed, stay silent — a replayed QUE1 learns nothing new.
-  if (seen_rs_.contains(msg.r_s)) {
+  if (seen_rs_.contains(r_s)) {
     ++stats_.replays_detected;
     if (cfg_.creds.level == Level::kL1) {
       // Level 1 is stateless public plaintext: always safe to resend.
       ++stats_.retransmissions;
-      return {encode(Res1Level1{cfg_.creds.public_prof.serialize()}),
-              HandleStatus::kDuplicate};
+      return {res1_l1_wire_, HandleStatus::kDuplicate};
     }
     const auto sit = sessions_.find(msg.r_s);
     if (sit != sessions_.end()) {
@@ -251,14 +256,20 @@ HandleResult ObjectEngine::handle_que1(const Que1& msg, const Bytes& wire,
     const HandleStatus adm = admit(peer);
     if (adm != HandleStatus::kOk) return shed(adm);
   }
-  seen_rs_.put(msg.r_s, {}, lru_seq_++);
+  // Replay stamps are never refreshed, so a full window forgets its
+  // oldest nonce first; it does so before the insert, so the window's
+  // storage never outgrows the bound.
+  if (cfg_.replay_window > 0 && seen_rs_.size() >= cfg_.replay_window) {
+    note_eviction(seen_rs_.trim(cfg_.replay_window - 1));
+  }
+  seen_rs_.put(r_s, {}, lru_seq_++);
   bound_state();
   ++stats_.que1_handled;
 
   if (cfg_.creds.level == Level::kL1) {
     // Level 1: return the admin-signed profile in plaintext. No crypto.
     ++stats_.replies_sent;
-    return {encode(Res1Level1{cfg_.creds.public_prof.serialize()})};
+    return {res1_l1_wire_};
   }
 
   // Level 2/3: open a session — fresh R_O, ephemeral ECDH, signature over

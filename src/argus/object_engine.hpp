@@ -117,6 +117,8 @@ class ObjectEngine {
   [[nodiscard]] const backend::ObjectCredentials& credentials() const {
     return cfg_.creds;
   }
+  /// The config this engine was built from (a reboot rebuilds from it).
+  [[nodiscard]] const ObjectEngineConfig& config() const { return cfg_; }
 
   /// Sealed, checksummed snapshot of the full engine state: sessions,
   /// reply/resumption caches, replay window, admission buckets,
@@ -174,6 +176,10 @@ class ObjectEngine {
     return resume_cache_.size();
   }
   [[nodiscard]] std::size_t replay_entries() const { return seen_rs_.size(); }
+  /// Bytes the replay window's storage holds (pool and index capacity).
+  [[nodiscard]] std::size_t replay_storage_bytes() const {
+    return seen_rs_.index().storage_bytes();
+  }
   [[nodiscard]] std::size_t peer_bucket_count() const {
     return peer_buckets_.size();
   }
@@ -210,7 +216,7 @@ class ObjectEngine {
     double last_ms = 0;
   };
 
-  HandleResult handle_que1(const Que1& msg, const Bytes& wire,
+  HandleResult handle_que1(const Que1& msg, ByteSpan wire,
                            std::uint64_t peer);
   HandleResult handle_que2(const Que2& msg, std::uint64_t now,
                            std::uint64_t peer);
@@ -271,13 +277,14 @@ class ObjectEngine {
   std::uint64_t epoch_ = 0;
   double epoch_born_ms_ = 0;
   // Replay detection: stamped at insert only, so the window is FIFO.
-  LruMap<Bytes, std::monostate> seen_rs_;
+  LruFlatMap<Nonce, std::monostate> seen_rs_;
   LruMap<std::uint64_t, TokenBucket> peer_buckets_;  // admission
   TokenBucket global_bucket_;
   std::set<std::string> revoked_;
   crypto::VerifiedCache verified_;
   std::uint64_t last_revocation_seq_ = 0;
   std::size_t max_prof_wire_ = 0;
+  Bytes res1_l1_wire_;  // a Level-1 object's one reply, encoded once
   double consumed_ms_ = 0;
   double now_ms_ = 0;        // latest advance_clock() time
   std::uint64_t lru_seq_ = 0;

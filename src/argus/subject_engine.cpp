@@ -1,6 +1,10 @@
 #include "argus/subject_engine.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "common/serde.hpp"
 #include "crypto/aes.hpp"
@@ -65,7 +69,7 @@ HandleResult SubjectEngine::handle(ByteSpan wire, std::uint64_t now) {
     return handle_res1_l1(*l1);
   }
   if (const auto* r1 = std::get_if<Res1>(&*msg)) {
-    return handle_res1(*r1, Bytes(wire.begin(), wire.end()), now);
+    return handle_res1(*r1, wire, now);
   }
   if (const auto* r2 = std::get_if<Res2>(&*msg)) {
     return handle_res2(*r2);
@@ -74,32 +78,57 @@ HandleResult SubjectEngine::handle(ByteSpan wire, std::uint64_t now) {
   return fail(HandleStatus::kMalformed);
 }
 
-void SubjectEngine::record(DiscoveredService svc) {
-  for (const auto& existing : discovered_) {
-    if (existing.object_id == svc.object_id &&
-        existing.variant_tag == svc.variant_tag) {
-      return;
-    }
+namespace {
+
+using ServiceKey = std::pair<std::string_view, std::string_view>;
+
+ServiceKey key_of(const DiscoveredService& svc) {
+  return {svc.object_id, svc.variant_tag};
+}
+
+}  // namespace
+
+void SubjectEngine::record(backend::Profile&& prof, int level) {
+  const ServiceKey key{prof.entity_id, prof.variant_tag};
+  const auto at = std::lower_bound(
+      discovered_index_.begin(), discovered_index_.end(), key,
+      [&](std::uint32_t i, const ServiceKey& k) {
+        return key_of(discovered_[i]) < k;
+      });
+  if (at != discovered_index_.end() && key_of(discovered_[*at]) == key) {
+    return;
   }
-  discovered_.push_back(std::move(svc));
+  discovered_index_.insert(at,
+                           static_cast<std::uint32_t>(discovered_.size()));
+  discovered_.push_back(DiscoveredService{
+      std::move(prof.entity_id), level, std::move(prof.variant_tag),
+      std::move(prof.services), std::move(prof.attributes)});
+}
+
+void SubjectEngine::index_discovered() {
+  discovered_index_.resize(discovered_.size());
+  std::iota(discovered_index_.begin(), discovered_index_.end(), 0u);
+  std::stable_sort(discovered_index_.begin(), discovered_index_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return key_of(discovered_[a]) < key_of(discovered_[b]);
+                   });
 }
 
 HandleResult SubjectEngine::handle_res1_l1(const Res1Level1& msg) {
   ARGUS_PROF_SCOPE("subject.handle_res1_l1");
   // Level 1: plaintext profile; integrity via the admin signature (§IV-B).
-  const auto prof = backend::Profile::parse(msg.prof);
+  auto prof = backend::Profile::parse(msg.prof);
   charge(net::CryptoOp::kEcdsaVerify);
   if (!prof || !verify_profile(group_, cfg_.admin_pub, *prof, verified_)) {
     ++stats_.drops;
     return fail(HandleStatus::kBadProfile);
   }
   ++stats_.res1_l1;
-  record(DiscoveredService{prof->entity_id, 1, prof->variant_tag,
-                           prof->services, prof->attributes});
+  record(std::move(*prof), 1);
   return HandleResult(HandleStatus::kOk);
 }
 
-HandleResult SubjectEngine::handle_res1(const Res1& msg, const Bytes& wire,
+HandleResult SubjectEngine::handle_res1(const Res1& msg, ByteSpan wire,
                                          std::uint64_t now) {
   ARGUS_PROF_SCOPE("subject.handle_res1");
   if (msg.r_s != r_s_) {
@@ -313,8 +342,7 @@ HandleResult SubjectEngine::handle_res2(const Res2& msg) {
     return fail(HandleStatus::kBadProfile);
   }
   ++stats_.res2;
-  record(DiscoveredService{prof->entity_id, level, prof->variant_tag,
-                           prof->services, prof->attributes});
+  record(std::move(*prof), level);
   sessions_.erase(msg.r_o);
   completed_.insert(msg.r_o);
   return HandleResult(HandleStatus::kOk);

@@ -133,8 +133,7 @@ class SubjectEngine {
   };
 
   HandleResult handle_res1_l1(const Res1Level1& msg);
-  HandleResult handle_res1(const Res1& msg, const Bytes& wire,
-                           std::uint64_t now);
+  HandleResult handle_res1(const Res1& msg, ByteSpan wire, std::uint64_t now);
   HandleResult handle_res2(const Res2& msg);
 
   /// Terminal non-reply: count is_reject statuses (stats + metrics).
@@ -157,7 +156,11 @@ class SubjectEngine {
           .observe(ms);
     }
   }
-  void record(DiscoveredService svc);
+  /// Add `prof`'s service at `level` unless (object id, variant tag) is
+  /// already recorded.
+  void record(backend::Profile&& prof, int level);
+  /// Rebuild discovered_index_ from discovered_ (after a restore).
+  void index_discovered();
 
   SubjectEngineConfig cfg_;
   const crypto::EcGroup& group_;
@@ -171,6 +174,8 @@ class SubjectEngine {
   std::uint64_t lru_seq_ = 0;
   std::set<Bytes> completed_;          // R_O of finished exchanges this round
   std::vector<DiscoveredService> discovered_;
+  // Positions in discovered_, sorted by (object id, variant tag).
+  std::vector<std::uint32_t> discovered_index_;
   crypto::VerifiedCache verified_;
   double consumed_ms_ = 0;
   Stats stats_;

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <variant>
 
@@ -67,15 +66,7 @@ class VerifiedCache {
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::size_t h;  // the key is a digest: any slice is uniform
-      std::memcpy(&h, k.data(), sizeof(h));
-      return h;
-    }
-  };
-
-  using Table = LruHashMap<Key, std::monostate, KeyHash>;
+  using Table = LruFlatMap<Key, std::monostate>;
 
   std::unique_ptr<Table> table_;
   std::uint64_t clock_ = 0;  // recency stamps

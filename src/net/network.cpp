@@ -5,6 +5,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
 namespace argus::net {
@@ -54,6 +55,8 @@ unsigned Network::hops_between(NodeId a, NodeId b) const {
 
 double Network::jitter() {
   if (radio_.jitter_ms <= 0) return 0;
+  // One HMAC-DRBG draw per hop: three HMACs and a re-key.
+  ARGUS_PROF_SCOPE("net.jitter");
   return radio_.jitter_ms *
          (static_cast<double>(rng_.uniform(1000)) / 1000.0);
 }

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -65,6 +66,11 @@ class Saver {
   }
   void f64(const double& v) { w_.u64(std::bit_cast<std::uint64_t>(v)); }
   void bytes16(const Bytes& v) { w_.bytes16(v); }
+  /// A fixed-size key, in the same format as a Bytes of that length.
+  template <std::size_t N>
+  void bytes16(const std::array<std::uint8_t, N>& v) {
+    w_.bytes16(ByteSpan(v.data(), N));
+  }
   void bytes32(const Bytes& v) { w_.bytes32(v); }
   void str(const std::string& v) { w_.str(v); }
 
@@ -110,15 +116,27 @@ class Saver {
   }
 
   /// A u32 count, then `fn(key, value)` and the u64 stamp for each entry
-  /// of an LruTable, in index order. The loader refuses a stamp at or
-  /// above `bound`, the counter every stamp was drawn from.
+  /// of an LruTable, in key order (a flat table is sorted first). The
+  /// loader refuses a stamp at or above `bound`, the counter every stamp
+  /// was drawn from.
   template <class Table, class Fn>
   void table(const Table& t, std::uint64_t /*bound*/, Fn&& fn,
              Stamps /*rule*/ = Stamps::kBelowBound) {
     w_.u32(static_cast<std::uint32_t>(t.size()));
-    for (const auto& [key, entry] : t) {
-      fn(key, entry.value);
-      w_.u64(entry.stamp);
+    const auto row = [&](const auto& slot) {
+      fn(slot.first, slot.second.value);
+      w_.u64(slot.second.stamp);
+    };
+    if constexpr (Table::kOrdered) {
+      for (const auto& slot : t) row(slot);
+    } else {
+      std::vector<const typename Table::Index::Slot*> sorted;
+      sorted.reserve(t.size());
+      for (const auto& slot : t) sorted.push_back(&slot);
+      std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
+        return a->first < b->first;
+      });
+      for (const auto* slot : sorted) row(*slot);
     }
   }
   /// Same format as table(), but the loader only parses the entries and
@@ -166,6 +184,15 @@ class Loader {
   }
   void f64(double& v) { v = std::bit_cast<double>(r_.u64()); }
   void bytes16(Bytes& v) { v = r_.bytes16(); }
+  /// Throws std::invalid_argument unless the length is exactly N.
+  template <std::size_t N>
+  void bytes16(std::array<std::uint8_t, N>& v) {
+    const Bytes b = r_.bytes16();
+    if (b.size() != N) {
+      throw std::invalid_argument("persist: fixed-size key of wrong length");
+    }
+    std::copy(b.begin(), b.end(), v.begin());
+  }
   void bytes32(Bytes& v) { v = r_.bytes32(); }
   void str(std::string& v) { v = r_.str(); }
 
@@ -232,7 +259,7 @@ class Loader {
   template <class Table, class Fn>
   void table(Table& t, std::uint64_t bound, Fn&& fn,
              Stamps rule = Stamps::kBelowBound) {
-    typename Table::Index index;
+    typename Table::Parsed index;
     std::vector<std::uint64_t> stamps;
     for (std::uint32_t i = 0, n = r_.u32(); i < n; ++i) {
       typename Table::key_type key{};

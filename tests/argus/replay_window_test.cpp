@@ -1,7 +1,7 @@
-// Replay window: the object's never-touched LruMap of seen nonces against
-// a frozen copy of the min-stamp scan it replaced, at the table level and
-// through a Level-1 ObjectEngine, across snapshot/restore, reset and
-// copies.
+// Replay window: the object's never-touched flat table of seen nonces
+// against a frozen copy of the min-stamp scan it replaced, at the table
+// level and through a Level-1 ObjectEngine, across snapshot/restore, reset
+// and copies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,11 +44,20 @@ Bytes pooled_nonce(std::mt19937_64& rng, std::size_t pool) {
   return r_s;
 }
 
-using Window = LruMap<Bytes, std::monostate>;
+using Window = LruFlatMap<Nonce, std::monostate>;
+
+Nonce key_of(const Bytes& r_s) {
+  Nonce out;
+  std::copy(r_s.begin(), r_s.end(), out.begin());
+  return out;
+}
 
 std::map<Bytes, std::uint64_t> stamps_of(const Window& window) {
   std::map<Bytes, std::uint64_t> out;
-  for (const auto& [r_s, entry] : window) out.emplace(r_s, entry.stamp);
+  for (const auto& slot : window) {
+    out.emplace(Bytes(slot.first.begin(), slot.first.end()),
+                slot.second.stamp);
+  }
   return out;
 }
 
@@ -61,9 +70,9 @@ TEST(ReplayWindowTest, MatchesMinScanReference) {
     for (int step = 0; step < 3000; ++step) {
       const std::uint64_t action = rng() % 100;
       if (action == 0) {  // snapshot/restore: rebuild order from stamps
-        Window::Index parsed;
+        Window::Parsed parsed;
         for (const auto& [r_s, s] : stamps_of(window)) {
-          parsed.emplace(r_s, Window::Entry{{}, s});
+          parsed.emplace(key_of(r_s), Window::Entry{{}, s});
         }
         Window restored;
         restored.assign(std::move(parsed));
@@ -78,13 +87,13 @@ TEST(ReplayWindowTest, MatchesMinScanReference) {
       }
       const Bytes r_s = pooled_nonce(rng, 3 * bound);
       const bool replay = ref.seen.contains(r_s);
-      ASSERT_EQ(window.contains(r_s), replay) << "bound " << bound;
+      ASSERT_EQ(window.contains(key_of(r_s)), replay) << "bound " << bound;
       if (replay) continue;
-      window.put(r_s, {}, stamp);
+      window.put(key_of(r_s), {}, stamp);
       ref.seen.emplace(r_s, stamp);
       ++stamp;
       while (window.size() > bound) {
-        ASSERT_EQ(window.oldest(), ref.evict_oldest())
+        ASSERT_EQ(window.oldest(), key_of(ref.evict_oldest()))
             << "bound " << bound << " step " << step;
         window.evict_oldest();
       }
@@ -223,6 +232,47 @@ TEST_F(ReplayEngineTest, RestoreRejectsImpossibleStamps) {
   EXPECT_EQ(target.replay_entries(), 0u);
   EXPECT_NE(target.restore(with_stamp(2, 3)), persist::RestoreError::kOk);
   EXPECT_EQ(target.replay_entries(), 0u);
+}
+
+// A replay key is a 28-byte nonce: a snapshot whose window holds a key of
+// any other length is malformed and restores blank.
+TEST_F(ReplayEngineTest, RestoreRejectsReplayKeysOfTheWrongLength) {
+  ObjectEngine donor = make_object(4);
+  for (std::uint8_t i = 0; i < 2; ++i) {
+    Bytes r_s(kNonceSize, static_cast<std::uint8_t>(0x40 + i));
+    ASSERT_EQ(donor.handle(encode(Que1{r_s}), 0).status, HandleStatus::kOk);
+  }
+  const persist::OpenResult open = persist::open_snapshot(
+      donor.snapshot(), persist::SnapshotKind::kObjectEngine);
+  ASSERT_TRUE(open);
+  Bytes pattern = {0, static_cast<std::uint8_t>(kNonceSize)};
+  pattern.insert(pattern.end(), kNonceSize, 0x41);
+  const auto at = std::search(open.payload.begin(), open.payload.end(),
+                              pattern.begin(), pattern.end());
+  ASSERT_NE(at, open.payload.end());
+  const auto offset = static_cast<std::size_t>(at - open.payload.begin());
+  // The key's bytes16 length prefix says `len`, with the key shortened or
+  // padded to match, so the rest of the payload still parses.
+  const auto with_length = [&](std::size_t len) {
+    Bytes payload(open.payload.begin(), open.payload.begin() + offset);
+    payload.push_back(0);
+    payload.push_back(static_cast<std::uint8_t>(len));
+    payload.insert(payload.end(), len, 0x41);
+    payload.insert(payload.end(), at + pattern.size(), open.payload.end());
+    return persist::seal_snapshot(persist::SnapshotKind::kObjectEngine,
+                                  payload);
+  };
+  ObjectEngine target = make_object(4);
+  EXPECT_EQ(target.restore(with_length(kNonceSize)),
+            persist::RestoreError::kOk);
+  EXPECT_EQ(target.replay_entries(), 2u);
+  for (const std::size_t len : {std::size_t{0}, kNonceSize - 1,
+                                kNonceSize + 1, std::size_t{32}}) {
+    EXPECT_EQ(target.restore(with_length(len)),
+              persist::RestoreError::kBadPayload)
+        << "length " << len;
+    EXPECT_EQ(target.replay_entries(), 0u);
+  }
 }
 
 // Every table stamp comes from the one counter. A restored bucket stamped
